@@ -5,8 +5,8 @@ from .metric import (MetricError, TerminalMetric, Vec, as_fraction,
 from .tightspan import (Cell, CellComplex, UnsupportedSizeError, enumerate_complex,
                         in_tight_span, max_cell_dimension, project, ts_distance)
 from .graphs import (Edge, EmbeddedGraph, GraphError, TerminalGraph,
-                     distance_vectors, project_graph, shortest_distances,
-                     terminal_metric)
+                     distance_vectors, edge_distances, project_graph,
+                     shortest_distances, terminal_metric)
 from .decompose import (Cluster, CostReport, Decomposer, ExpectedCost, Solution,
                         TSTemplate, classify, contract, cost, expected_cost,
                         sample_decomposition, type1_metric, type2_metric,

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .decompose import Decomposer, cost, contract, _SEED_MIX
+from .decompose import (CostReport, Decomposer, contract, mean_stderr, opt_volume,
+                        sample_seed, sample_volumes)
 from .flow import Demand, FlowError, quality_ratio
 from .graphs import GraphError, project_graph
 from .hard6 import generate, grid_snap, losses, directional_losses, planar_losses
@@ -80,20 +80,11 @@ def _cmd_sparsify(args) -> int:
         raise MetricError("need at least one sample")
     emb = project_graph(g)
     dec = Decomposer(emb)
-    best = None
-    vols = []
-    for i in range(args.samples):
-        seed = (args.seed * _SEED_MIX + i) % (1 << 64)
-        sol = dec.solution(seed)
-        report = cost(emb, sol)
-        vols.append(report.vol)
-        if best is None or report.vol < best[1].vol:
-            best = (sol, report)
-    sol, report = best
-    n = len(vols)
-    mean = sum(vols, Fraction(0)) / n
-    var = sum((float(v) - float(mean)) ** 2 for v in vols) / n
-    stderr = (var / (n - 1)) ** 0.5 if n > 1 else 0.0
+    run = sample_volumes(dec, args.samples, args.seed)
+    best = min(range(args.samples), key=run.vols.__getitem__)  # first cheapest
+    sol = dec.solution(sample_seed(args.seed, best))
+    report = CostReport.of(run.vols[best], opt_volume(g))
+    mean, stderr = mean_stderr((v, 1) for v in run.vols)
     sparsifier = contract(g, sol)
     payload = {
         "template": dec.template.tag,
@@ -101,7 +92,7 @@ def _cmd_sparsify(args) -> int:
         "cost": report.to_json_dict(),
         "sparsifier": dump_graph(sparsifier),
         "monte_carlo": {
-            "samples": n,
+            "samples": args.samples,
             "mean_vol": str(mean),
             "stderr": stderr,
             "opt": str(report.opt),
@@ -259,24 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_thread_env() -> None:
-    # results are seed-indexed and never depend on the worker count; the
-    # variable is validated so misconfiguration fails fast
-    raw = os.environ.get("SPANFLOW_THREADS")
-    if raw is None:
-        return
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise MetricError(f"SPANFLOW_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise MetricError("SPANFLOW_THREADS must be at least 1")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_thread_env()
         return args.func(args)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,10 +26,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
-from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, shortest_distances
+from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distances
 from .tightspan import (CellComplex, UnsupportedSizeError, enumerate_complex,
                         in_tight_span, point_in_cell, ts_distance)
 
@@ -90,6 +90,10 @@ class CostReport:
     vol: Fraction
     opt: Fraction
     ratio: Fraction
+
+    @classmethod
+    def of(cls, vol: Fraction, opt: Fraction) -> "CostReport":
+        return cls(vol=vol, opt=opt, ratio=vol / opt if opt else Fraction(1))
 
     def to_json_dict(self) -> dict:
         return {"vol": str(self.vol), "opt": str(self.opt), "ratio": str(self.ratio)}
@@ -646,7 +650,12 @@ def classify(cx: CellComplex) -> TSTemplate:
     """Classify a <=5-terminal span complex and extract its parameters."""
     if len(cx.metric.terminals) > 5:
         raise UnsupportedSizeError("classification supports at most 5 terminals")
-    model = _build_model(cx)
+    return _template_of(_build_model(cx))
+
+
+def _template_of(model) -> TSTemplate:
+    """The template tag and parameters of an already built span model."""
+    cx = model.complex
     if isinstance(model, _FanModel):
         params = {f"pendant_{t}": model.pend_len[t] for t in cx.metric.terminals}
         for k, v in model.side_len.items():
@@ -665,7 +674,6 @@ def classify(cx: CellComplex) -> TSTemplate:
         params["fold"] = model.fold_bands[3]
         roles = {"fold_slope": str(model.fold_bands[2])}
         for t in cx.metric.terminals:
-            vid = cx.vertex_id(cx.metric.row(t))
             attach = _attach_point(model, t)
             if attach is not None:
                 params[f"pendant_{t}"] = attach[0]
@@ -706,7 +714,7 @@ class Decomposer:
         self.embedded = embedded
         self.complex = enumerate_complex(m)
         self.model = _build_model(self.complex)
-        self.template = classify(self.complex)
+        self.template = _template_of(self.model)
         self.tokens = {v: self.model.localize(p) for v, p in embedded.points.items()}
         self._static = {v: tok[1] for v, tok in self.tokens.items() if tok[0] == "rep"}
         self._dynamic = [(v, tok) for v, tok in self.tokens.items() if tok[0] != "rep"]
@@ -781,9 +789,9 @@ def sample_decomposition(embedded: EmbeddedGraph, seed: int) -> Solution:
     return Decomposer(embedded).solution(seed)
 
 
-def _all_pairs_dist(g: TerminalGraph) -> dict:
-    adj = g.adjacency()
-    return {v: shortest_distances(g, v, adj) for v in g.vertices}
+def opt_volume(g: TerminalGraph) -> Fraction:
+    """Cost of the identity: sum of capacity times endpoint shortest-path distance."""
+    return sum((e.capacity * d for e, d in zip(g.edges, edge_distances(g))), Fraction(0))
 
 
 def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
@@ -791,14 +799,85 @@ def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
     missing = [v for v in g.vertices if v not in sol.by_vertex]
     if missing:
         raise GraphError(f"solution does not cover vertices {missing[:3]}")
-    sp = _all_pairs_dist(g)
     vol = Fraction(0)
-    opt = Fraction(0)
     for u, v, cap, _ in g.edges:
         vol += cap * sol.delta(sol.cluster_of(u), sol.cluster_of(v))
-        opt += cap * sp[u][v]
-    ratio = vol / opt if opt else Fraction(1)
-    return CostReport(vol=vol, opt=opt, ratio=ratio)
+    return CostReport.of(vol, opt_volume(g))
+
+
+def sample_seed(master_seed: int, i: int) -> int:
+    """Seed of the i-th sample; depends only on the master seed and the index."""
+    return (master_seed * _SEED_MIX + i) % (1 << 64)
+
+
+@dataclass
+class Samples:
+    """Exact volumes of the samples `sample_seed(master_seed, i)`, in order of i.
+
+    `pair_counts[e]`, when requested, counts how often edge e joined each
+    ordered pair of interned cluster ids (see `Decomposer.rep_distance`).
+    """
+    vols: list[Fraction]
+    pair_counts: list[dict[tuple[int, int], int]] | None = None
+
+
+def sample_volumes(dec: Decomposer, n_samples: int, master_seed: int,
+                   per_edge: bool = False) -> Samples:
+    """Draw `n_samples` seeded decompositions and their exact cut volumes.
+
+    Per sample, capacities (scaled to integers by their common denominator)
+    are summed per cluster pair, so each distinct pair costs one exact
+    multiply by its span distance.
+    """
+    edges = dec.embedded.graph.edges
+    scale = math.lcm(*(e.capacity.denominator for e in edges))
+    caps = [e.capacity.numerator * (scale // e.capacity.denominator) for e in edges]
+    ends = [(e.u, e.v) for e in edges]
+    counts = [{} for _ in edges] if per_edge else None
+    vols = []
+    for i in range(n_samples):
+        assign = dec.assignment_ids(sample_seed(master_seed, i))
+        keys = [(assign[u], assign[v]) for u, v in ends]
+        by_pair: dict[tuple[int, int], int] = {}
+        for key, c in zip(keys, caps):
+            by_pair[key] = by_pair.get(key, 0) + c
+        if counts is not None:
+            for hist, key in zip(counts, keys):
+                hist[key] = hist.get(key, 0) + 1
+        vol = sum((dec.rep_distance(a, b) * c for (a, b), c in by_pair.items() if a != b),
+                  Fraction(0))
+        vols.append(vol / scale)
+    return Samples(vols=vols, pair_counts=counts)
+
+
+def _sqrt_float(q: Fraction) -> float:
+    """The square root of q >= 0, correctly rounded to a float."""
+    a, b = q.numerator, q.denominator
+    if a == 0:
+        return 0.0
+    # scale by 4^k so the integer root carries at least 62 bits; a sticky
+    # low bit then marks an inexact root, and one int division rounds it
+    k = max(0, 62 - (a.bit_length() - b.bit_length()) // 2)
+    n = (a << 2 * k) // b
+    r = math.isqrt(n)
+    if r * r * b != a << 2 * k:
+        r, k = 2 * r + 1, k + 1
+    return r / (1 << k)
+
+
+def mean_stderr(values: Iterable[tuple[Fraction, int]]) -> tuple[Fraction, float]:
+    """Exact mean and standard error of a sample given as (value, count) pairs.
+
+    The standard error is sqrt(sum (x - mean)^2 / (n (n - 1))), computed
+    exactly and rounded once; it is 0.0 for fewer than two observations.
+    """
+    values = list(values)
+    n = sum(c for _, c in values)
+    mean = sum((x * c for x, c in values), Fraction(0)) / n
+    if n < 2:
+        return mean, 0.0
+    ss = sum((c * (x - mean) ** 2 for x, c in values), Fraction(0))
+    return mean, _sqrt_float(ss / (n * (n - 1)))
 
 
 @dataclass
@@ -828,44 +907,18 @@ def expected_cost(embedded: EmbeddedGraph, n_samples: int, master_seed: int,
     if n_samples < 2:
         raise ValueError("need at least two samples")
     dec = Decomposer(embedded)
-    g = embedded.graph
-    edges = g.edges
-    sums = [Fraction(0)] * len(edges)
-    vol_sum = Fraction(0)
-    vol_sq = 0.0
-    vols = []
-    edge_sq = [0.0] * len(edges)
-    sp = _all_pairs_dist(g)
-    opt = sum((cap * sp[u][v] for u, v, cap, _ in edges), Fraction(0))
-    for i in range(n_samples):
-        seed = (master_seed * _SEED_MIX + i) % (1 << 64)
-        assign = dec.assignment_ids(seed)
-        vol = Fraction(0)
-        for ei, (u, v, cap, _) in enumerate(edges):
-            d = dec.rep_distance(assign[u], assign[v])
-            sums[ei] += d
-            edge_sq[ei] += float(d) * float(d)
-            vol += cap * d
-        vol_sum += vol
-        vol_sq += float(vol) * float(vol)
-        vols.append(float(vol))
-    n = n_samples
-    mean = vol_sum / n
-    var = max(vol_sq / n - float(mean) ** 2, 0.0)
-    stderr = math.sqrt(var / (n - 1)) if n > 1 else 0.0
+    run = sample_volumes(dec, n_samples, master_seed, per_edge=per_edge)
+    mean, stderr = mean_stderr((v, 1) for v in run.vols)
     stats = None
     if per_edge:
         stats = []
-        for ei, (u, v, cap, _) in enumerate(edges):
-            em = sums[ei] / n
-            evar = max(edge_sq[ei] / n - float(em) ** 2, 0.0)
+        for e, hist in zip(embedded.graph.edges, run.pair_counts):
+            em, es = mean_stderr((dec.rep_distance(a, b), c) for (a, b), c in hist.items())
             stats.append(EdgeStat(
-                edge=edges[ei],
-                mean_delta=em,
-                stderr=math.sqrt(evar / (n - 1)),
-                embed_dist=ts_distance(embedded.points[u], embedded.points[v])))
-    return ExpectedCost(mean_vol=mean, stderr=stderr, opt=opt, samples=n,
-                        per_edge=stats)
+                edge=e, mean_delta=em, stderr=es,
+                embed_dist=ts_distance(embedded.points[e.u], embedded.points[e.v])))
+    return ExpectedCost(mean_vol=mean, stderr=stderr, opt=opt_volume(embedded.graph),
+                        samples=n_samples, per_edge=stats)
 
 
 def contract(g: TerminalGraph, sol: Solution) -> TerminalGraph:

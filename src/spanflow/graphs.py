@@ -88,11 +88,36 @@ def shortest_distances(g: TerminalGraph, source: Vertex,
     return dist
 
 
-def terminal_metric(g: TerminalGraph) -> TerminalMetric:
-    """Pairwise terminal shortest-path distances as an exact metric."""
-    names = list(g.terminals)
+def edge_distances(g: TerminalGraph) -> list[Fraction]:
+    """Shortest-path distance between the endpoints of every edge, in edge order.
+
+    Each edge is charged to its endpoint of higher degree (ties go to the
+    earlier vertex), and one exact Dijkstra runs from each charged endpoint:
+    on a star-shaped graph those are its terminals.
+    """
+    degree = {v: 0 for v in g.vertices}
+    for u, v, _, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    rank = {v: (-degree[v], i) for i, v in enumerate(g.vertices)}
     adj = g.adjacency()
-    dists = {t: shortest_distances(g, g.terminals[t], adj) for t in names}
+    dists: dict[Vertex, dict[Vertex, Fraction]] = {}
+    out = []
+    for u, v, _, _ in g.edges:
+        src, dst = (u, v) if rank[u] <= rank[v] else (v, u)
+        if src not in dists:
+            dists[src] = shortest_distances(g, src, adj)
+        out.append(dists[src][dst])
+    return out
+
+
+def _terminal_distances(g: TerminalGraph) -> dict[str, dict[Vertex, Fraction]]:
+    adj = g.adjacency()
+    return {t: shortest_distances(g, v, adj) for t, v in g.terminals.items()}
+
+
+def _metric_from(g: TerminalGraph, dists: Mapping[str, Mapping]) -> TerminalMetric:
+    names = list(g.terminals)
     k = len(names)
     mat = [[Fraction(0)] * k for _ in range(k)]
     for i, t in enumerate(names):
@@ -104,20 +129,26 @@ def terminal_metric(g: TerminalGraph) -> TerminalMetric:
     return TerminalMetric(names, mat)
 
 
-def distance_vectors(g: TerminalGraph) -> dict[Vertex, Vec]:
-    """For every vertex, its vector of shortest-path distances to terminals."""
-    names = list(g.terminals)
-    adj = g.adjacency()
-    dists = {t: shortest_distances(g, g.terminals[t], adj) for t in names}
+def _vectors_from(g: TerminalGraph, dists: Mapping[str, Mapping]) -> dict[Vertex, Vec]:
     out: dict[Vertex, Vec] = {}
     for v in g.vertices:
         vec = {}
-        for t in names:
-            if v not in dists[t]:
+        for t, dist in dists.items():
+            if v not in dist:
                 raise GraphError(f"vertex {v} is disconnected from terminal {t}")
-            vec[t] = dists[t][v]
+            vec[t] = dist[v]
         out[v] = vec
     return out
+
+
+def terminal_metric(g: TerminalGraph) -> TerminalMetric:
+    """Pairwise terminal shortest-path distances as an exact metric."""
+    return _metric_from(g, _terminal_distances(g))
+
+
+def distance_vectors(g: TerminalGraph) -> dict[Vertex, Vec]:
+    """For every vertex, its vector of shortest-path distances to terminals."""
+    return _vectors_from(g, _terminal_distances(g))
 
 
 @dataclass
@@ -133,10 +164,12 @@ def project_graph(g: TerminalGraph) -> EmbeddedGraph:
 
     Each vertex's distance vector is projected; terminals land on their own
     metric rows, and for every edge the image distance is at most the edge's
-    shortest-path length (projection is non-expanding).
+    shortest-path length (projection is non-expanding).  One Dijkstra per
+    terminal serves both the metric and the distance vectors.
     """
-    m = terminal_metric(g)
-    vecs = distance_vectors(g)
+    dists = _terminal_distances(g)
+    m = _metric_from(g, dists)
+    vecs = _vectors_from(g, dists)
     points = {v: project(m, vec) for v, vec in vecs.items()}
     for t in g.terminals:
         points[g.terminals[t]] = m.row(t)

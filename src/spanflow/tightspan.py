@@ -172,7 +172,6 @@ def _solve_tight(cons: list[tuple[int, int, int]], k: int) -> list[int] | None:
     comp = [-1] * k
     values = [0] * k
     ncomp = 0
-    comp_nodes: list[list[int]] = []
     for root in range(k):
         if comp[root] != -1:
             continue
@@ -218,7 +217,6 @@ def _solve_tight(cons: list[tuple[int, int, int]], k: int) -> list[int] | None:
             return None  # a free parameter remains: not a vertex
         for node in nodes:
             values[node] = sigma[node] * s_val + const[node]
-        comp_nodes.append(nodes)
     return values
 
 

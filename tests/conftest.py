@@ -1,7 +1,15 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+# child processes (`python -m spanflow.cli`, possibly run from another
+# directory) must import this checkout's package
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 from spanflow.metric import TerminalMetric
 from spanflow.graphs import TerminalGraph

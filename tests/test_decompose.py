@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction as F
 from itertools import combinations
 
 from spanflow.decompose import (Decomposer, classify, contract, cost,
-                                expected_cost, sample_decomposition,
-                                type1_metric, type2_metric, type3_metric)
+                                expected_cost, mean_stderr, sample_decomposition,
+                                sample_seed, sample_volumes, type1_metric,
+                                type2_metric, type3_metric)
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
 from spanflow.metric import TerminalMetric
 from spanflow.tightspan import enumerate_complex
@@ -310,3 +312,69 @@ def test_contract_keeps_parallel_edges():
     h = contract(g, sol)
     assert len(h.edges) == 2
     assert all(e.length == 2 for e in h.edges)
+
+
+def test_sample_volumes_equal_cost_of_each_solution(rng):
+    for builder in (rand_type1, rand_type2, rand_type3):
+        m = builder(rng)[-1]
+        base = graph_from_metric(m, 5, rng)
+        # fractional capacities exercise the common-denominator scaling
+        g = TerminalGraph(vertices=base.vertices, terminals=base.terminals,
+                          edges=[(u, v, cap / rng.randint(1, 7), length)
+                                 for u, v, cap, length in base.edges])
+        emb = project_graph(g)
+        dec = Decomposer(emb)
+        run = sample_volumes(dec, 12, master_seed=3)
+        assert len(run.vols) == 12
+        for i, vol in enumerate(run.vols):
+            assert vol == cost(emb, dec.solution(sample_seed(3, i))).vol
+
+
+def _mean_and_squared_stderr(values):
+    n = len(values)
+    mean = sum(values, F(0)) / n
+    return mean, sum(((x - mean) ** 2 for x in values), F(0)) / (n * (n - 1))
+
+
+def _correctly_rounded_sqrt(q, s):
+    """s is the float nearest to sqrt(q): sqrt(q) lies within half an ulp of s."""
+    half = F(math.ulp(s)) / 2
+    return max(F(s) - half, F(0)) ** 2 <= q <= (F(s) + half) ** 2
+
+
+def test_expected_cost_matches_naive_average(rng):
+    m = rand_type2(rng)[-1]
+    g = graph_from_metric(m, 3, rng)
+    emb = project_graph(g)
+    n, master = 40, 21
+    rep = expected_cost(emb, n, master_seed=master, per_edge=True)
+    dec = Decomposer(emb)
+    vols, deltas = [], [[] for _ in g.edges]
+    for i in range(n):
+        sol = dec.solution(sample_seed(master, i))
+        vols.append(cost(emb, sol).vol)
+        for ei, (u, v, _, _) in enumerate(g.edges):
+            deltas[ei].append(sol.delta(sol.cluster_of(u), sol.cluster_of(v)))
+    mean, var = _mean_and_squared_stderr(vols)
+    assert rep.mean_vol == mean
+    assert var > 0 and _correctly_rounded_sqrt(var, rep.stderr)
+    for st, ds in zip(rep.per_edge, deltas):
+        em, evar = _mean_and_squared_stderr(ds)
+        assert st.mean_delta == em
+        assert _correctly_rounded_sqrt(evar, st.stderr)
+
+
+def test_mean_stderr_exact():
+    assert mean_stderr([(F(5), 1)]) == (F(5), 0.0)
+    assert mean_stderr([(F(1), 3), (F(1), 2)]) == (F(1), 0.0)
+    values = [F(1, 3), F(2), F(2), F(7, 5)]
+    mean, stderr = mean_stderr([(F(1, 3), 1), (F(2), 2), (F(7, 5), 1)])
+    emean, var = _mean_and_squared_stderr(values)
+    assert mean == emean
+    assert _correctly_rounded_sqrt(var, stderr)
+    # perfect squares come out exact, tiny and huge scales keep full precision
+    assert mean_stderr([(F(0), 1), (F(2), 1)]) == (F(1), 1.0)
+    for scale in (F(1, 10 ** 40), F(10 ** 40)):
+        _, stderr = mean_stderr([(scale, 1), (2 * scale, 2)])
+        _, var = _mean_and_squared_stderr([scale, 2 * scale, 2 * scale])
+        assert _correctly_rounded_sqrt(var, stderr)

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from spanflow.graphs import (GraphError, TerminalGraph, distance_vectors,
+import spanflow.graphs
+from spanflow.cli import main
+from spanflow.graphs import (GraphError, TerminalGraph, distance_vectors, edge_distances,
                              project_graph, shortest_distances, terminal_metric)
 from spanflow.metric import is_valid_vector
 from spanflow.tightspan import in_tight_span, ts_distance
@@ -119,3 +122,91 @@ def test_projection_chain_inequality(rng):
             assert ts_distance(emb.points[u], emb.points[v]) <= ts_distance(vecs[u], vecs[v])
         for v in g.vertices:
             assert in_tight_span(emb.metric, emb.points[v])
+
+
+def _rand_multigraph(rng, n_terminals, n_steiner):
+    """Terminal star plus Steiner-Steiner edges, parallel and long edges,
+    zero-length edges and a self-loop."""
+    ts = [f"t{i}" for i in range(n_terminals)]
+    ss = [f"s{i}" for i in range(n_steiner)]
+    verts = ts + ss
+    edges = []
+
+    def add(a, b, length):
+        edges.append((a, b, F(rng.randint(1, 5), rng.randint(1, 3)), length))
+
+    def rand_len():
+        return F(rng.randint(0, 12), rng.randint(1, 4))
+
+    for s in ss:
+        for t in rng.sample(ts, rng.randint(1, n_terminals)):
+            add(s, t, rand_len())
+    for _ in range(2 * n_steiner):
+        a, b = rng.sample(ss, 2)
+        add(a, b, rand_len())
+    for _ in range(4):  # parallel copies, some far longer than the path around
+        u, v, _, length = rng.choice(edges)
+        add(u, v, length + rng.choice([F(0), F(1, 3), F(40)]))
+    for _ in range(2):
+        add(*rng.sample(verts, 2), F(0))
+    add(rng.choice(ss), rng.choice(ss), F(0))
+    loop = rng.choice(verts)
+    add(loop, loop, F(7))
+    return TerminalGraph(vertices=verts, edges=edges,
+                         terminals={t: t for t in ts})
+
+
+def test_edge_distances_match_all_pairs():
+    rng = random.Random(7331)
+    for _ in range(25):
+        g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
+        adj = g.adjacency()
+        brute = {v: shortest_distances(g, v, adj) for v in g.vertices}
+        got = edge_distances(g)
+        assert got == [brute[u].get(v) for u, v, _, _ in g.edges]
+        assert all(d <= e.length for d, e in zip(got, g.edges))
+        assert any(u == v for u, v, _, _ in g.edges)
+        assert any(u not in g.terminals and v not in g.terminals and u != v
+                   for u, v, _, _ in g.edges)
+
+
+def test_edge_distances_star_runs_one_dijkstra_per_terminal(monkeypatch):
+    rng = random.Random(5)
+    m = rand_metric(rng, 5)
+    g = graph_from_metric(m, 6, rng)
+    sources = []
+    real = spanflow.graphs.shortest_distances
+
+    def counting(g, source, adj=None):
+        sources.append(source)
+        return real(g, source, adj)
+
+    monkeypatch.setattr(spanflow.graphs, "shortest_distances", counting)
+    edge_distances(g)
+    assert sorted(sources) == sorted(g.terminals.values())
+
+
+def test_sparsify_dijkstra_runs_do_not_grow_with_samples(monkeypatch, tmp_path, capsys):
+    rng = random.Random(11)
+    m = rand_metric(rng, 5)
+    g = graph_from_metric(m, 8, rng)
+    lines = [f"terminal {t} {v}" for t, v in g.terminals.items()]
+    lines += [f"edge {e.u} {e.v} {e.capacity} {e.length}" for e in g.edges]
+    f = tmp_path / "g.txt"
+    f.write_text("\n".join(lines) + "\n")
+    calls = [0]
+    real = spanflow.graphs.shortest_distances
+
+    def counting(g, source, adj=None):
+        calls[0] += 1
+        return real(g, source, adj)
+
+    monkeypatch.setattr(spanflow.graphs, "shortest_distances", counting)
+    runs = []
+    for samples in ("2", "20"):
+        calls[0] = 0
+        assert main(["sparsify", str(f), "--seed", "4", "--samples", samples]) == 0
+        runs.append(calls[0])
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+    assert runs[0] <= 2 * len(g.terminals)  # projection plus opt, once each
