@@ -74,8 +74,7 @@ class FlowResult:
         }
 
 
-def _reachable(g: TerminalGraph, src) -> set:
-    adj = g.adjacency()
+def _reachable(adj, src) -> set:
     seen = {src}
     queue = deque([src])
     while queue:
@@ -100,10 +99,15 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     pairs = demand.pairs()
     if not pairs:
         raise FlowError("demand is empty")
+    adj = g.adjacency()
+    reach: dict = {}   # source vertex -> vertices reachable from it
     for t, u, _ in pairs:
         if t not in g.terminals or u not in g.terminals:
             raise FlowError(f"demand names unknown terminal in ({t}, {u})")
-        if g.terminals[u] not in _reachable(g, g.terminals[t]):
+        src = g.terminals[t]
+        if src not in reach:
+            reach[src] = _reachable(adj, src)
+        if g.terminals[u] not in reach[src]:
             raise FlowError(f"terminals {t} and {u} are disconnected")
 
     vindex = {v: i for i, v in enumerate(g.vertices)}

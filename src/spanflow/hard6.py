@@ -7,12 +7,17 @@ instance is a union of terminal-to-terminal paths whose interior vertices walk
 the 1/L grid along four critical step directions.  Every path is geodesic, so
 the identity embedding has zero loss; the diagnostics measure how much any
 bounded-image embedding must lose.
+
+Generation and diagnostics compute on integer lattice points (grid vertices
+scaled by L, a candidate's image points by the lcm of their denominators);
+lengths, losses and bounds become exact Fractions only where they are stored.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
 from typing import Mapping, NamedTuple
 
 from .metric import MetricError, TerminalMetric, Vec, as_fraction, collinear_triples
@@ -130,6 +135,7 @@ class HardInstance:
     paths: list[PathRecord]
     assoc: dict[str, AssocVec]   # per grid vertex id
     vecs: dict[str, Vec]         # per vertex id (terminals included)
+    index: dict[str, tuple[int, int, int]]   # per grid vertex id: (i, j, k)
     ave: AveData | None = None
 
     def opt(self) -> Fraction:
@@ -147,28 +153,55 @@ class HardInstance:
 
     def neighbor(self, vid: str, direction: int) -> str | None:
         """Grid vertex one step along a critical direction, if it exists."""
-        a = self.assoc.get(vid)
-        if a is None:
+        ijk = self.index.get(vid)
+        if ijk is None:
             return None
-        L = self.L
-        i, j, k = int(a.x * L), int(a.y * L / 2), int(a.z * L)
-        if direction == 1:
-            i, j, k = i, j, k + 1
-        elif direction == 2:
-            i, j, k = i, j + 1, k - 1
-        elif direction == 3:
-            i, j, k = i + 1, j, k
-        elif direction == 4:
-            i, j, k = i - 1, j + 1, k
-        else:
+        if direction not in STEPS:
             raise ValueError("direction must be 1..4")
-        if i < 0 or i > L or j < 0 or k < 0 or j + k > L:
-            return None
-        return _vid(i, j, k)
+        return _grid_step(self.L, ijk, STEPS[direction])
 
 
 def _vid(i: int, j: int, k: int) -> str:
     return f"p{i}_{j}_{k}"
+
+
+#: grid index step (di, dj, dk) of each critical direction
+STEPS = {1: (0, 0, 1), 2: (0, 1, -1), 3: (1, 0, 0), 4: (-1, 1, 0)}
+
+
+def _grid_step(L: int, ijk: tuple[int, int, int], step) -> str | None:
+    """Id of the grid vertex at index ijk + step, or None off the grid."""
+    i, j, k = ijk[0] + step[0], ijk[1] + step[1], ijk[2] + step[2]
+    if i < 0 or i > L or j < 0 or k < 0 or j + k > L:
+        return None
+    return _vid(i, j, k)
+
+
+def _admissible(L: int, i: int, j: int, k: int) -> bool:
+    """from_assoc's admissible region at (i/L, 2j/L, k/L), scaled by L."""
+    if k < 0 or k > L:
+        return False
+    if k > 0:
+        return 0 <= i <= L and j >= 0 and j + k <= L
+    return 0 <= i + j <= 2 * L and 0 <= j <= L
+
+
+def _sup_dist(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """Sup-norm distance of two int 6-vectors (the span distance, scaled)."""
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1]), abs(p[2] - q[2]),
+               abs(p[3] - q[3]), abs(p[4] - q[4]), abs(p[5] - q[5]))
+
+
+class _Frac(dict):
+    """n -> Fraction(n, scale), built once per n so equal values share one object."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, n: int) -> Fraction:
+        value = self[n] = Fraction(n, self.scale)
+        return value
 
 
 _GROUP_CAPS = {
@@ -187,75 +220,95 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
     With `ave`, weight-L^2 three-vertex paths are added for every collinear
     terminal triple, together with the per-pair demand plus gamma * L^2
     between a and e.
+
+    Grid vertex (i, j, k) sits at (x, y, z) = (i, 2j, k) / L, so every
+    distance vector is an int 6-vector scaled by L; lengths are computed on
+    those ints and become Fractions only when stored.
     """
     if L < 2:
         raise MetricError("resolution L must be at least 2")
     m = metric6()
     gamma = as_fraction(gamma)
+    frac = _Frac(L)
 
+    index: dict[str, tuple[int, int, int]] = {}
     assoc: dict[str, AssocVec] = {}
     vecs: dict[str, Vec] = {}
+    ivecs: dict[str, tuple[int, ...]] = {}   # L-scaled distance vectors
 
     def grid(i: int, j: int, k: int) -> str:
         vid = _vid(i, j, k)
-        if vid not in assoc:
-            a = AssocVec(Fraction(i, L), Fraction(2 * j, L), Fraction(k, L))
-            assoc[vid] = a
-            vecs[vid] = from_assoc(a)
+        if vid not in index:
+            if not _admissible(L, i, j, k):
+                raise MetricError(f"grid point {(i, j, k)} outside the admissible region")
+            # from_assoc at (i, 2j, k) / L, scaled by L
+            iv = (abs(i) + L - k, i + L + k, i + 2 * j + k,
+                  2 * L - i + k, abs(i - L) + L - k, 3 * L - i - 2 * j - k)
+            index[vid] = (i, j, k)
+            ivecs[vid] = iv
+            assoc[vid] = AssocVec(frac[i], frac[2 * j], frac[k])
+            vecs[vid] = dict(zip(TERMS, [frac[n] for n in iv]))
         return vid
 
     terminals = {
         "a": grid(0, 0, L), "c": grid(0, 0, 0), "e": grid(L, 0, L),
         "f": grid(L, L, 0), "b": "b", "d": "d",
     }
-    vecs["b"] = m.row("b")
-    vecs["d"] = m.row("d")
+    for t in ("b", "d"):
+        vecs[t] = m.row(t)
+        ivecs[t] = tuple(int(L * vecs[t][u]) for u in TERMS)   # integral rows
 
+    caps = {group: Fraction(c) for group, c in _GROUP_CAPS.items()}
     paths: list[PathRecord] = []
 
-    def walk(group, i, j, src, snk, start, step, nsteps, direction):
+    def walk(group, i, j, src, snk, start, nsteps, direction):
+        di, dj, dk = STEPS[direction] if direction is not None else (0, 0, 0)
         ids = [terminals[src]]
         ii, jj, kk = start
         for n in range(nsteps + 1):
-            vid = grid(ii + n * step[0], jj + n * step[1], kk + n * step[2])
+            vid = grid(ii + n * di, jj + n * dj, kk + n * dk)
             if vid != ids[-1]:
                 ids.append(vid)
         if terminals[snk] != ids[-1]:
             ids.append(terminals[snk])
         paths.append(PathRecord(
             name=f"{group}[{i},{j}]", group=group, i=i, j=j, source=src, sink=snk,
-            vertex_ids=tuple(ids), capacity=Fraction(_GROUP_CAPS[group]),
-            direction=direction))
+            vertex_ids=tuple(ids), capacity=caps[group], direction=direction))
 
     rng_all = [(i, j) for i in range(L + 1) for j in range(L + 1)]
     rng_tri = [(i, j) for i in range(L + 1) for j in range(L + 1) if i + j <= L]
     for i, j in rng_all:
-        walk("ad1", i, j, "d", "a", (i, j, 0), (0, 0, 1), L - j, 1)
-        walk("be1", i, j, "b", "e", (i, j, 0), (0, 0, 1), L - j, 1)
-        walk("ad2", i, j, "a", "d", (i, 0, j), (0, 1, -1), j, 2)
-        walk("be2", i, j, "e", "b", (i, 0, j), (0, 1, -1), j, 2)
+        walk("ad1", i, j, "d", "a", (i, j, 0), L - j, 1)
+        walk("be1", i, j, "b", "e", (i, j, 0), L - j, 1)
+        walk("ad2", i, j, "a", "d", (i, 0, j), j, 2)
+        walk("be2", i, j, "e", "b", (i, 0, j), j, 2)
     for i, j in rng_tri:
-        walk("ad3", i, j, "a", "d", (0, i, j), (1, 0, 0), L, 3)
-        walk("be3", i, j, "b", "e", (0, i, j), (1, 0, 0), L, 3)
-        walk("cf3", i, j, "c", "f", (0, i, j), (1, 0, 0), L, 3)
-        walk("ab", i, j, "a", "b", (0, i, j), (0, 0, 0), 0, None)
-        walk("de", i, j, "e", "d", (L, i, j), (0, 0, 0), 0, None)
+        walk("ad3", i, j, "a", "d", (0, i, j), L, 3)
+        walk("be3", i, j, "b", "e", (0, i, j), L, 3)
+        walk("cf3", i, j, "c", "f", (0, i, j), L, 3)
+        walk("ab", i, j, "a", "b", (0, i, j), 0, None)
+        walk("de", i, j, "e", "d", (L, i, j), 0, None)
     for grp, src, snk in (("ad4", "d", "a"), ("be4", "e", "b"), ("cf4", "c", "f")):
         for i, j in rng_tri:
-            walk(grp, i, j, src, snk, (i, 0, j), (-1, 1, 0), i, 4)
+            walk(grp, i, j, src, snk, (i, 0, j), i, 4)
         for i in range(L + 1):
             for j in range(L + 1):
                 if L < i + j:
-                    walk(grp, i, j, src, snk, (i, 0, j), (-1, 1, 0), L - j, 4)
+                    walk(grp, i, j, src, snk, (i, 0, j), L - j, 4)
         for i in range(L + 1, 2 * L + 1):
             for j in range(0, min(L, 2 * L - i) + 1):
-                walk(grp, i, j, src, snk, (L, i - L, j), (-1, 1, 0), 2 * L - i - j, 4)
+                walk(grp, i, j, src, snk, (L, i - L, j), 2 * L - i - j, 4)
 
+    # parallel paths repeat vertex pairs: one length per pair
+    lengths: dict[tuple[str, str], Fraction] = {}
     edges: list[Edge] = []
     for p in paths:
         ids = p.vertex_ids
-        for u, v in zip(ids, ids[1:]):
-            edges.append(Edge(u, v, p.capacity, _vec_dist(vecs[u], vecs[v])))
+        for uv in zip(ids, ids[1:]):
+            length = lengths.get(uv)
+            if length is None:
+                length = lengths[uv] = frac[_sup_dist(ivecs[uv[0]], ivecs[uv[1]])]
+            edges.append(Edge(uv[0], uv[1], p.capacity, length))
 
     ave_data = None
     if ave:
@@ -269,20 +322,17 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
                 vertex_ids=ids, capacity=weight, direction=None))
             edges.append(Edge(ids[0], ids[1], weight, m.d(t, mid)))
             edges.append(Edge(ids[1], ids[2], weight, m.d(mid, u)))
-        dem: dict[tuple[str, str], Fraction] = {}
+        dem: dict[tuple[str, str], int] = {}   # capacities are integral
         for p in paths + tri_paths:
             key = (p.source, p.sink) if p.source <= p.sink else (p.sink, p.source)
-            dem[key] = dem.get(key, Fraction(0)) + p.capacity
-        dem[("a", "e")] = dem.get(("a", "e"), Fraction(0)) + gamma * weight
-        ave_data = AveData(triple_paths=tri_paths, demand=Demand(dem), gamma=gamma)
+            dem[key] = dem.get(key, 0) + int(p.capacity)
+        entries = {key: Fraction(v) for key, v in dem.items()}
+        entries[("a", "e")] = entries.get(("a", "e"), Fraction(0)) + gamma * weight
+        ave_data = AveData(triple_paths=tri_paths, demand=Demand(entries), gamma=gamma)
 
     graph = TerminalGraph(vertices=list(vecs), edges=edges, terminals=terminals)
     return HardInstance(L=L, graph=graph, metric=m, paths=paths,
-                        assoc=assoc, vecs=vecs, ave=ave_data)
-
-
-def _vec_dist(p: Vec, q: Vec) -> Fraction:
-    return max(abs(p[t] - q[t]) for t in TERMS)
+                        assoc=assoc, vecs=vecs, index=index, ave=ave_data)
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +362,24 @@ def grid_snap(inst: HardInstance, g: int) -> CandidateSolution:
     if g < 1:
         raise MetricError("snap grid must be at least 1")
     terminal_ids = set(inst.graph.terminals.values())
+    L2 = 2 * inst.L
+    snapped: dict[tuple[int, int, int], Vec] = {}
     f: dict[str, Vec] = {}
     for vid, vec in inst.vecs.items():
         if vid in terminal_ids:
             f[vid] = dict(vec)
             continue
-        a = inst.assoc[vid]
-        xi = min(max(floor(a.x * g + Fraction(1, 2)), 0), g)
-        yi = min(max(floor(a.y * g / 2 + Fraction(1, 2)), 0), g)
-        zi = min(max(floor(a.z * g + Fraction(1, 2)), 0), g)
-        zi = min(zi, g - yi)
-        f[vid] = from_assoc(AssocVec(Fraction(xi, g), Fraction(2 * yi, g), Fraction(zi, g)))
+        # round half up: floor(i/L * g + 1/2) = (2ig + L) // 2L, likewise j, k
+        i, j, k = inst.index[vid]
+        xi = min(max((2 * i * g + inst.L) // L2, 0), g)
+        yi = min(max((2 * j * g + inst.L) // L2, 0), g)
+        zi = min(max((2 * k * g + inst.L) // L2, 0), g)
+        key = (xi, yi, min(zi, g - yi))
+        point = snapped.get(key)
+        if point is None:
+            point = snapped[key] = from_assoc(AssocVec(
+                Fraction(key[0], g), Fraction(2 * key[1], g), Fraction(key[2], g)))
+        f[vid] = dict(point)
     return CandidateSolution(f=f)
 
 
@@ -350,38 +407,114 @@ class LossReport:
                 "paths": [p.to_json_dict() for p in self.per_path]}
 
 
-def _check_cover(inst: HardInstance, sol: CandidateSolution):
+def _check_cover(inst: HardInstance, sol: CandidateSolution
+                 ) -> tuple[dict[str, int], list[tuple]]:
+    """Check that sol covers inst, fixes the terminals and maps into the span.
+
+    Returns the image-point id of every vertex of sol and the distinct image
+    points as coordinate tuples in TERMS order; span membership is tested
+    once per point.
+    """
     missing = [v for v in inst.vecs if v not in sol.f]
     if missing:
         raise MetricError(f"solution misses vertices {missing[:3]}")
     for t, vid in inst.graph.terminals.items():
         if sol.f[vid] != inst.metric.row(t):
             raise MetricError(f"terminal {t} must map to itself")
-    checked: set[tuple] = set()
+    ids: dict[tuple, int] = {}
+    image: dict[str, int] = {}
     for vid, vec in sol.f.items():
         key = tuple(vec[t] for t in TERMS)
-        if key in checked:
-            continue
-        checked.add(key)
-        if not in_tight_span(inst.metric, vec):
-            raise MetricError(f"image of vertex {vid} is outside the span")
+        pid = ids.get(key)
+        if pid is None:
+            if not in_tight_span(inst.metric, vec):
+                raise MetricError(f"image of vertex {vid} is outside the span")
+            pid = ids[key] = len(ids)
+        image[vid] = pid
+    return image, list(ids)
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale for a scale that x's denominator divides."""
+    q, r = divmod(scale, x.denominator)
+    if r:
+        raise ArithmeticError(f"{x} is not on the 1/{scale} lattice")
+    return x.numerator * q
+
+
+class _Lattice:
+    """A checked candidate solution on one integer lattice.
+
+    S is the lcm of the denominators of the distinct image points, so span
+    distances between images are int sup-norms at scale S.  `image[vid]` is a
+    vertex's point id, `points[pid]` the point's Fraction coordinates and
+    `ipts[pid]` its S-scaled ints; `frac[n]` is Fraction(n, S).
+    """
+
+    def __init__(self, inst: HardInstance, sol: CandidateSolution):
+        self.inst = inst
+        self.image, self.points = _check_cover(inst, sol)
+        self.S = lcm(*{x.denominator for point in self.points for x in point})
+        self.ipts = [tuple(_scaled(x, self.S) for x in point) for point in self.points]
+        self.frac = _Frac(self.S)
+        self._dist: dict[tuple[int, int], int] = {}
+
+    def dist(self, pu: int, pv: int) -> int:
+        """S-scaled span distance between image points pu and pv."""
+        key = (pu, pv)
+        d = self._dist.get(key)
+        if d is None:
+            d = self._dist[key] = _sup_dist(self.ipts[pu], self.ipts[pv])
+        return d
+
+    def excess(self, paths: list[PathRecord]) -> list[int]:
+        """S-scaled embedded length minus terminal distance, per path."""
+        image, dist = self.image, self.dist
+        term_dist: dict[tuple[str, str], int] = {}
+        out = []
+        for p in paths:
+            ids = p.vertex_ids
+            length = 0
+            for u, v in zip(ids, ids[1:]):
+                length += dist(image[u], image[v])
+            pair = (p.source, p.sink)
+            if pair not in term_dist:
+                term_dist[pair] = _scaled(self.inst.metric.d(*pair), self.S)
+            out.append(length - term_dist[pair])
+        return out
+
+    def assoc(self, planar: bool = False) -> dict[int, AssocVec]:
+        """to_assoc of each instance vertex's image point, once per point.
+
+        With `planar`, of its rect_project instead.
+        """
+        out: dict[int, AssocVec] = {}
+        for vid in self.inst.vecs:
+            pid = self.image[vid]
+            if pid not in out:
+                vec = dict(zip(TERMS, self.points[pid]))
+                out[pid] = to_assoc(rect_project(vec) if planar else vec)
+        return out
+
+
+def _weighted(items, frac: _Frac) -> Fraction:
+    """Sum of capacity * frac[n] over (capacity, n) pairs, one product per capacity."""
+    by_cap: dict[Fraction, int] = {}
+    for cap, n in items:
+        by_cap[cap] = by_cap.get(cap, 0) + n
+    return sum((cap * frac[n] for cap, n in by_cap.items()), Fraction(0))
 
 
 def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
     """Capacity-weighted per-path losses; total equals vol - opt exactly."""
-    _check_cover(inst, sol)
-    f = sol.f
+    lat = _Lattice(inst, sol)
+    paths = inst.all_paths()
+    excess = lat.excess(paths)
     out = []
-    total = Fraction(0)
-    for p in inst.all_paths():
-        ids = p.vertex_ids
-        length = sum((_vec_dist(f[u], f[v]) for u, v in zip(ids, ids[1:])),
-                     Fraction(0))
-        excess = length - inst.metric.d(p.source, p.sink)
-        loss = p.capacity * excess
-        total += loss
+    for p, n in zip(paths, excess):
         out.append(PathLoss(name=p.name, group=p.group, capacity=p.capacity,
-                            excess=excess, loss=loss))
+                            excess=lat.frac[n], loss=p.capacity * lat.frac[n]))
+    total = _weighted(zip((p.capacity for p in paths), excess), lat.frac)
     return LossReport(per_path=out, total=total)
 
 
@@ -418,77 +551,57 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
 
     Each aggregate compares the (unweighted, with the stated coefficients)
     loss of a path family against the summed telescoping terms it dominates.
+    With S-scaled distances and x scaled by 2S, the per-step x bound
+    l + l' >= 2|dx| reads l + l' >= |dX| and the anchor bound
+    d(v, s) + d(v, t) >= 2 + 2 max(x, 0) reads D >= 2S + max(X, 0).
     """
-    _check_cover(inst, sol)
-    f = sol.f
-    rows = {t: inst.metric.row(t) for t in TERMS}
+    lat = _Lattice(inst, sol)
+    S, frac, image, dist = lat.S, lat.frac, lat.image, lat.dist
+    X = {pid: _scaled(a.x, 2 * S) for pid, a in lat.assoc().items()}
+    # per image point: S-scaled distances to the anchor terminals a..e
+    anchors = {t: lat.ipts[image[inst.graph.terminals[t]]] for t in "abcde"}
+    near = [{t: _sup_dist(q, r) for t, r in anchors.items()} for q in lat.ipts]
+
     fwd: dict[tuple[str, int, str], Fraction] = {}
     bwd: dict[tuple[str, int, str], Fraction] = {}
-    dist_to = {t: {} for t in ("a", "b", "c", "d", "e")}
-
-    def td(t, vid):
-        cache = dist_to[t]
-        if vid not in cache:
-            cache[vid] = _vec_dist(f[vid], rows[t])
-        return cache[vid]
-
-    nbrs: dict[tuple[str, int], str] = {}
-    for vid in inst.assoc:
-        for direction in (1, 2, 3, 4):
-            w = inst.neighbor(vid, direction)
+    sums: dict[tuple[int, str, str], int] = defaultdict(int)   # (direction, table, anchor)
+    failures = []
+    for vid, ijk in inst.index.items():
+        pv = image[vid]
+        for direction, step in STEPS.items():
+            w = _grid_step(inst.L, ijk, step)
             if w is None:
                 continue
-            nbrs[(vid, direction)] = w
-            step = _vec_dist(f[vid], f[w])
+            pw = image[w]
+            s = dist(pv, pw)
+            lf, lb = {}, {}
             for t in ("b", "c", "d"):
-                fwd[(vid, direction, t)] = step + td(t, vid) - td(t, w)
-                bwd[(vid, direction, t)] = step - td(t, vid) + td(t, w)
+                diff = near[pv][t] - near[pw][t]
+                lf[t], lb[t] = s + diff, s - diff
+                fwd[(vid, direction, t)] = frac[lf[t]]
+                bwd[(vid, direction, t)] = frac[lb[t]]
+                sums[(direction, "fwd", t)] += lf[t]
+                sums[(direction, "bwd", t)] += lb[t]
+            if direction in (1, 2):
+                both = lf["d"] + lf["b"] if direction == 1 else lb["d"] + lb["b"]
+                if both < abs(X[pv] - X[pw]):
+                    failures.append(f"dir{direction} x-bound at {vid}")
 
-    group_excess: dict[str, Fraction] = {}
-    for p in inst.paths:
-        ids = p.vertex_ids
-        length = sum((_vec_dist(f[u], f[v]) for u, v in zip(ids, ids[1:])),
-                     Fraction(0))
-        group_excess[p.group] = (group_excess.get(p.group, Fraction(0))
-                                 + length - inst.metric.d(p.source, p.sink))
+    group_excess: dict[str, int] = {}
+    for p, n in zip(inst.paths, lat.excess(inst.paths)):
+        group_excess[p.group] = group_excess.get(p.group, 0) + n
+    aggregates = []
+    for direction, terms in AGGREGATE_TERMS.items():
+        lhs = (group_excess[f"ad{direction}"] + group_excess[f"be{direction}"]
+               + 2 * group_excess.get(f"cf{direction}", 0))
+        rhs = sum(sums[(direction,) + term] for term in terms)
+        aggregates.append((f"dir{direction}", frac[lhs], frac[rhs]))
 
-    def rhs_sum(direction, terms):
-        tot = Fraction(0)
-        for (vid, d2), _ in nbrs.items():
-            if d2 != direction:
-                continue
-            for table, t in terms:
-                tot += table[(vid, direction, t)]
-        return tot
-
-    aggregates = [
-        ("dir1", group_excess["ad1"] + group_excess["be1"],
-         rhs_sum(1, [(fwd, "d"), (fwd, "b")])),
-        ("dir2", group_excess["ad2"] + group_excess["be2"],
-         rhs_sum(2, [(bwd, "d"), (bwd, "b")])),
-        ("dir3", group_excess["ad3"] + group_excess["be3"] + 2 * group_excess["cf3"],
-         rhs_sum(3, [(bwd, "d"), (fwd, "b")]) + 2 * rhs_sum(3, [(fwd, "c")])),
-        ("dir4", group_excess["ad4"] + group_excess["be4"] + 2 * group_excess["cf4"],
-         rhs_sum(4, [(fwd, "d"), (bwd, "b")]) + 2 * rhs_sum(4, [(fwd, "c")])),
-    ]
-
-    failures = []
-    fx = {vid: to_assoc(f[vid]).x for vid in inst.assoc}
-    fx["b"] = to_assoc(f["b"]).x
-    fx["d"] = to_assoc(f["d"]).x
-    for (vid, direction), w in nbrs.items():
-        if direction == 1:
-            if fwd[(vid, 1, "d")] + fwd[(vid, 1, "b")] < 2 * abs(fx[vid] - fx[w]):
-                failures.append(f"dir1 x-bound at {vid}")
-        elif direction == 2:
-            if bwd[(vid, 2, "d")] + bwd[(vid, 2, "b")] < 2 * abs(fx[vid] - fx[w]):
-                failures.append(f"dir2 x-bound at {vid}")
     for vid in inst.vecs:
-        av = _vec_dist(f[vid], rows["a"]) + _vec_dist(f[vid], rows["b"])
-        if av < 2 + 2 * _pos(fx.get(vid, to_assoc(f[vid]).x)):
+        pv = image[vid]
+        if near[pv]["a"] + near[pv]["b"] < 2 * S + max(X[pv], 0):
             failures.append(f"ab anchor bound at {vid}")
-        de = _vec_dist(f[vid], rows["d"]) + _vec_dist(f[vid], rows["e"])
-        if de < 2 + 2 * _pos(1 - fx.get(vid, to_assoc(f[vid]).x)):
+        if near[pv]["d"] + near[pv]["e"] < 2 * S + max(2 * S - X[pv], 0):
             failures.append(f"de anchor bound at {vid}")
     return DirectionalReport(forward=fwd, backward=bwd, aggregates=aggregates,
                              x_bounds_ok=not failures, x_bound_failures=failures)
@@ -509,81 +622,74 @@ class PlanarReport:
 
 
 def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
-    _check_cover(inst, sol)
-    L = inst.L
-    proj: dict[str, AssocVec] = {}
-    for vid in inst.vecs:
-        proj[vid] = to_assoc(rect_project(sol.f[vid]))
+    """Losses of the projected points, all computed at scale T = 2S."""
+    lat = _Lattice(inst, sol)
+    L, T = inst.L, 2 * lat.S
+    proj = {pid: (_scaled(a.x, T), _scaled(a.y, T))
+            for pid, a in lat.assoc(planar=True).items()}
+    xy = {vid: proj[lat.image[vid]] for vid in inst.vecs}
 
-    def shifted(vid, di, dj):
-        a = inst.assoc.get(vid)
-        if a is None:
-            return None
-        i, j, k = int(a.x * L), int(a.y * L / 2), int(a.z * L)
-        i, j = i + di, j + dj
-        if i < 0 or i > L or j + k > L:
-            return None
-        return _vid(i, j, k)
-
-    l_x: dict[str, Fraction] = {}
-    l_y: dict[str, Fraction] = {}
-    l_z1: dict[str, Fraction] = {}
-    l_z2: dict[str, Fraction] = {}
-    for vid in inst.assoc:
-        p0 = proj[vid]
-        w3 = shifted(vid, 1, 0)
-        w4 = shifted(vid, -1, 1)
-        w34 = shifted(vid, 0, 1)
-        w234 = shifted(vid, 1, 1)
-        if w3 is not None:
-            p3 = proj[w3]
-            l_x[vid] = (abs(p0.y - p3.y)
-                        + 2 * _pos((2 * p0.x + p0.y) - (2 * p3.x + p3.y)))
-        if w34 is not None:
-            l_y[vid] = 2 * abs(p0.x - proj[w34].x)
-        if w4 is not None:
-            p4 = proj[w4]
-            l_z1[vid] = abs((2 * p0.x + p0.y) - (2 * p4.x + p4.y))
-        if w234 is not None:
-            p5 = proj[w234]
-            l_z2[vid] = abs((2 * p0.x - p0.y) - (2 * p5.x - p5.y))
-
+    l_x: dict[str, int] = {}
+    l_y: dict[str, int] = {}
+    l_z1: dict[str, int] = {}
+    l_z2: dict[str, int] = {}
     cx_fail = []
-    for vid, val in l_x.items():
-        w3 = shifted(vid, 1, 0)
-        if val < 2 * _pos(proj[vid].x - proj[w3].x):
-            cx_fail.append(vid)
+    for vid, ijk in inst.index.items():
+        x0, y0 = xy[vid]
+        w3 = _grid_step(L, ijk, STEPS[3])
+        w4 = _grid_step(L, ijk, STEPS[4])
+        w34 = _grid_step(L, ijk, (0, 1, 0))
+        w234 = _grid_step(L, ijk, (1, 1, 0))
+        if w3 is not None:
+            x3, y3 = xy[w3]
+            l_x[vid] = abs(y0 - y3) + 2 * max((2 * x0 + y0) - (2 * x3 + y3), 0)
+            if l_x[vid] < 2 * max(x0 - x3, 0):
+                cx_fail.append(vid)
+        if w34 is not None:
+            l_y[vid] = 2 * abs(x0 - xy[w34][0])
+        if w4 is not None:
+            x4, y4 = xy[w4]
+            l_z1[vid] = abs((2 * x0 + y0) - (2 * x4 + y4))
+        if w234 is not None:
+            x5, y5 = xy[w234]
+            l_z2[vid] = abs((2 * x0 - y0) - (2 * x5 - y5))
+
     tr_fail = []
-    for vid in inst.assoc:
-        w3 = shifted(vid, 1, 0)
-        w34 = shifted(vid, 0, 1)
+    for vid, ijk in inst.index.items():
+        w3 = _grid_step(L, ijk, STEPS[3])
+        w34 = _grid_step(L, ijk, (0, 1, 0))
         if (vid in l_z2 and vid in l_x and w34 in l_x and vid in l_y
                 and w3 in l_y and w3 in l_z1):
             rhs = l_x[vid] + l_x[w34] + l_y[vid] + l_y[w3] + l_z1[w3]
             if l_z2[vid] > rhs:
                 tr_fail.append(vid)
 
+    frac = _Frac(T)
     table: dict[tuple[int, int], Fraction] = {}
+    ends = 0   # boundary sums: 2 max(x, 0) at i = 0 plus 2 max(1 - x, 0) at i = L
     for jy in range(L + 1):
         for kz in range(L + 1 - jy):
-            tot = Fraction(0)
+            tot = 0
             for q in range(L + 1):
                 vid = _vid(q, jy, kz)
-                tot += (l_x.get(vid, Fraction(0)) + l_y.get(vid, Fraction(0))
-                        + l_z1.get(vid, Fraction(0)) + l_z2.get(vid, Fraction(0)))
-            tot += 3 * _pos(proj[_vid(0, jy, kz)].x)
-            tot += 3 * _pos(1 - proj[_vid(L, jy, kz)].x)
-            table[(jy, kz)] = tot
+                tot += (l_x.get(vid, 0) + l_y.get(vid, 0)
+                        + l_z1.get(vid, 0) + l_z2.get(vid, 0))
+            edge0 = max(xy[_vid(0, jy, kz)][0], 0)
+            edge1 = max(T - xy[_vid(L, jy, kz)][0], 0)
+            table[(jy, kz)] = frac[tot + 3 * edge0 + 3 * edge1]
+            ends += 2 * (edge0 + edge1)
 
-    lhs = losses(inst, sol).total
-    planar_sum = (sum(l_x.values(), Fraction(0)) + sum(l_y.values(), Fraction(0))
-                  + sum(l_z1.values(), Fraction(0)) + sum(l_z2.values(), Fraction(0)))
-    bound0 = sum((2 * _pos(proj[_vid(0, jy, kz)].x)
-                  for jy in range(L + 1) for kz in range(L + 1 - jy)), Fraction(0))
-    bound1 = sum((2 * _pos(1 - proj[_vid(L, jy, kz)].x)
-                  for jy in range(L + 1) for kz in range(L + 1 - jy)), Fraction(0))
-    rhs = Fraction(2, 3) * planar_sum + bound0 + bound1
-    return PlanarReport(l_x=l_x, l_y=l_y, l_z1=l_z1, l_z2=l_z2, table=table,
+    paths = inst.all_paths()
+    lhs = _weighted(zip((p.capacity for p in paths), lat.excess(paths)), lat.frac)
+    planar_sum = (sum(l_x.values()) + sum(l_y.values())
+                  + sum(l_z1.values()) + sum(l_z2.values()))
+    rhs = Fraction(2 * planar_sum + 3 * ends, 3 * T)
+
+    def fracs(ls: dict[str, int]) -> dict[str, Fraction]:
+        return {vid: frac[n] for vid, n in ls.items()}
+
+    return PlanarReport(l_x=fracs(l_x), l_y=fracs(l_y), l_z1=fracs(l_z1),
+                        l_z2=fracs(l_z2), table=table,
                         step_bound_failures=cx_fail, transfer_bound_failures=tr_fail,
                         bound_lhs=lhs, bound_rhs=rhs)
 
@@ -654,25 +760,6 @@ class AdjustedSolution:
     cost_after: Fraction
 
 
-def _candidate_cost(inst: HardInstance, sol: CandidateSolution,
-                    get_delta) -> Fraction:
-    """Cost of a candidate whose terminal-pair distances come from `get_delta`."""
-    terminal_of = {vid: t for t, vid in inst.graph.terminals.items()}
-    rows = {t: inst.metric.row(t) for t in TERMS}
-
-    def dist(u, v):
-        tu, tv = terminal_of.get(u), terminal_of.get(v)
-        if tu is not None and tv is not None:
-            return get_delta(tu, tv) if tu != tv else Fraction(0)
-        if tu is not None:
-            return _vec_dist(sol.f[v], rows[tu])
-        if tv is not None:
-            return _vec_dist(sol.f[u], rows[tv])
-        return _vec_dist(sol.f[u], sol.f[v])
-
-    return sum((cap * dist(u, v) for u, v, cap, _ in inst.graph.edges), Fraction(0))
-
-
 def adjust_solution(inst: HardInstance, sol: CandidateSolution,
                     deltas: Mapping[tuple[str, str], object], eta) -> AdjustedSolution:
     """Repair near-collinear terminal distances into exact collinearity.
@@ -689,7 +776,7 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     report = check_good(inst, deltas, eta)
     if not report.good:
         raise MetricError("input is not good: " + "; ".join(report.violations))
-    _check_cover(inst, sol)
+    lat = _Lattice(inst, sol)
     _, get_in = _delta_lookup(deltas)
 
     A = get_in("b", "c") - 3 * eta
@@ -705,16 +792,13 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
 
     tbar = {t: {s: (get_new(t, s) if s != t else Fraction(0)) for s in TERMS}
             for t in TERMS}
-    terminal_ids = set(inst.graph.terminals.values())
-    images: dict[tuple, Vec] = {}
-    for vid, vec in sol.f.items():
-        if vid in terminal_ids:
-            continue
-        images.setdefault(tuple(vec[t] for t in TERMS), vec)
+    terminal_of = {vid: t for t, vid in inst.graph.terminals.items()}
     remapped: dict[tuple, Vec] = {}
-    for key, vec in images.items():
-        remapped[key] = {t: max(abs(vec[s] - tbar[t][s]) for s in TERMS)
-                         for t in TERMS}
+    for vid, pid in lat.image.items():
+        key = lat.points[pid]
+        if vid not in terminal_of and key not in remapped:
+            remapped[key] = {t: max(abs(x - tbar[t][s]) for s, x in zip(TERMS, key))
+                             for t in TERMS}
 
     demand = inst.ave.demand
     avg_in = demand.total_weighted({k: get_in(*k) for k in _D6})
@@ -729,23 +813,30 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
             return Fraction(0)
         return final_table[(t, u)] if (t, u) in final_table else final_table[(u, t)]
 
-    cost_before = _candidate_cost(inst, sol, get_in)
-    terminal_of = {vid: t for t, vid in inst.graph.terminals.items()}
-
-    def dist_after(u, v):
+    # the remapped points on their own lattice, scale S2
+    S2 = lcm(*{x.denominator for vec in remapped.values() for x in vec.values()})
+    moved = {pid: tuple(_scaled(remapped[key][t], S2) for t in TERMS)
+             for pid, key in enumerate(lat.points) if key in remapped}
+    col = {t: n for n, t in enumerate(TERMS)}
+    tt_before = tt_after = Fraction(0)   # terminal-terminal edges
+    lens_before, lens_after = [], []     # (capacity, scaled length) of the rest
+    for u, v, cap, _ in inst.graph.edges:
         tu, tv = terminal_of.get(u), terminal_of.get(v)
         if tu is not None and tv is not None:
-            return get_final(tu, tv)
+            if tu != tv:
+                tt_before += cap * get_in(tu, tv)
+            tt_after += cap * get_final(tu, tv)
+            continue
+        pu, pv = lat.image[u], lat.image[v]
+        lens_before.append((cap, lat.dist(pu, pv)))
         if tu is not None:
-            return remapped[tuple(sol.f[v][t] for t in TERMS)][tu]
-        if tv is not None:
-            return remapped[tuple(sol.f[u][t] for t in TERMS)][tv]
-        xu = remapped[tuple(sol.f[u][t] for t in TERMS)]
-        xv = remapped[tuple(sol.f[v][t] for t in TERMS)]
-        return max(abs(xu[t] - xv[t]) for t in TERMS)
-
-    cost_after = sum((cap * dist_after(u, v) for u, v, cap, _ in inst.graph.edges),
-                     Fraction(0))
+            lens_after.append((cap, moved[pv][col[tu]]))
+        elif tv is not None:
+            lens_after.append((cap, moved[pu][col[tv]]))
+        else:
+            lens_after.append((cap, _sup_dist(moved[pu], moved[pv])))
+    cost_before = tt_before + _weighted(lens_before, lat.frac)
+    cost_after = tt_after + _weighted(lens_after, _Frac(S2))
 
     before = sol.image_size()
     after = len({tuple(v[t] for t in TERMS) for v in remapped.values()}) + 6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -162,6 +163,38 @@ def test_hard6_deterministic():
     r1 = run("hard6", "--L", "3")
     r2 = run("hard6", "--L", "3")
     assert r1.stdout == r2.stdout
+
+
+#: sha256 of stdout (the --out directory written as OUTDIR) and of every
+#: --out file, recorded from the Fraction implementation the integer-lattice
+#: kernel replaced
+HARD6_GOLDEN = {
+    ("--L", "5", "--snap-grid", "3"): {
+        "stdout": "46e65204fab5d454412e238d873dde4909584f936e1eb3d254c83b58a6b708b9",
+        "diagnostics.json": "b2814aecfb5ad9e82e65cf6a87d507b0287b299f138844d05df430af102d30c7",
+        "graph.txt": "bbd43bed4378aff0f2c25466afc3189e4bcca5eed9b730fc65b169b38bfa8ace",
+        "instance.json": "f9f09467218bc3ecab085fd8f5d1328ab2a9bcdd6b229e21753efdcc9712d359",
+    },
+    ("--L", "4", "--ave", "--snap-grid", "2"): {
+        "stdout": "20755b0e25c51d249019de18b9d1832a4a75d0e2592349a42ef9ad890cf2932b",
+        "diagnostics.json": "2e1e3e04e90841f71619c90608e499c6d202725575b2b92b333b06774c17974c",
+        "graph.txt": "cbc13fda532681ce6c0167f3b5e6bf6783efd6c0f844e48539a79a4074ddabf1",
+        "instance.json": "7b53aabb44b257ea8836cc43552807c47106dafe6c63a50f0705f5aef849199d",
+    },
+}
+
+
+def test_hard6_golden_bytes(tmp_path):
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    for n, (args, golden) in enumerate(HARD6_GOLDEN.items()):
+        out = tmp_path / f"out{n}"
+        r = run("hard6", *args, "--out", str(out))
+        assert r.returncode == 0
+        got = {"stdout": sha(r.stdout.replace(str(out), "OUTDIR").encode())}
+        got.update((f.name, sha(f.read_bytes())) for f in out.iterdir())
+        assert got == golden, args
 
 
 def test_hard6_l1_exit_2():

@@ -64,6 +64,21 @@ def test_disconnected_demand_is_error():
         max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
 
 
+def test_connectivity_one_search_per_source(monkeypatch):
+    import spanflow.flow as flow
+    searches = []
+    real = flow._reachable
+    monkeypatch.setattr(flow, "_reachable",
+                        lambda adj, src: searches.append(src) or real(adj, src))
+    g = TerminalGraph(vertices=["s", "t", "u", "w"],
+                      edges=[("s", "t", F(1), F(1)), ("t", "u", F(1), F(1))],
+                      terminals={"s": "s", "t": "t", "u": "u", "w": "w"})
+    max_concurrent_flow(g, Demand({("s", "t"): F(1), ("s", "u"): F(1)}), EPS)
+    assert searches == ["s"]
+    with pytest.raises(FlowError, match="terminals s and w are disconnected"):
+        max_concurrent_flow(g, Demand({("s", "t"): F(1), ("s", "w"): F(1)}), EPS)
+
+
 def test_oracle_agreement_random(rng):
     for _ in range(15):
         g = rand_connected_graph(rng, rng.randint(4, 7), rng.randint(2, 6))

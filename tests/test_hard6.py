@@ -359,3 +359,216 @@ def test_adjust_solution_rejects_bad_input():
     deltas[("a", "e")] = deltas[("a", "e")] + 3 * eta
     with pytest.raises(MetricError):
         adjust_solution(inst, grid_snap(inst, 1), deltas, eta)
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice kernel against an independent Fraction reference
+# built on ts_distance and associated coordinates
+
+
+#: critical steps on (x, y, z), in units of 1/L
+REF_STEPS = {1: (0, 0, 1), 2: (0, 2, -1), 3: (1, 0, 0), 4: (-1, 2, 0)}
+
+
+def _ref_shift(inst, at, vid, dx, dy, dz):
+    a, L = inst.assoc[vid], inst.L
+    return at.get(AssocVec(a.x + F(dx, L), a.y + F(dy, L), a.z + F(dz, L)))
+
+
+def _ref_excess(inst, sol, paths):
+    f = sol.f
+    return [sum((ts_distance(f[u], f[v]) for u, v in zip(p.vertex_ids, p.vertex_ids[1:])),
+                F(0)) - inst.metric.d(p.source, p.sink) for p in paths]
+
+
+def _ref_pos(v):
+    return max(v, F(0))
+
+
+def ref_directional(inst, sol):
+    f, m = sol.f, inst.metric
+    at = {a: vid for vid, a in inst.assoc.items()}
+    fwd, bwd, nbrs, fails = {}, {}, {}, []
+    x = {vid: to_assoc(f[vid]).x for vid in inst.vecs}
+    for vid in inst.assoc:
+        for d, step in REF_STEPS.items():
+            w = _ref_shift(inst, at, vid, *step)
+            if w is None:
+                continue
+            nbrs[(vid, d)] = w
+            s = ts_distance(f[vid], f[w])
+            for t in "bcd":
+                diff = ts_distance(f[vid], m.row(t)) - ts_distance(f[w], m.row(t))
+                fwd[(vid, d, t)], bwd[(vid, d, t)] = s + diff, s - diff
+            if d in (1, 2):
+                table = fwd if d == 1 else bwd
+                if table[(vid, d, "d")] + table[(vid, d, "b")] < 2 * abs(x[vid] - x[w]):
+                    fails.append(f"dir{d} x-bound at {vid}")
+    excess = {}
+    for p, e in zip(inst.paths, _ref_excess(inst, sol, inst.paths)):
+        excess[p.group] = excess.get(p.group, F(0)) + e
+
+    def rhs(d, terms):
+        return sum((tbl[(vid, d, t)] for (vid, d2) in nbrs if d2 == d
+                    for tbl, t in terms), F(0))
+
+    aggregates = [
+        ("dir1", excess["ad1"] + excess["be1"], rhs(1, [(fwd, "d"), (fwd, "b")])),
+        ("dir2", excess["ad2"] + excess["be2"], rhs(2, [(bwd, "d"), (bwd, "b")])),
+        ("dir3", excess["ad3"] + excess["be3"] + 2 * excess["cf3"],
+         rhs(3, [(bwd, "d"), (fwd, "b"), (fwd, "c"), (fwd, "c")])),
+        ("dir4", excess["ad4"] + excess["be4"] + 2 * excess["cf4"],
+         rhs(4, [(fwd, "d"), (bwd, "b"), (fwd, "c"), (fwd, "c")])),
+    ]
+    for vid in inst.vecs:
+        if (ts_distance(f[vid], m.row("a")) + ts_distance(f[vid], m.row("b"))
+                < 2 + 2 * _ref_pos(x[vid])):
+            fails.append(f"ab anchor bound at {vid}")
+        if (ts_distance(f[vid], m.row("d")) + ts_distance(f[vid], m.row("e"))
+                < 2 + 2 * _ref_pos(1 - x[vid])):
+            fails.append(f"de anchor bound at {vid}")
+    return fwd, bwd, aggregates, fails
+
+
+def ref_planar(inst, sol):
+    L = inst.L
+    at = {a: vid for vid, a in inst.assoc.items()}
+    p = {vid: to_assoc(rect_project(sol.f[vid])) for vid in inst.vecs}
+    lx, ly, lz1, lz2, cx, tr = {}, {}, {}, {}, [], []
+    for vid in inst.assoc:
+        a = p[vid]
+        w3, w4 = _ref_shift(inst, at, vid, 1, 0, 0), _ref_shift(inst, at, vid, -1, 2, 0)
+        w34, w234 = _ref_shift(inst, at, vid, 0, 2, 0), _ref_shift(inst, at, vid, 1, 2, 0)
+        if w3 is not None:
+            b = p[w3]
+            lx[vid] = abs(a.y - b.y) + 2 * _ref_pos(2 * a.x + a.y - 2 * b.x - b.y)
+            if lx[vid] < 2 * _ref_pos(a.x - b.x):
+                cx.append(vid)
+        if w34 is not None:
+            ly[vid] = 2 * abs(a.x - p[w34].x)
+        if w4 is not None:
+            lz1[vid] = abs(2 * a.x + a.y - 2 * p[w4].x - p[w4].y)
+        if w234 is not None:
+            lz2[vid] = abs(2 * a.x - a.y - 2 * p[w234].x + p[w234].y)
+    for vid in inst.assoc:
+        w3, w34 = _ref_shift(inst, at, vid, 1, 0, 0), _ref_shift(inst, at, vid, 0, 2, 0)
+        if (vid in lz2 and vid in lx and w34 in lx and vid in ly and w3 in ly
+                and w3 in lz1 and lz2[vid] > lx[vid] + lx[w34] + ly[vid] + ly[w3] + lz1[w3]):
+            tr.append(vid)
+    table, edge_sum = {}, F(0)
+    for jy in range(L + 1):
+        for kz in range(L + 1 - jy):
+            line = [at[AssocVec(F(q, L), F(2 * jy, L), F(kz, L))] for q in range(L + 1)]
+            ends = _ref_pos(p[line[0]].x) + _ref_pos(1 - p[line[-1]].x)
+            table[(jy, kz)] = sum((ls.get(v, F(0)) for v in line
+                                   for ls in (lx, ly, lz1, lz2)), F(0)) + 3 * ends
+            edge_sum += 2 * ends
+    paths = inst.all_paths()
+    lhs = sum((q.capacity * e for q, e in zip(paths, _ref_excess(inst, sol, paths))), F(0))
+    total = sum((sum(ls.values(), F(0)) for ls in (lx, ly, lz1, lz2)), F(0))
+    return lx, ly, lz1, lz2, table, cx, tr, lhs, F(2, 3) * total + edge_sum
+
+
+def assert_matches_reference(inst, sol):
+    rep = losses(inst, sol)
+    paths = inst.all_paths()
+    excess = _ref_excess(inst, sol, paths)
+    assert [(q.name, q.excess, q.loss) for q in rep.per_path] \
+        == [(p.name, e, p.capacity * e) for p, e in zip(paths, excess)]
+    assert rep.total == sum((p.capacity * e for p, e in zip(paths, excess)), F(0))
+    dr = directional_losses(inst, sol)
+    fwd, bwd, aggregates, fails = ref_directional(inst, sol)
+    assert dr.forward == fwd and list(dr.forward) == list(fwd)
+    assert dr.backward == bwd and list(dr.backward) == list(bwd)
+    assert dr.aggregates == aggregates
+    assert dr.x_bound_failures == fails and dr.x_bounds_ok == (not fails)
+    pr = planar_losses(inst, sol)
+    assert (pr.l_x, pr.l_y, pr.l_z1, pr.l_z2, pr.table, pr.step_bound_failures,
+            pr.transfer_bound_failures, pr.bound_lhs, pr.bound_rhs) \
+        == ref_planar(inst, sol)
+    assert pr.bound_lhs == rep.total
+
+
+def test_generated_lengths_are_span_distances():
+    for L in (2, 3, 5):
+        inst = generate(L)
+        for u, v, _, length in inst.graph.edges:
+            assert length == ts_distance(inst.vecs[u], inst.vecs[v])
+        for vid, (i, j, k) in inst.index.items():
+            assert inst.assoc[vid] == (F(i, L), F(2 * j, L), F(k, L))
+            assert inst.vecs[vid] == from_assoc(inst.assoc[vid])
+        assert set(inst.index) == set(inst.assoc)
+
+
+def test_lattice_diagnostics_match_reference():
+    for L in (3, 4, 5):
+        inst = generate(L)
+        for g in (1, 2, 3, 5):
+            assert_matches_reference(inst, grid_snap(inst, g))
+
+
+def lattice_candidate(inst, rng):
+    """Non-terminals mapped to span points on the 1/6 and 1/10 lattices."""
+    pts = []
+    for den in (6, 10):
+        while len(pts) < 8 * (1 + (den == 10)):
+            x, z = F(rng.randint(0, den), den), F(rng.randint(0, den), den)
+            y = F(rng.randint(0, 2 * den), den)
+            try:
+                pts.append(from_assoc(AssocVec(x, y, z)))
+            except MetricError:
+                pass
+    term_ids = set(inst.graph.terminals.values())
+    return CandidateSolution(f={vid: dict(vec if vid in term_ids else rng.choice(pts))
+                                for vid, vec in inst.vecs.items()})
+
+
+def test_lattice_diagnostics_mixed_denominators(rng):
+    from spanflow.hard6 import _Lattice
+    inst = generate(4)
+    sol = lattice_candidate(inst, rng)
+    assert _Lattice(inst, sol).S == 30
+    assert_matches_reference(inst, sol)
+
+
+def test_lattice_adjust_costs_match_reference(rng):
+    inst = generate(3, ave=True)
+    sol = lattice_candidate(inst, rng)
+    m, eta = inst.metric, F(1, 10 ** 9)
+    deltas = exact_deltas()
+    deltas[("b", "c")] += eta / 7
+    adj = adjust_solution(inst, sol, deltas, eta)
+    terminal_of = {vid: t for t, vid in inst.graph.terminals.items()}
+
+    def delta(t, u, table):
+        return F(0) if t == u else table[(t, u)] if (t, u) in table else table[(u, t)]
+
+    before = after = F(0)
+    for u, v, cap, _ in inst.graph.edges:
+        tu, tv = terminal_of.get(u), terminal_of.get(v)
+        key = {w: tuple(sol.f[w][t] for t in "abcdef") for w in (u, v)}
+        if tu and tv:
+            before += cap * delta(tu, tv, deltas)
+            after += cap * delta(tu, tv, adj.deltas)
+        elif tu or tv:
+            t, w = (tu, v) if tu else (tv, u)
+            before += cap * ts_distance(sol.f[w], m.row(t))
+            after += cap * adj.cluster_vectors[key[w]][t]
+        else:
+            before += cap * ts_distance(sol.f[u], sol.f[v])
+            after += cap * ts_distance(adj.cluster_vectors[key[u]],
+                                       adj.cluster_vectors[key[v]])
+    assert (adj.cost_before, adj.cost_after) == (before, after)
+
+
+def test_lattice_diagnostics_keep_checks():
+    inst = generate(3)
+    outside = identity_solution(inst)
+    outside.f[next(iter(inst.assoc.keys() - set(inst.graph.terminals.values())))] = \
+        {t: F(3) for t in "abcdef"}    # valid but not tight: off the span
+    loose = identity_solution(inst)
+    loose.f[inst.graph.terminals["b"]] = dict(inst.vecs[inst.graph.terminals["c"]])
+    for sol, message in ((outside, "outside the span"), (loose, "must map to itself")):
+        for diagnostic in (losses, directional_losses, planar_losses):
+            with pytest.raises(MetricError, match=message):
+                diagnostic(inst, sol)
