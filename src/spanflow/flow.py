@@ -1,13 +1,22 @@
 """Multicommodity-flow congestion machinery.
 
 The concurrent-flow solver maximizes the fraction lambda of a demand that can
-be routed within capacities.  It solves the polynomial-size edge-flow LP in
-floating point (HiGHS via scipy) and then rescales the returned flow exactly
-in rational arithmetic so that the reported lambda is certified achievable:
-the reported flow respects every capacity and routes at least
-lambda * demand * (1 - epsilon) per pair, and lambda never exceeds the true
-optimum.  The single-commodity oracle and the dual checker are exact and
-independent of that code path.
+be routed within capacities.  It solves an edge-flow LP in floating point
+(HiGHS via scipy): parallel edges merged into one arc pair of their summed
+capacity, self-loops dropped, one commodity per source of a greedy cover of
+the demand pairs.  What it reports is exact where stated:
+
+* every edge's load is at most its capacity, exactly (rational arithmetic on
+  the clipped float flow, scaled down once if rounding needs it);
+* lambda is the float optimum shrunk by epsilon/10, so it lies in
+  [(1 - epsilon) * opt, opt] as long as the solver's relative error stays
+  below epsilon/10;
+* `routed` is the exact net inflow at each sink in its source's float flow.
+  Conservation holds only to float accuracy, so this is lambda times the
+  demand up to rounding, and a pair with a tiny demand can read near 0.
+
+The single-commodity oracle and the dual checker are exact and independent of
+that code path.
 """
 from __future__ import annotations
 
@@ -16,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -59,8 +69,8 @@ class Demand:
 class FlowResult:
     lam: Fraction
     congestion: Fraction
-    loads: list[Fraction]        # per edge, for the flow routing lam * demand
-    routed: dict[tuple[str, str], Fraction]
+    loads: list[Fraction]        # per edge, each exactly <= its capacity
+    routed: dict[tuple[str, str], Fraction]   # per demand pair, net inflow at its sink
     epsilon: Fraction
     iterations: int
 
@@ -86,12 +96,38 @@ def _reachable(adj, src) -> set:
     return seen
 
 
-def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult:
-    """Approximate maximum concurrent flow with a certified one-sided answer.
+def _source_cover(pairs) -> list[tuple[str, list[tuple[tuple[str, str], str, Fraction]]]]:
+    """Greedy cover of the demand pairs by source terminals.
 
-    Returns lambda in [(1 - epsilon) * opt, opt].  The solver's float answer
-    is shrunk by epsilon/10 and its flow is rationalized and clipped, so the
-    reported value is witnessed by an exactly feasible flow.
+    Repeatedly takes the terminal on the most uncovered pairs (ties go to the
+    smaller name) as the source of all of them.  Returns each source, in the
+    order taken, with its `(pair, sink, demand)` triples.
+    """
+    left = {(t, u): d for t, u, d in pairs}
+    cover = []
+    while left:
+        count: dict[str, int] = {}
+        for pair in left:
+            for name in pair:
+                count[name] = count.get(name, 0) + 1
+        src = min(count, key=lambda name: (-count[name], name))
+        sinks = [((t, u), u if t == src else t, d)
+                 for (t, u), d in left.items() if src in (t, u)]
+        for pair, _, _ in sinks:
+            del left[pair]
+        cover.append((src, sinks))
+    return cover
+
+
+def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult:
+    """Approximate maximum concurrent flow with a one-sided lambda.
+
+    Returns lambda in [(1 - epsilon) * opt, opt]: the HiGHS optimum shrunk by
+    epsilon/10, and further if the rationalized loads need it.  Parallel edges
+    are merged into one arc pair of their summed capacity, self-loops are
+    dropped (load 0), and each source of a greedy source cover of the demand
+    (`_source_cover`) is one commodity.  Every load is exactly within its
+    edge's capacity; conservation holds only to float accuracy.
     """
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
@@ -111,77 +147,78 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
             raise FlowError(f"terminals {t} and {u} are disconnected")
 
     vindex = {v: i for i, v in enumerate(g.vertices)}
-    nv, ne, nq = len(g.vertices), len(g.edges), len(pairs)
-    # variables: f[e, dir, q] (2 * ne * nq) then lambda
-    nvar = 2 * ne * nq + 1
+    nv = len(g.vertices)
+    ends = np.array([(vindex[e.u], vindex[e.v]) for e in g.edges],
+                    dtype=np.int64).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    real = np.flatnonzero(lo != hi)   # self-loops carry no flow
+    keys, slot = np.unique(lo[real] * nv + hi[real], return_inverse=True)
+    slot = slot.ravel()
+    ne = len(keys)
+    caps = [Fraction(0)] * ne
+    for i, m in zip(real.tolist(), slot.tolist()):
+        caps[m] += g.edges[i].capacity
+    # arc j < ne runs a -> b on merged edge j, arc ne + j runs back
+    a, b = keys // nv, keys % nv
+    tails, heads = np.concatenate([a, b]), np.concatenate([b, a])
+    narc = 2 * ne
 
-    def var(e, d, q):
-        return (e * 2 + d) * nq + q
+    cover = _source_cover(pairs)
+    nk = len(cover)
+    nvar = nk * narc + 1   # f[k, arc] then lambda
+    lam_col = nvar - 1
+    # equality rows (k, v): inflow - outflow - lambda * d_k(v) = 0, except at
+    # the source, whose row the others imply
+    arc_cols = np.arange(nk * narc)
+    base = np.repeat(np.arange(nk) * nv, narc)
+    rows = [base + np.tile(heads, nk), base + np.tile(tails, nk)]
+    cols = [arc_cols, arc_cols]
+    vals = [np.ones(nk * narc), -np.ones(nk * narc)]
+    sink_rows = [k * nv + vindex[g.terminals[w]]
+                 for k, (_, sinks) in enumerate(cover) for _, w, _ in sinks]
+    rows.append(np.array(sink_rows, dtype=np.int64))
+    cols.append(np.full(len(sink_rows), lam_col))
+    vals.append(np.array([-float(d) for _, sinks in cover for _, _, d in sinks]))
+    live = np.ones(nk * nv, dtype=bool)
+    live[[k * nv + vindex[g.terminals[s]] for k, (s, _) in enumerate(cover)]] = False
+    row_id = np.cumsum(live) - 1
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    keep = live[rows]
+    a_eq = coo_matrix((vals[keep], (row_id[rows[keep]], cols[keep])),
+                      shape=(int(live.sum()), nvar))
+    a_ub = coo_matrix((np.ones(nk * narc), (np.tile(np.arange(narc) % ne, nk), arc_cols)),
+                      shape=(ne, nvar))
+    b_ub = [float(c) for c in caps]
 
-    rows, cols, vals = [], [], []
-    b_eq = []
-    row = 0
-    for q, (t, u, d) in enumerate(pairs):
-        s, x = vindex[g.terminals[t]], vindex[g.terminals[u]]
-        for vi in range(nv):
-            if vi == x:
-                continue  # sink conservation is implied
-            for e, (a, bb, _, _) in enumerate(g.edges):
-                ai, bi = vindex[a], vindex[bb]
-                if ai == vi or bi == vi:
-                    # direction 0: a -> b, direction 1: b -> a
-                    for dr in range(2):
-                        out = (ai == vi) == (dr == 0)
-                        rows.append(row)
-                        cols.append(var(e, dr, q))
-                        vals.append(1.0 if out else -1.0)
-            if vi == s:
-                rows.append(row)
-                cols.append(nvar - 1)
-                vals.append(-float(d))
-            b_eq.append(0.0)
-            row += 1
-    a_eq = coo_matrix((vals, (rows, cols)), shape=(row, nvar))
-
-    rows, cols, vals = [], [], []
-    for e in range(ne):
-        for dr in range(2):
-            for q in range(nq):
-                rows.append(e)
-                cols.append(var(e, dr, q))
-                vals.append(1.0)
-    a_ub = coo_matrix((vals, (rows, cols)), shape=(ne, nvar))
-    b_ub = [float(g.edges[e].capacity) for e in range(ne)]
-
-    c = [0.0] * nvar
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * nvar, method="highs")
+    c = np.zeros(nvar)
+    c[lam_col] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise FlowError(f"LP solver failed: {res.message}")
 
-    shrink = 1 - eps / 10
-    flows = [max(Fraction(x), Fraction(0)) * shrink for x in res.x[:-1]]
-    lam = Fraction(res.x[-1]) * shrink
-    loads = [sum(flows[var(e, dr, q)] for dr in range(2) for q in range(nq))
-             for e in range(ne)]
-    worst = max((load / g.edges[e].capacity for e, load in enumerate(loads)),
-                default=Fraction(0))
+    # exact loads of the clipped float flow, then one exact scale keeps them in
+    # capacity: the epsilon/10 shrink, and more if rounding still overflows
+    x = np.maximum(res.x, 0.0)
+    flows = x[:-1].reshape(nk, narc)
+    per_edge = np.concatenate([flows[:, :ne], flows[:, ne:]]).T.tolist()
+    fill = [sum(map(Fraction, filter(None, row)), Fraction(0)) / cap
+            for row, cap in zip(per_edge, caps)]
+    scale = 1 - eps / 10
+    worst = max(fill) * scale
     if worst > 1:  # exact rescue; the shrink margin makes this unreachable
-        flows = [f / worst for f in flows]
-        lam /= worst
-        loads = [x / worst for x in loads]
+        scale /= worst
+    lam = Fraction(x[-1]) * scale
+    loads = [Fraction(0)] * len(g.edges)
+    for i, m in zip(real.tolist(), slot.tolist()):
+        loads[i] = fill[m] * scale * g.edges[i].capacity
     routed = {}
-    for q, (t, u, d) in enumerate(pairs):
-        s = vindex[g.terminals[t]]
-        net = Fraction(0)
-        for e, (a, bb, _, _) in enumerate(g.edges):
-            ai, bi = vindex[a], vindex[bb]
-            if ai == s:
-                net += flows[var(e, 0, q)] - flows[var(e, 1, q)]
-            if bi == s:
-                net += flows[var(e, 1, q)] - flows[var(e, 0, q)]
-        routed[(t, u)] = net
+    for k, (_, sinks) in enumerate(cover):
+        for pair, w, _ in sinks:
+            wi = vindex[g.terminals[w]]
+            inflow = sum(map(Fraction, flows[k, heads == wi].tolist()), Fraction(0))
+            outflow = sum(map(Fraction, flows[k, tails == wi].tolist()), Fraction(0))
+            routed[pair] = (inflow - outflow) * scale
     iterations = int(getattr(res, "nit", 0))
     congestion = Fraction(1) / lam if lam > 0 else Fraction(0)
     return FlowResult(lam=lam, congestion=congestion, loads=loads,

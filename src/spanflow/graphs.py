@@ -38,15 +38,17 @@ class TerminalGraph:
         vset = set(self.vertices)
         norm = []
         for e in self.edges:
-            cap = as_fraction(e[2])
-            length = as_fraction(e[3])
-            if cap <= 0:
-                raise GraphError(f"edge ({e[0]}, {e[1]}) has non-positive capacity {cap}")
-            if length < 0:
-                raise GraphError(f"edge ({e[0]}, {e[1]}) has negative length {length}")
-            if e[0] not in vset or e[1] not in vset:
-                raise GraphError(f"edge ({e[0]}, {e[1]}) uses an unknown vertex")
-            norm.append(Edge(e[0], e[1], cap, length))
+            # an Edge of Fractions is kept as it is; anything else is rebuilt
+            if not (type(e) is Edge and type(e.capacity) is Fraction
+                    and type(e.length) is Fraction):
+                e = Edge(e[0], e[1], as_fraction(e[2]), as_fraction(e[3]))
+            if e.capacity.numerator <= 0:
+                raise GraphError(f"edge ({e.u}, {e.v}) has non-positive capacity {e.capacity}")
+            if e.length.numerator < 0:
+                raise GraphError(f"edge ({e.u}, {e.v}) has negative length {e.length}")
+            if e.u not in vset or e.v not in vset:
+                raise GraphError(f"edge ({e.u}, {e.v}) uses an unknown vertex")
+            norm.append(e)
         self.edges = norm
         names = list(self.terminals)
         if len(set(self.terminals.values())) != len(names):

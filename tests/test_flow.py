@@ -185,3 +185,160 @@ def test_determinism(rng):
     r1 = max_concurrent_flow(g, dem, EPS)
     r2 = max_concurrent_flow(g, dem, EPS)
     assert r1.lam == r2.lam and r1.loads == r2.loads
+
+
+def test_self_loop_does_not_inflate_lambda():
+    # a self-loop used to count only on the out side of its vertex's
+    # conservation row, where it absorbed flow like a private sink
+    g = TerminalGraph(vertices=["s", "m", "t"],
+                      edges=[("s", "m", F(5), F(1)), ("m", "t", F(1), F(1)),
+                             ("m", "m", F(100), F(1))],
+                      terminals={"s": "s", "t": "t"})
+    assert exact_single_commodity(g, "s", "t") == 1
+    r = max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
+    assert 1 - EPS <= r.lam <= 1
+    assert r.loads[2] == 0
+    assert all(load <= e.capacity for load, e in zip(r.loads, g.edges))
+
+
+def with_copies_and_loops(rng, g):
+    """`g` plus parallel copies of random edges and a few self-loops."""
+    edges = list(g.edges)
+    for _ in range(rng.randint(1, 4)):
+        e = rng.choice(g.edges)
+        edges.append((e.v, e.u, F(rng.randint(1, 6), rng.randint(1, 3)), e.length))
+    for _ in range(rng.randint(0, 2)):
+        v = rng.choice(g.vertices)
+        edges.append((v, v, F(rng.randint(1, 50)), F(1)))
+    return TerminalGraph(vertices=g.vertices, edges=edges, terminals=dict(g.terminals))
+
+
+def test_random_multigraphs_match_oracle(rng):
+    for _ in range(15):
+        g = with_copies_and_loops(rng, rand_connected_graph(rng, rng.randint(3, 7),
+                                                            rng.randint(0, 5)))
+        d = F(rng.randint(1, 4), rng.randint(1, 3))
+        lam_star = exact_single_commodity(g, "s", "t") / d
+        r = max_concurrent_flow(g, Demand({("s", "t"): d}), EPS)
+        assert (1 - EPS) * lam_star <= r.lam <= lam_star
+        assert all(load <= e.capacity for load, e in zip(r.loads, g.edges))
+        assert all(load == 0 for load, e in zip(r.loads, g.edges) if e.u == e.v)
+
+
+def two_hubs(bottleneck=((F(1), F(1)), (F(3, 2), F(2)))):
+    # a, b hang off hub x, c, d off hub y; x--y is a bundle of parallel edges
+    edges = [("a", "x", F(10), F(1)), ("b", "x", F(10), F(1)),
+             ("y", "c", F(10), F(1)), ("y", "d", F(10), F(1))]
+    edges += [("x", "y", cap, length) for cap, length in bottleneck]
+    return TerminalGraph(vertices=list("abcdxy"), edges=edges,
+                         terminals={t: t for t in "abcd"})
+
+
+TWO_HUB_DEMAND = {("a", "c"): F(1), ("a", "d"): F(2), ("b", "c"): F(1), ("a", "b"): F(4)}
+
+
+def test_multicommodity_shared_source_parallel_bottleneck():
+    g = two_hubs()
+    dem = Demand(dict(TWO_HUB_DEMAND))
+    r = max_concurrent_flow(g, dem, EPS)
+    opt = F(5, 8)   # a-c, a-d and b-c cross x--y: lambda * 4 <= 1 + 3/2
+    assert (1 - EPS) * opt <= r.lam <= opt
+    for (t, u), d in dem.entries.items():
+        assert abs(r.routed[(t, u)] - r.lam * d) <= F(1, 10 ** 9) * d
+    # weak duality with shortest-path lengths, normalized to sum(delta * d) = 1
+    deltas = {}
+    for (t, u) in dem.entries:
+        deltas[(t, u)] = shortest_distances(g, t)[u]
+    scale = 1 / dem.total_weighted(deltas)
+    rep = dual_value(g, [e.length * scale for e in g.edges],
+                     {k: v * scale for k, v in deltas.items()}, demand=dem)
+    assert rep.feasible
+    assert r.lam <= rep.value
+
+
+def test_routed_is_net_inflow_at_each_sink():
+    # u is a sink of s and also carries s's flow on to t
+    g = TerminalGraph(vertices=["s", "u", "t"],
+                      edges=[("s", "u", F(1), F(1)), ("u", "s", F(2), F(1)),
+                             ("u", "t", F(1), F(1))],
+                      terminals={"s": "s", "u": "u", "t": "t"})
+    dem = Demand({("s", "u"): F(1), ("s", "t"): F(1)})
+    r = max_concurrent_flow(g, dem, EPS)
+    assert 1 - EPS <= r.lam <= 1
+    for pair, d in dem.entries.items():
+        assert abs(r.routed[pair] - r.lam * d) <= F(1, 10 ** 9)
+
+
+def test_parallel_loads_split_by_capacity():
+    g = two_hubs(((F(1), F(1)), (F(3, 2), F(2)), (F(1, 4), F(5))))
+    r = max_concurrent_flow(g, Demand(dict(TWO_HUB_DEMAND)), EPS)
+    bundle = [(load, e.capacity) for load, e in zip(r.loads, g.edges) if e.u == "x"]
+    assert len(bundle) == 3
+    assert len({load / cap for load, cap in bundle}) == 1
+    assert all(load <= cap for load, cap in bundle)
+    assert all(load <= e.capacity for load, e in zip(r.loads, g.edges))
+
+
+def test_invariant_under_permutations():
+    g = two_hubs(((F(1), F(1)), (F(3, 2), F(2)), (F(1, 4), F(5))))
+    r = max_concurrent_flow(g, Demand(dict(TWO_HUB_DEMAND)), EPS)
+    again = max_concurrent_flow(g, Demand(dict(TWO_HUB_DEMAND)), EPS)
+    assert (again.lam, again.loads, again.routed) == (r.lam, r.loads, r.routed)
+    swapped = Demand({(u, t): d for (t, u), d in reversed(TWO_HUB_DEMAND.items())})
+    s = max_concurrent_flow(g, swapped, EPS)
+    assert (s.lam, s.loads, s.routed) == (r.lam, r.loads, r.routed)
+    order = [5, 0, 6, 3, 1, 4, 2]
+    edges = [g.edges[i] for i in order]
+    u, v, cap, length = edges[2]
+    edges[2] = (v, u, cap, length)   # one bottleneck edge written as y--x
+    shuffled = TerminalGraph(vertices=g.vertices, edges=edges, terminals=dict(g.terminals))
+    p = max_concurrent_flow(shuffled, Demand(dict(TWO_HUB_DEMAND)), EPS)
+    assert p.lam == r.lam and p.routed == r.routed
+    assert p.loads == [r.loads[i] for i in order]
+
+
+def test_source_cover_is_greedy_and_ordered():
+    from spanflow.flow import _source_cover
+    cover = _source_cover(Demand(dict(TWO_HUB_DEMAND)).pairs())
+    assert [(src, [w for _, w, _ in sinks]) for src, sinks in cover] == \
+        [("a", ["b", "c", "d"]), ("b", ["c"])]
+
+
+def capture_linprog(monkeypatch):
+    import spanflow.flow as flow
+    calls = []
+    real = flow.linprog
+
+    def spy(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(flow, "linprog", spy)
+    return calls
+
+
+def test_lp_size_ave_instance(monkeypatch):
+    from spanflow.hard6 import generate
+    inst = generate(4, ave=True)
+    calls = capture_linprog(monkeypatch)
+    r = max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
+    (c, kw), = calls
+    # 474 merged edges, two arcs each, 4 sources cover the 9 demand pairs
+    assert len(c) == 2 * 474 * 4 + 1 == 3793
+    assert kw["A_ub"].shape == (474, 3793)
+    assert kw["A_eq"].shape == (4 * (len(inst.graph.vertices) - 1), 3793)
+    assert all(load <= e.capacity for load, e in zip(r.loads, inst.graph.edges))
+
+
+def test_lp_size_ignores_edge_multiplicity(monkeypatch):
+    calls = capture_linprog(monkeypatch)
+    for copies in (1, 3, 8):
+        g = TerminalGraph(vertices=["s", "m", "t"],
+                          edges=[("s", "m", F(1), F(1))] * copies
+                          + [("m", "t", F(2), F(1))] * copies,
+                          terminals={"s": "s", "t": "t"})
+        r = max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
+        assert (1 - EPS) * copies <= r.lam <= copies
+    sizes = {(len(c), kw["A_eq"].shape, kw["A_eq"].nnz, kw["A_ub"].nnz) for c, kw in calls}
+    assert len(calls) == 3 and len(sizes) == 1
+    assert len(calls[0][0]) == 2 * 2 + 1

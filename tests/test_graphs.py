@@ -5,7 +5,7 @@ import pytest
 
 import spanflow.graphs
 from spanflow.cli import main
-from spanflow.graphs import (GraphError, TerminalGraph, distance_vectors, edge_distances,
+from spanflow.graphs import (Edge, GraphError, TerminalGraph, distance_vectors, edge_distances,
                              project_graph, shortest_distances, terminal_metric)
 from spanflow.metric import is_valid_vector
 from spanflow.tightspan import in_tight_span, ts_distance
@@ -46,6 +46,30 @@ def test_negative_length_rejected():
     with pytest.raises(GraphError):
         TerminalGraph(vertices=["a", "b"], edges=[("a", "b", F(1), F(-1))],
                       terminals={"a": "a", "b": "b"})
+
+
+@pytest.mark.parametrize("make", [tuple, lambda e: Edge(*e)], ids=["tuple", "Edge"])
+@pytest.mark.parametrize("edge, message", [
+    (("a", "b", F(0), F(1)), "non-positive capacity"),
+    (("a", "b", F(-2, 3), F(1)), "non-positive capacity"),
+    (("a", "b", F(1), F(-1, 5)), "negative length"),
+    (("a", "z", F(1), F(1)), "unknown vertex"),
+])
+def test_bad_edges_rejected(make, edge, message):
+    with pytest.raises(GraphError, match=message):
+        TerminalGraph(vertices=["a", "b"], edges=[make(edge)],
+                      terminals={"a": "a", "b": "b"})
+
+
+def test_edges_normalized_to_fraction_edges():
+    exact = Edge("a", "b", F(3, 2), F(0))
+    g = TerminalGraph(vertices=["a", "b"],
+                      edges=[exact, ("b", "a", 2, "1/3"), Edge("a", "b", 5, "7")],
+                      terminals={"a": "a", "b": "b"})
+    assert g.edges[0] is exact
+    assert g.edges[1:] == [Edge("b", "a", F(2), F(1, 3)), Edge("a", "b", F(5), F(7))]
+    assert all(type(e) is Edge and type(e.capacity) is F and type(e.length) is F
+               for e in g.edges)
 
 
 def test_terminal_metric_star_matches_example1():
