@@ -144,19 +144,21 @@ def _cmd_hard6(args) -> int:
         "opt_bound": str(bound) if not args.ave else None,
         "ave": args.ave,
     }
+    demand = None
     if args.ave:
+        demand = {f"{t},{u}": str(v) for (t, u), v in sorted(inst.ave.demand.entries.items())}
         payload["gamma"] = str(gamma)
-        payload["demand"] = {f"{t},{u}": str(v)
-                             for (t, u), v in sorted(inst.ave.demand.entries.items())}
+        payload["demand"] = demand
     diagnostics = None
     if args.snap_grid is not None:
         sol = grid_snap(inst, args.snap_grid)
         rep = losses(inst, sol)
         dr = directional_losses(inst, sol)
         pr = planar_losses(inst, sol)
+        image_size = sol.image_size()
         diagnostics = {
             "snap_grid": args.snap_grid,
-            "image_size": sol.image_size(),
+            "image_size": image_size,
             "total_loss": str(rep.total),
             "aggregates": {label: {"lhs": str(l), "rhs": str(r)}
                            for label, l, r in dr.aggregates},
@@ -177,7 +179,7 @@ def _cmd_hard6(args) -> int:
         payload["diagnostics"] = {
             "snap_grid": args.snap_grid,
             "total_loss": str(rep.total),
-            "image_size": sol.image_size(),
+            "image_size": image_size,
         }
     if args.out:
         outdir = Path(args.out)
@@ -185,9 +187,7 @@ def _cmd_hard6(args) -> int:
         sidecar = {
             "L": args.L,
             "gamma": str(gamma) if args.ave else None,
-            "demand": ({f"{t},{u}": str(v)
-                        for (t, u), v in sorted(inst.ave.demand.entries.items())}
-                       if args.ave else None),
+            "demand": demand,
             "paths": [{
                 "name": p.name, "group": p.group, "i": p.i, "j": p.j,
                 "source": p.source, "sink": p.sink,

@@ -31,7 +31,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .metric import MetricError, TerminalMetric, Vec
 from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distances
 from .tightspan import (CellComplex, UnsupportedSizeError, enumerate_complex,
-                        in_tight_span, point_in_cell, ts_distance)
+                        in_tight_span, max_cell_dimension, point_in_cell, ts_distance)
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 
@@ -129,10 +129,7 @@ def type1_metric(pendants: Mapping[str, object], sides: Mapping[tuple[str, str],
         pairs[(t, nxt)] = pend[t] + pend[nxt] + side(prev, t) + side(nxt, nxt2)
         pairs[(t, nxt2)] = (pend[t] + pend[nxt2] + side(prev, t) + side(t, nxt)
                             + side(nxt, nxt2) + side(nxt2, cyc[(i + 3) % k]))
-    merged = {}
-    for (t, u), v in pairs.items():
-        merged[(t, u) if t < u else (u, t)] = v
-    return TerminalMetric.from_pairs(merged, terminals=cyc)
+    return TerminalMetric.from_pairs(pairs, terminals=cyc)
 
 
 def type2_metric(width, height, off_x, off_y, fold, pendants: Mapping[str, object],
@@ -162,8 +159,7 @@ def type2_metric(width, height, off_x, off_y, fold, pendants: Mapping[str, objec
         (c, e): p[c] + (W - P) + (H - Q) - h + p[e],
         (d, e): p[d] + P + (H - Q) + h + p[e],
     }
-    merged = {(t, u) if t < u else (u, t): v for (t, u), v in pairs.items()}
-    return TerminalMetric.from_pairs(merged, terminals=names)
+    return TerminalMetric.from_pairs(pairs, terminals=names)
 
 
 def type3_metric(x_lo, x_hi, y_lo, y_hi, fold, pendants: Mapping[str, object],
@@ -194,8 +190,7 @@ def type3_metric(x_lo, x_hi, y_lo, y_hi, fold, pendants: Mapping[str, object],
         (d, e): p[d] + ax2 + ay + h + ay2 + p[e],
         (c, e): p[c] + (h + ax2) + h + ay2 + p[e],
     }
-    merged = {(t, u) if t < u else (u, t): v for (t, u), v in pairs.items()}
-    return TerminalMetric.from_pairs(merged, terminals=names)
+    return TerminalMetric.from_pairs(pairs, terminals=names)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +209,33 @@ class _ModelBase:
         self.metric = complex_.metric
         self.rows = {t: self.metric.row(t) for t in self.metric.terminals}
         self.row_keys = {_vec_key(self.metric, r): t for t, r in self.rows.items()}
+        self.two = [c for c in complex_.cells if c.dim == 2]
+        self.trees = [c for c in complex_.cells if c.dim == 1]
         self.draw_spec: list[tuple[object, Fraction, Fraction]] = []
+
+    def _add_tree_draws(self):
+        """One threshold per 1-cell, measured from its lower vertex id."""
+        V = self.complex.vertices
+        self.segments = []
+        for ci, cell in enumerate(self.trees):
+            i, j = sorted(cell.vertex_ids)
+            self.segments.append((("t", ci), cell, i, j,
+                                  _vec_key(self.metric, V[i]), _vec_key(self.metric, V[j])))
+            self.draw_spec.append((("t", ci), Fraction(0), ts_distance(V[i], V[j])))
+
+    def _vertex_token(self, vid):
+        """A complex vertex's token: the vertex itself."""
+        return ("rep", _vec_key(self.metric, self.complex.vertices[vid]))
+
+    def _segment_token(self, p, key):
+        """Token of a point on a 1-cell (None if on none): an end, or a threshold."""
+        for dkey, cell, i, j, ikey, jkey in self.segments:
+            if key == ikey or key == jkey:
+                return self._vertex_token(i if key == ikey else j)
+            if point_in_cell(self.complex, cell, p):
+                return ("tree", dkey, ts_distance(p, self.complex.vertices[i]),
+                        self._vertex_token(i), self._vertex_token(j))
+        return None
 
     def draws(self, seed: int) -> dict:
         rng = random.Random(seed)
@@ -250,31 +271,15 @@ class _TreeModel(_ModelBase):
 
     def __init__(self, complex_):
         super().__init__(complex_)
-        self.segments = []
-        for ci, cell in enumerate(complex_.cells):
-            if cell.dim == 0:
-                continue
-            if cell.dim != 1 or len(cell.vertex_ids) != 2:
-                raise MetricError("not a tree complex")
-            i, j = sorted(cell.vertex_ids)
-            vi, vj = complex_.vertices[i], complex_.vertices[j]
-            length = ts_distance(vi, vj)
-            self.segments.append((cell, i, j, vi, vj))
-            self.draw_spec.append((("t", ci), Fraction(0), length))
-            # draw key must match segment order
-        self._draw_keys = [spec[0] for spec in self.draw_spec]
+        if any(c.dim > 1 or (c.dim == 1 and len(c.vertex_ids) != 2)
+               for c in complex_.cells):
+            raise MetricError("not a tree complex")
+        self._add_tree_draws()
 
     def _localize_inner(self, p, key):
-        for idx, (cell, i, j, vi, vj) in enumerate(self.segments):
-            vkey = _vec_key(self.metric, vi)
-            if key == vkey:
-                return ("rep", vkey)
-            jkey = _vec_key(self.metric, vj)
-            if key == jkey:
-                return ("rep", jkey)
-            if point_in_cell(self.complex, cell, p):
-                s = ts_distance(p, vi)
-                return ("tree", self._draw_keys[idx], s, ("rep", vkey), ("rep", jkey))
+        tok = self._segment_token(p, key)
+        if tok is not None:
+            return tok
         for v in self.complex.vertices:  # isolated vertex (single-point span)
             if key == _vec_key(self.metric, v):
                 return ("rep", key)
@@ -303,8 +308,7 @@ class _FanModel(_ModelBase):
         super().__init__(complex_)
         cx = complex_
         m = self.metric
-        two = [c for c in cx.cells if c.dim == 2]
-        one = [c for c in cx.cells if c.dim == 1]
+        two = self.two
         if len(two) != 5:
             raise MetricError("not a fan complex")
         if any(len(c.vertex_ids) != 4 for c in two):
@@ -325,7 +329,7 @@ class _FanModel(_ModelBase):
         # a terminal sitting directly on its rectangle has a zero pendant
         self.prime = {}
         self.pend_len = {}
-        for c in one:
+        for c in self.trees:
             ids = set(c.vertex_ids)
             terms = [t for t, vid in term_vid.items() if vid in ids]
             if len(terms) != 1:
@@ -387,20 +391,15 @@ class _FanModel(_ModelBase):
             self.draw_spec.append((("fp", t), Fraction(0), self.pend_len[t]))
         for k in sorted(self.corner, key=sorted):
             self.draw_spec.append((("fs", k), Fraction(0), self.side_len[k]))
-        self._static = {}
-        V, mm = cx.vertices, m
-        self._static[_vec_key(mm, V[self.o_id])] = _vec_key(mm, V[self.o_id])
-        for t in m.terminals:
-            self._static[_vec_key(mm, V[self.prime[t]])] = _vec_key(mm, V[self.prime[t]])
-        for k, vid in self.corner.items():
-            self._static[_vec_key(mm, V[vid])] = _vec_key(mm, V[vid])
+        self._static = {_vec_key(m, cx.vertices[vid]) for vid in
+                        (self.o_id, *self.prime.values(), *self.corner.values())}
         i = self.cycle.index
         self.next_of = {t: self.cycle[(i(t) + 1) % 5] for t in self.cycle}
         self.prev_of = {t: self.cycle[(i(t) - 1) % 5] for t in self.cycle}
 
     def _localize_inner(self, p, key):
         if key in self._static:
-            return ("rep", self._static[key])
+            return ("rep", key)
         m, V = self.metric, self.complex.vertices
         for t in sorted(m.terminals):
             # pendant test: p lies between the terminal and its prime corner
@@ -439,9 +438,7 @@ class _PlanarModel(_ModelBase):
 
     def __init__(self, complex_):
         super().__init__(complex_)
-        cx, m = complex_, self.metric
-        self.two = [c for c in cx.cells if c.dim == 2]
-        self.trees = [c for c in cx.cells if c.dim == 1]
+        cx = complex_
         if not self.two:
             raise MetricError("no 2-cells for the planar model")
         chart = self._find_chart()
@@ -486,11 +483,7 @@ class _PlanarModel(_ModelBase):
             self.draw_spec.append((("y", j), self.ys[j], self.ys[j + 1]))
         if self.fold_bands:
             self.draw_spec.append((("fold",), Fraction(0), self.fold_bands[3]))
-        for ci, cell in enumerate(self.trees):
-            i, j = sorted(cell.vertex_ids)
-            self.draw_spec.append((("t", ci),
-                                   Fraction(0),
-                                   ts_distance(cx.vertices[i], cx.vertices[j])))
+        self._add_tree_draws()
 
         # anchor lifts per cell via exact barycentric interpolation
         self.lift: dict[tuple[int, int, int], tuple | None] = {}
@@ -500,7 +493,6 @@ class _PlanarModel(_ModelBase):
                 for gy in range(len(self.ys)):
                     self.lift[(ci, gx, gy)] = self._lift_point(
                         pts, self.xs[gx], self.ys[gy])
-        self._tree_tokens: dict[int, tuple] = {}
 
     def _find_chart(self):
         """Two terminals whose coordinates chart every 2-cell isometrically.
@@ -565,12 +557,10 @@ class _PlanarModel(_ModelBase):
         return None
 
     def _vertex_token(self, vid):
-        p = self.complex.vertices[vid]
-        key = _vec_key(self.metric, p)
-        if key in self.row_keys:
-            return ("rep", key)
+        """A non-terminal vertex on 2-cells resolves through their anchors."""
+        key = _vec_key(self.metric, self.complex.vertices[vid])
         cells = tuple(ci for ci, c in enumerate(self.two) if vid in c.vertex_ids)
-        if cells:
+        if cells and key not in self.row_keys:
             x, y = self.plan[vid]
             return ("cell", x, y, cells)
         return ("rep", key)
@@ -582,16 +572,10 @@ class _PlanarModel(_ModelBase):
             x = (p[self.t1] + p[self.t2]) / 2
             y = (p[self.t1] - p[self.t2]) / 2
             return ("cell", x, y, cells)
-        for ci, cell in enumerate(self.trees):
-            i, j = sorted(cell.vertex_ids)
-            vi, vj = self.complex.vertices[i], self.complex.vertices[j]
-            ikey, jkey = _vec_key(self.metric, vi), _vec_key(self.metric, vj)
-            if key == ikey or key == jkey:
-                return self._vertex_token(i if key == ikey else j)
-            if point_in_cell(self.complex, cell, p):
-                return ("tree", ("t", ci), ts_distance(p, vi),
-                        self._vertex_token(i), self._vertex_token(j))
-        raise MetricError("point not on the planar span")
+        tok = self._segment_token(p, key)
+        if tok is None:
+            raise MetricError("point not on the planar span")
+        return tok
 
     def _cuts(self, draws):
         xcuts, ycuts = [], []
@@ -616,10 +600,7 @@ class _PlanarModel(_ModelBase):
 
     def _resolve_inner(self, token, draws):
         _, x, y, cells = token
-        cuts = draws.get(("__cuts__",))
-        if cuts is None:
-            cuts = self._cuts(draws)
-        xcuts, ycuts = cuts
+        xcuts, ycuts = draws[("__cuts__",)]
         gx = bisect_right(xcuts, x)
         gy = bisect_right(ycuts, y)
         for ci in cells:
@@ -630,7 +611,7 @@ class _PlanarModel(_ModelBase):
 
 
 def _build_model(cx: CellComplex):
-    if max(c.dim for c in cx.cells) <= 1:
+    if max_cell_dimension(cx) <= 1:
         try:
             return _TreeModel(cx)
         except MetricError:
@@ -716,11 +697,11 @@ class Decomposer:
         self.model = _build_model(self.complex)
         self.template = _template_of(self.model)
         self.tokens = {v: self.model.localize(p) for v, p in embedded.points.items()}
-        self._static = {v: tok[1] for v, tok in self.tokens.items() if tok[0] == "rep"}
         self._dynamic = [(v, tok) for v, tok in self.tokens.items() if tok[0] != "rep"]
         self._reps: list[tuple] = []
         self._rep_ids: dict[tuple, int] = {}
-        self._static_ids = {v: self._intern(rep) for v, rep in self._static.items()}
+        self._static_ids = {v: self._intern(tok[1]) for v, tok in self.tokens.items()
+                            if tok[0] == "rep"}
         self._dist_cache: dict[tuple[int, int], Fraction] = {}
 
     def _intern(self, rep: tuple) -> int:
@@ -732,14 +713,11 @@ class Decomposer:
         return rid
 
     def assignment(self, seed: int) -> dict[Hashable, tuple]:
-        draws = self.model.prepare(seed)
-        out = dict(self._static)
-        for v, tok in self._dynamic:
-            out[v] = self.model.resolve(tok, draws)
-        return out
+        """Each vertex's representative coordinate tuple for one sample."""
+        return {v: self._reps[i] for v, i in self.assignment_ids(seed).items()}
 
     def assignment_ids(self, seed: int) -> dict[Hashable, int]:
-        """Like assignment, but clusters are interned integer ids."""
+        """Each vertex's interned representative id (see `rep_of`) for one sample."""
         draws = self.model.prepare(seed)
         out = dict(self._static_ids)
         for v, tok in self._dynamic:
@@ -762,14 +740,16 @@ class Decomposer:
 
     def solution(self, seed: int) -> Solution:
         m = self.embedded.metric
-        assign = self.assignment(seed)
-        groups: dict[tuple, list] = {}
+        assign = self.assignment_ids(seed)
+        groups: dict[int, list] = {}
         for v in self.embedded.graph.vertices:
             groups.setdefault(assign[v], []).append(v)
-        row_keys = {_vec_key(m, m.row(t)): t for t in m.terminals}
+        row_keys = self.model.row_keys
         clusters, by_vertex = [], {}
         steiner = 0
-        for key in sorted(groups, key=lambda k: (k not in row_keys, k)):
+        reps = self._reps
+        for rid in sorted(groups, key=lambda i: (reps[i] not in row_keys, reps[i])):
+            key = reps[rid]
             if key in row_keys:
                 label = f"t:{row_keys[key]}"
             else:
@@ -777,9 +757,9 @@ class Decomposer:
                 steiner += 1
             idx = len(clusters)
             rep = dict(zip(m.terminals, key))
-            clusters.append(Cluster(label=label, vertices=sorted(groups[key], key=str),
+            clusters.append(Cluster(label=label, vertices=sorted(groups[rid], key=str),
                                     rep=rep))
-            for v in groups[key]:
+            for v in groups[rid]:
                 by_vertex[v] = idx
         return Solution(metric=m, clusters=clusters, by_vertex=by_vertex)
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping
 
-from .metric import (MetricError, TerminalMetric, Vec, check_vector,
+from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
                      is_valid_vector, validate_metric)
 
 
@@ -81,7 +81,7 @@ def ts_distance(x: Mapping[str, object], y: Mapping[str, object]) -> Fraction:
     """Sup-norm distance between two points, the geodesic metric of the span."""
     if set(x) != set(y):
         raise MetricError("points live over different terminal sets")
-    return max(abs(Fraction(x[t]) - Fraction(y[t])) for t in x)
+    return max(abs(as_fraction(x[t]) - as_fraction(y[t])) for t in x)
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,8 @@ class CellComplex:
     cells: tuple[Cell, ...]
 
     def vertex_id(self, point: Mapping[str, object]) -> int | None:
-        key = tuple(Fraction(point[t]) for t in self.metric.terminals)
-        for i, v in enumerate(self.vertices):
-            if tuple(v[t] for t in self.metric.terminals) == key:
-                return i
-        return None
+        p = check_vector(self.metric, point)
+        return next((i for i, v in enumerate(self.vertices) if v == p), None)
 
     def to_json_dict(self) -> dict:
         ts = self.metric.terminals
@@ -153,109 +150,63 @@ def _scaled_constraints(m: TerminalMetric) -> tuple[list[tuple[int, int, int]], 
     return cons, scale
 
 
-def _solve_tight(cons: list[tuple[int, int, int]], k: int) -> list[int] | None:
-    """Unique solution of a tight system, or None (singular or inconsistent).
+def _tight_system(cons: list[tuple[int, int, int]], k: int) -> tuple[list[int] | None, int]:
+    """Solve a tight system on k coords by a signed BFS of its pair graph.
 
-    Each coordinate is sigma * s + c along a spanning walk of the constraint
-    graph; a self constraint or an odd cycle pins the component parameter s.
+    Along a spanning walk each coordinate is sigma * s + c for its component's
+    parameter s; a self constraint or an odd cycle pins s.  Returns the unique
+    solution (None if the system is singular, or inconsistent over the
+    integers) and the number of components whose s stays free, which is k
+    minus the rank of a consistent system.  An inconsistent system returns
+    (None, 0) at once.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    pinned_zero = []
+    zero = [False] * k
     for i, j, r in cons:
         if i == j:
-            pinned_zero.append(i)
+            zero[i] = True
         else:
             adj[i].append((j, r))
             adj[j].append((i, r))
-    sigma = [0] * k
+    sigma = [0] * k  # 0 marks an unvisited coordinate
     const = [0] * k
-    comp = [-1] * k
     values = [0] * k
-    ncomp = 0
+    free = 0
     for root in range(k):
-        if comp[root] != -1:
+        if sigma[root]:
             continue
-        cid = ncomp
-        ncomp += 1
-        comp[root] = cid
         sigma[root] = 1
-        const[root] = 0
         nodes = [root]
-        stack = [root]
         s_val: int | None = None
-        while stack:
-            u = stack.pop()
-            for w, r in adj[u]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    sigma[w] = -sigma[u]
-                    const[w] = r - const[u]
-                    nodes.append(w)
-                    stack.append(w)
-                else:
-                    ss = sigma[u] + sigma[w]
-                    rem = r - const[u] - const[w]
-                    if ss == 0:
-                        if rem != 0:
-                            return None
-                    else:
-                        cand, mod = divmod(rem, ss)
-                        if mod != 0:
-                            return None
-                        if s_val is None:
-                            s_val = cand
-                        elif s_val != cand:
-                            return None
-        for node in nodes:
-            if node in pinned_zero:
-                cand = -const[node] * sigma[node]
+        for u in nodes:  # grows while it is walked
+            if zero[u]:
+                cand = -const[u] * sigma[u]
                 if s_val is None:
                     s_val = cand
                 elif s_val != cand:
-                    return None
+                    return None, 0
+            for w, r in adj[u]:
+                if not sigma[w]:
+                    sigma[w] = -sigma[u]
+                    const[w] = r - const[u]
+                    nodes.append(w)
+                    continue
+                ss = sigma[u] + sigma[w]
+                rem = r - const[u] - const[w]
+                if ss == 0:
+                    if rem != 0:
+                        return None, 0
+                    continue
+                cand, mod = divmod(rem, ss)
+                if mod != 0 or (s_val is not None and s_val != cand):
+                    return None, 0
+                s_val = cand
         if s_val is None:
-            return None  # a free parameter remains: not a vertex
+            free += 1
+            continue
         for node in nodes:
             values[node] = sigma[node] * s_val + const[node]
-    return values
-
-
-def _system_nullity(cons: list[tuple[int, int, int]], k: int) -> int:
-    """Number of free parameters of a consistent tight system on k coords."""
-    adj: list[list[int]] = [[] for _ in range(k)]
-    pinned_comp: set[int] = set()
-    selfs = set()
-    edges = []
-    for i, j, r in cons:
-        if i == j:
-            selfs.add(i)
-        else:
-            adj[i].append(j)
-            adj[j].append(i)
-            edges.append((i, j))
-    comp = [-1] * k
-    sign = [0] * k
-    ncomp = 0
-    for root in range(k):
-        if comp[root] != -1:
-            continue
-        cid = ncomp
-        ncomp += 1
-        comp[root] = cid
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            if u in selfs:
-                pinned_comp.add(cid)
-            for w in adj[u]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    sign[w] = -sign[u]
-                    stack.append(w)
-                elif sign[w] != -sign[u]:
-                    pinned_comp.add(cid)  # odd cycle
-    return ncomp - len(pinned_comp)
+    return (None if free else values), free
 
 
 def enumerate_complex(m: TerminalMetric) -> CellComplex:
@@ -285,7 +236,7 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
             mask |= masks[c]
         if mask != full:
             continue
-        sol = _solve_tight([cons[c] for c in combo], k)
+        sol = _tight_system([cons[c] for c in combo], k)[0]
         if sol is None:
             continue
         if any(sol[i] + sol[j] < r for i, j, r in cons):
@@ -335,10 +286,9 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
             j for j, other in enumerate(members)
             if j != i and mset.intersection(other)))
 
-    cells = []
-    for a, mem, adj in zip(ordered, members, adjacency):
-        dim = _system_nullity([cons[c] for c in a], k)
-        cells.append(Cell(pairs=pair_names(a), dim=dim, vertex_ids=mem, adjacent=adj))
+    cells = [Cell(pairs=pair_names(a), dim=_tight_system([cons[c] for c in a], k)[1],
+                  vertex_ids=mem, adjacent=adj)
+             for a, mem, adj in zip(ordered, members, adjacency)]
 
     vertices = tuple(
         {t: Fraction(sol[i], scale) for i, t in enumerate(m.terminals)}

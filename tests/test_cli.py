@@ -1,7 +1,20 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction as F
+from itertools import combinations
+
+from spanflow.cli import main
+from spanflow.decompose import Decomposer, type1_metric, type2_metric, type3_metric
+from spanflow.graphs import TerminalGraph, project_graph
+from spanflow.hard6 import metric6
+from spanflow.metric import TerminalMetric
+from spanflow.textio import dump_graph, dump_metric
+from spanflow.tightspan import enumerate_complex
+
+from conftest import rand_metric
 
 CLI = [sys.executable, "-m", "spanflow.cli"]
 
@@ -208,3 +221,144 @@ def test_text_format_rendering(tmp_path):
     r = run("--format", "text", "project", str(f), "3,6,4")
     assert r.returncode == 0
     assert "projected" in r.stdout
+
+
+# -- golden stdout of tightspan and sparsify ----------------------------------
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _in_process(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+TIGHTSPAN_METRICS = {
+    "k4": lambda: TerminalMetric.from_pairs(
+        {("a", "b"): F(9, 2), ("a", "c"): 7, ("a", "d"): 6,
+         ("b", "c"): 4, ("b", "d"): F(13, 2), ("c", "d"): 5}),
+    "k5": lambda: rand_metric(random.Random(2), 5, den=8),
+    "metric6": metric6,
+}
+
+#: sha256 of `tightspan` stdout, recorded before the tight-system solvers
+#: were merged into one
+TIGHTSPAN_GOLDEN = {
+    "k4": "f7613bf39081cb4f7c9357da278d6a1d811335f970ee26f7112bb59e85fededf",
+    "k5": "006dcb6c029226fac6db6355cefe499ae20e38937ab8df0cbedddebb5abfa9e5",
+    "metric6": "8ebcbe0fc37ddbaa78027a6d3944eb8a4c19eb60c3b28ecf05b268b55b81dac2",
+}
+
+
+def test_tightspan_golden_bytes(tmp_path, capsys):
+    got = {}
+    for name, build in TIGHTSPAN_METRICS.items():
+        f = tmp_path / f"{name}.txt"
+        f.write_text(dump_metric(build()))
+        got[name] = _sha(_in_process(capsys, "tightspan", str(f)))
+    assert got == TIGHTSPAN_GOLDEN
+
+
+def _tree_metric() -> TerminalMetric:
+    # leaves a, b on x; c on y; d, e on z; path x - y - z
+    hang = {"a": ("x", F(1)), "b": ("x", F(2)), "c": ("y", F(3, 2)),
+            "d": ("z", F(1)), "e": ("z", F(5, 2))}
+    pos = {"x": F(0), "y": F(2), "z": F(5)}
+    return TerminalMetric.from_pairs(
+        {(t, u): hang[t][1] + abs(pos[hang[t][0]] - pos[hang[u][0]]) + hang[u][1]
+         for t, u in combinations("abcde", 2)})
+
+
+def _rectangle_metric() -> TerminalMetric:
+    # a 2 x 3 rectangle with corners a..d and pendants 1, 1/2, 3/2, 2
+    corner = {"a": (0, 0), "b": (2, 0), "c": (2, 3), "d": (0, 3)}
+    pend = {"a": F(1), "b": F(1, 2), "c": F(3, 2), "d": F(2)}
+    return TerminalMetric.from_pairs(
+        {(t, u): pend[t] + abs(corner[t][0] - corner[u][0])
+         + abs(corner[t][1] - corner[u][1]) + pend[u]
+         for t, u in combinations("abcd", 2)})
+
+
+def _cell_points(cx, rng):
+    """Every complex vertex, and per cell its centroid and a random convex mix."""
+    ts = cx.metric.terminals
+    pts = list(cx.vertices)
+    for cell in cx.cells:
+        corners = [cx.vertices[i] for i in cell.vertex_ids]
+        for weights in ([1] * len(corners), [rng.randint(1, 4) for _ in corners]):
+            total = sum(weights)
+            pts.append({t: sum(w * p[t] for w, p in zip(weights, corners)) / total
+                        for t in ts})
+    return pts
+
+
+def _pendant_points(cx):
+    """Points a third and two thirds along each 1-cell that ends at a terminal."""
+    m = cx.metric
+    rows = {tuple(m.row(t).values()) for t in m.terminals}
+    pts = []
+    for cell in cx.cells:
+        if cell.dim != 1:
+            continue
+        a, b = (cx.vertices[i] for i in cell.vertex_ids)
+        if tuple(a.values()) in rows or tuple(b.values()) in rows:
+            pts += [{t: (2 * a[t] + b[t]) / 3 for t in m.terminals},
+                    {t: (a[t] + 2 * b[t]) / 3 for t in m.terminals}]
+    return pts
+
+
+def _fixture_graph(m: TerminalMetric, points, n_steiner: int, seed: int) -> TerminalGraph:
+    """Terminals realizing m, one vertex at each span point, random Steiner stars."""
+    rng = random.Random(seed)
+    ts = list(m.terminals)
+    verts = list(ts)
+    edges = [(t, u, F(rng.randint(1, 4)), m.d(t, u)) for t, u in combinations(ts, 2)]
+    stars = [dict(p) for p in points]
+    for _ in range(n_steiner):
+        stars.append({t: max(m.d(t, u) for u in ts) * (1 + F(rng.randint(0, 8), 8)) / 2
+                      for t in ts})
+    for i, p in enumerate(stars):
+        verts.append(f"w{i}")
+        edges += [(f"w{i}", t, F(rng.randint(1, 4)), p[t]) for t in ts]
+    return TerminalGraph(vertices=verts, edges=edges, terminals={t: t for t in ts})
+
+
+def _sparsify_fixtures():
+    pend = {"a": F(1), "b": F(3, 2), "c": F(2), "d": F(1, 2), "e": F(1)}
+    shapes = {
+        "fan": (type1_metric(pend, {("a", "b"): 2, ("b", "c"): 1, ("c", "d"): 3,
+                                    ("d", "e"): F(5, 2), ("e", "a"): 1}), "_FanModel"),
+        "fold": (type2_metric(7, 6, 2, 1, F(3, 2), pend), "_PlanarModel"),
+        "overlap": (type3_metric(2, 3, 1, 2, F(3, 2), pend), "_PlanarModel"),
+        "tree": (_tree_metric(), "_TreeModel"),
+    }
+    for n, (name, (m, model)) in enumerate(shapes.items()):
+        pts = _cell_points(enumerate_complex(m), random.Random(n))
+        yield name, _fixture_graph(m, pts, 4, seed=n), model
+    m = _rectangle_metric()
+    pts = _pendant_points(enumerate_complex(m))
+    yield "pendant", _fixture_graph(m, pts, 3, seed=9), "_PlanarModel"
+
+
+#: sha256 of `sparsify --seed 3 --samples 40` stdout, recorded before the
+#: tree and planar models shared one segment localizer
+SPARSIFY_GOLDEN = {
+    "fan": "02ced171664e7f69dce5a0b45cdb88084d7570d849b636269d0f35063fa2c6cd",
+    "fold": "f714b048c1a3c32a9933434c843847bd89628ba9c6016b0ad9f0e6c22331e68f",
+    "overlap": "817dd2388c74b12cb6246c97b27fc50c8509b5daa8bea1ea44b93f7351c5f809",
+    "tree": "eb6ef61905d3efd985715740bde462d1bfe3cf0f7d114fe9c41d7cf8b5f43c9f",
+    "pendant": "b3fcd4b42b42308866d1d88de76e408485b80aa256fde405a74767a8d6de5212",
+}
+
+
+def test_sparsify_golden_bytes(tmp_path, capsys):
+    got, models = {}, {}
+    for name, g, model in _sparsify_fixtures():
+        models[name] = type(Decomposer(project_graph(g)).model).__name__
+        assert models[name] == model, name
+        f = tmp_path / f"{name}.txt"
+        f.write_text(dump_graph(g))
+        got[name] = _sha(_in_process(capsys, "sparsify", str(f), "--seed", "3",
+                                     "--samples", "40"))
+    assert got == SPARSIFY_GOLDEN

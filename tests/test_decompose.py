@@ -177,6 +177,29 @@ def test_boundary_points_exact(rng):
             assert float(st.mean_delta) <= float(st.embed_dist) + 3 * st.stderr + 1e-12
 
 
+def test_assignment_and_solution_follow_assignment_ids(rng):
+    metrics = [rand_type1(rng)[-1], rand_type2(rng)[-1], rand_type3(rng)[-1],
+               TerminalMetric.from_pairs({(a, b): abs(ord(a) - ord(b))
+                                          for a, b in combinations("abcde", 2)}),
+               rand_metric(rng, 4)]
+    for m in metrics:
+        dec = Decomposer(project_graph(graph_from_metric(m, 6, rng)))
+        for seed in range(15):
+            ids = dec.assignment_ids(seed)
+            assert dec.assignment(seed) == {v: dec.rep_of(i) for v, i in ids.items()}
+            groups = {}
+            for v, i in ids.items():
+                groups.setdefault(i, set()).add(v)
+            sol = dec.solution(seed)
+            assert sorted(sorted(c.vertices) for c in sol.clusters) == sorted(
+                sorted(vs) for vs in groups.values())
+            for c in sol.clusters:
+                rid = ids[c.vertices[0]]
+                assert tuple(c.rep[t] for t in m.terminals) == dec.rep_of(rid)
+                assert c.label.startswith("t:") == (dec.rep_of(rid) in {
+                    tuple(m.row(t).values()) for t in m.terminals})
+
+
 def test_embedding_mismatch_rejected(rng):
     m = rand_metric(rng, 4)
     g = graph_from_metric(m, 2, rng)

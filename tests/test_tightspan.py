@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanflow.metric import MetricError, TerminalMetric
-from spanflow.tightspan import (UnsupportedSizeError, enumerate_complex,
-                                in_tight_span, max_cell_dimension, point_in_cell,
-                                project, ts_distance)
+from spanflow.tightspan import (UnsupportedSizeError, _tight_system,
+                                enumerate_complex, in_tight_span, max_cell_dimension,
+                                point_in_cell, project, ts_distance)
 
 from conftest import rand_metric, rand_valid_vector
 
@@ -69,6 +69,18 @@ def test_ts_distance_examples():
     x = m.vector([1, 6, 4])
     assert ts_distance(x, x) == 0
     assert ts_distance(m.row("a"), m.row("b")) == 7
+
+
+def test_point_inputs_are_exact():
+    with pytest.raises(MetricError):
+        ts_distance({"a": 0.1}, {"a": F(1, 10)})
+    assert ts_distance({"a": "1/10"}, {"a": F(1, 5)}) == F(1, 10)
+    cx = enumerate_complex(m3())
+    with pytest.raises(MetricError):
+        cx.vertex_id({"a": 2, "b": 5})
+    with pytest.raises(MetricError):
+        cx.vertex_id({"a": 2.0, "b": 5, "c": 3})
+    assert cx.vertex_id({"a": "2", "b": 5, "c": F(3)}) is not None
 
 
 def test_two_point_complex():
@@ -192,3 +204,76 @@ def test_json_export_shape():
     assert d["terminals"] == ["a", "b", "c"]
     assert len(d["vertices"]) == 4
     assert all(set(c) == {"pairs", "dim", "vertices", "adjacent"} for c in d["cells"])
+
+
+def _gauss(cons, k):
+    """Rank, consistency and unique solution of a tight system, by Fraction
+    Gauss-Jordan elimination; (i, i, _) stands for x_i = 0."""
+    rows = []
+    for i, j, r in cons:
+        row = [F(0)] * (k + 1)
+        row[i] = F(1)
+        if i != j:
+            row[j] = F(1)
+            row[k] = F(r)
+        rows.append(row)
+    rank = 0
+    for col in range(k):
+        piv = next((n for n in range(rank, len(rows)) if rows[n][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for n, row in enumerate(rows):
+            if n != rank and row[col]:
+                f = row[col] / top[col]
+                rows[n] = [a - f * b for a, b in zip(row, top)]
+        rank += 1
+    consistent = all(row[k] == 0 for row in rows[rank:])
+    solution = None
+    if consistent and rank == k:
+        solution = [rows[c][k] / rows[c][c] for c in range(k)]
+    return rank, consistent, solution
+
+
+def _check_tight_system(cons, k, seen):
+    values, free = _tight_system(cons, k)
+    rank, consistent, solution = _gauss(cons, k)
+    if not consistent:
+        assert values is None, cons
+        seen["inconsistent"] += 1
+        return
+    assert free == k - rank, cons
+    assert values == solution, cons
+    seen["unique" if solution else "singular"] += 1
+
+
+def test_tight_system_matches_gaussian_elimination():
+    seen = {"inconsistent": 0, "unique": 0, "singular": 0}
+    # triangle (odd cycle), square (even cycle), square with a self constraint
+    _check_tight_system([(0, 1, 6), (1, 2, 4), (0, 2, 8)], 3, seen)
+    _check_tight_system([(0, 1, 6), (1, 2, 4), (2, 3, 8), (0, 3, 10)], 4, seen)
+    _check_tight_system([(0, 1, 6), (1, 2, 4), (2, 3, 8), (0, 3, 10), (2, 2, 0)],
+                        4, seen)
+    _check_tight_system([(0, 1, 6), (1, 2, 4), (2, 3, 8), (0, 3, 12)], 4, seen)
+    assert seen == {"inconsistent": 1, "unique": 2, "singular": 1}
+    rng = random.Random(5)
+    for k in range(2, 7):
+        pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        for _ in range(400):
+            cons = rng.sample(pairs, rng.randint(1, min(len(pairs), k + 2)))
+            # right-hand sides from a hidden point, as the scaled enumeration
+            # sees them (even), sometimes with one side moved off it
+            x = [rng.choice((0, rng.randint(1, 9))) for _ in range(k)]
+            rhs = [0 if i == j else 2 * (x[i] + x[j]) for i, j in cons]
+            if rng.random() < 0.3:
+                n = rng.randrange(len(cons))
+                rhs[n] += 2 * rng.randint(1, 3)
+            _check_tight_system([(i, j, r) for (i, j), r in zip(cons, rhs)], k, seen)
+    assert min(seen.values()) > 100, seen
+
+
+def test_tight_system_rejects_half_integral_vertex():
+    # the unique solution (1/2, 1/2, -1/2) is not integral: not a lattice vertex
+    assert _gauss([(0, 1, 1), (1, 2, 0), (0, 2, 0)], 3)[2] == [F(1, 2), F(1, 2), F(-1, 2)]
+    assert _tight_system([(0, 1, 1), (1, 2, 0), (0, 2, 0)], 3)[0] is None
