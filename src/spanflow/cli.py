@@ -17,7 +17,8 @@ from .decompose import (CostReport, Decomposer, contract, mean_stderr, opt_volum
                         sample_seed, sample_volumes)
 from .flow import Demand, FlowError, quality_ratio
 from .graphs import GraphError, project_graph
-from .hard6 import generate, grid_snap, losses, directional_losses, planar_losses
+from .hard6 import (_one_lattice, directional_losses, generate, grid_snap, losses,
+                    planar_losses)
 from .metric import MetricError, as_fraction
 from .textio import (TextFormatError, dump_graph, load_demand, load_graph,
                      load_metric)
@@ -152,9 +153,10 @@ def _cmd_hard6(args) -> int:
     diagnostics = None
     if args.snap_grid is not None:
         sol = grid_snap(inst, args.snap_grid)
-        rep = losses(inst, sol)
-        dr = directional_losses(inst, sol)
-        pr = planar_losses(inst, sol)
+        with _one_lattice():
+            rep = losses(inst, sol)
+            dr = directional_losses(inst, sol)
+            pr = planar_losses(inst, sol)
         image_size = sol.image_size()
         diagnostics = {
             "snap_grid": args.snap_grid,

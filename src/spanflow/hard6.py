@@ -15,6 +15,7 @@ lengths, losses and bounds become exact Fractions only where they are stored.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -497,6 +498,35 @@ class _Lattice:
         return out
 
 
+#: id(sol) -> (sol, its lattice) while `_one_lattice` is open, else None
+_SHARED: dict[int, tuple[CandidateSolution, _Lattice]] | None = None
+
+
+@contextmanager
+def _one_lattice():
+    """Share one checked `_Lattice` per candidate solution inside the block.
+
+    `losses`, `directional_losses`, `planar_losses` and `adjust_solution` then
+    check a solution's cover once between them; the solution must not change
+    inside the block.
+    """
+    global _SHARED
+    outer, _SHARED = _SHARED, {}
+    try:
+        yield
+    finally:
+        _SHARED = outer
+
+
+def _lattice(inst: HardInstance, sol: CandidateSolution) -> _Lattice:
+    if _SHARED is None:
+        return _Lattice(inst, sol)
+    hit = _SHARED.get(id(sol))   # the entry keeps sol alive, so ids stay unique
+    if hit is None or hit[1].inst is not inst:
+        hit = _SHARED[id(sol)] = (sol, _Lattice(inst, sol))
+    return hit[1]
+
+
 def _weighted(items, frac: _Frac) -> Fraction:
     """Sum of capacity * frac[n] over (capacity, n) pairs, one product per capacity."""
     by_cap: dict[Fraction, int] = {}
@@ -507,7 +537,7 @@ def _weighted(items, frac: _Frac) -> Fraction:
 
 def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
     """Capacity-weighted per-path losses; total equals vol - opt exactly."""
-    lat = _Lattice(inst, sol)
+    lat = _lattice(inst, sol)
     paths = inst.all_paths()
     excess = lat.excess(paths)
     out = []
@@ -555,7 +585,7 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
     l + l' >= 2|dx| reads l + l' >= |dX| and the anchor bound
     d(v, s) + d(v, t) >= 2 + 2 max(x, 0) reads D >= 2S + max(X, 0).
     """
-    lat = _Lattice(inst, sol)
+    lat = _lattice(inst, sol)
     S, frac, image, dist = lat.S, lat.frac, lat.image, lat.dist
     X = {pid: _scaled(a.x, 2 * S) for pid, a in lat.assoc().items()}
     # per image point: S-scaled distances to the anchor terminals a..e
@@ -623,7 +653,7 @@ class PlanarReport:
 
 def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
     """Losses of the projected points, all computed at scale T = 2S."""
-    lat = _Lattice(inst, sol)
+    lat = _lattice(inst, sol)
     L, T = inst.L, 2 * lat.S
     proj = {pid: (_scaled(a.x, T), _scaled(a.y, T))
             for pid, a in lat.assoc(planar=True).items()}
@@ -776,7 +806,7 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     report = check_good(inst, deltas, eta)
     if not report.good:
         raise MetricError("input is not good: " + "; ".join(report.violations))
-    lat = _Lattice(inst, sol)
+    lat = _lattice(inst, sol)
     _, get_in = _delta_lookup(deltas)
 
     A = get_in("b", "c") - 3 * eta

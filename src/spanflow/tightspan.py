@@ -5,7 +5,9 @@ x indexed by T with x_t = max_u (D(t, u) - x_u); equivalently, x satisfies all
 pair inequalities x_t + x_u >= D(t, u) (including t = u, which gives x >= 0)
 and every coordinate sits in at least one tight pair.  It equals the union of
 the bounded faces of the polyhedron cut out by those inequalities, which is
-what :func:`enumerate_complex` computes, exactly, for up to six terminals.
+what :func:`enumerate_complex` computes, exactly, for up to six terminals: an
+integer walk over the bounded edges finds the vertices, and intersections of
+their tight sets give the faces.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
                      is_valid_vector, validate_metric)
@@ -132,9 +134,13 @@ def max_cell_dimension(complex_: CellComplex) -> int:
 # -- exact enumeration ------------------------------------------------------
 #
 # Constraints are encoded as (i, j, rhs) with i <= j over terminal indices;
-# i == j encodes x_i >= 0.  To keep the inner loops in integer arithmetic the
-# metric is scaled by 4 * lcm(denominators): solving a tight system then only
-# ever halves even integers, so candidate vertices stay integral.
+# i == j encodes x_i >= 0 (read as x_i + x_i >= 0).  To keep the inner loops in
+# integer arithmetic the metric is scaled by 4 * lcm(denominators).  Every
+# vertex of P = {x : x_i + x_j >= d_ij, x >= 0} of an integral metric is
+# half-integral (its tight system is a graph's incidence system, and a
+# signed walk only halves around an odd cycle), so at scale 4 * den the
+# vertices are even integers, every slack between them is even, and a step of
+# the edge walk, a slack over 1 or 2, is an integer.
 
 
 def _scaled_constraints(m: TerminalMetric) -> tuple[list[tuple[int, int, int]], int]:
@@ -150,15 +156,18 @@ def _scaled_constraints(m: TerminalMetric) -> tuple[list[tuple[int, int, int]], 
     return cons, scale
 
 
-def _tight_system(cons: list[tuple[int, int, int]], k: int) -> tuple[list[int] | None, int]:
+def _tight_system(cons: Sequence[tuple[int, int, int]], k: int
+                  ) -> tuple[list[int] | None, int, list[int]]:
     """Solve a tight system on k coords by a signed BFS of its pair graph.
 
     Along a spanning walk each coordinate is sigma * s + c for its component's
     parameter s; a self constraint or an odd cycle pins s.  Returns the unique
     solution (None if the system is singular, or inconsistent over the
-    integers) and the number of components whose s stays free, which is k
-    minus the rank of a consistent system.  An inconsistent system returns
-    (None, 0) at once.
+    integers), the number of components whose s stays free, which is k minus
+    the rank of a consistent system, and the signs: sigma on the coordinates
+    of free components and 0 on pinned ones, so with one free component they
+    span the null space of the system.  An inconsistent system returns
+    (None, 0, zeros) at once.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     zero = [False] * k
@@ -171,6 +180,7 @@ def _tight_system(cons: list[tuple[int, int, int]], k: int) -> tuple[list[int] |
     sigma = [0] * k  # 0 marks an unvisited coordinate
     const = [0] * k
     values = [0] * k
+    signs = [0] * k
     free = 0
     for root in range(k):
         if sigma[root]:
@@ -184,7 +194,7 @@ def _tight_system(cons: list[tuple[int, int, int]], k: int) -> tuple[list[int] |
                 if s_val is None:
                     s_val = cand
                 elif s_val != cand:
-                    return None, 0
+                    return None, 0, [0] * k
             for w, r in adj[u]:
                 if not sigma[w]:
                     sigma[w] = -sigma[u]
@@ -195,28 +205,86 @@ def _tight_system(cons: list[tuple[int, int, int]], k: int) -> tuple[list[int] |
                 rem = r - const[u] - const[w]
                 if ss == 0:
                     if rem != 0:
-                        return None, 0
+                        return None, 0, [0] * k
                     continue
                 cand, mod = divmod(rem, ss)
                 if mod != 0 or (s_val is not None and s_val != cand):
-                    return None, 0
+                    return None, 0, [0] * k
                 s_val = cand
         if s_val is None:
             free += 1
+            for node in nodes:
+                signs[node] = sigma[node]
             continue
         for node in nodes:
             values[node] = sigma[node] * s_val + const[node]
-    return (None if free else values), free
+    return (None if free else values), free, signs
+
+
+def _walk_vertices(cons: list[tuple[int, int, int]], k: int) -> set[tuple[int, ...]]:
+    """All vertices of P = {x : x_i + x_j >= r for (i, j, r) in cons}.
+
+    A walk over the bounded edges of P, as in pivoting vertex enumeration
+    (Avis and Fukuda 1992).  It starts at the terminal rows, which are
+    vertices.  At a vertex, every (k-1)-subset of its tight constraints with
+    exactly one free component gives the edge directions +-signs; a direction
+    is kept when no tight constraint decreases along it.  The ratio test over
+    the slack constraints gives the step to the next vertex; a direction that
+    no constraint stops is an unbounded ray and is skipped.  The bounded
+    complex is contractible (Develin 2006), so its 1-skeleton is connected and
+    the walk reaches every vertex.  A step that is not an integer, or a vertex
+    that violates a constraint, raises ArithmeticError: cons is not on a
+    lattice where the vertices are integral.
+    """
+    rows = [[0] * k for _ in range(k)]
+    for i, j, r in cons:
+        if i != j:
+            rows[i][j] = rows[j][i] = r
+    seen = {tuple(row) for row in rows}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        tight, slack = [], []
+        for c in cons:
+            (tight if v[c[0]] + v[c[1]] == c[2] else slack).append(c)
+        directions = set()
+        for sub in combinations(tight, k - 1):
+            _, free, signs = _tight_system(sub, k)
+            if free != 1:
+                continue
+            for e in (signs, [-s for s in signs]):
+                if all(e[i] + e[j] >= 0 for i, j, _ in tight):
+                    directions.add(tuple(e))
+        for e in directions:
+            step2 = None  # twice the step, an integer: rates are -1 or -2
+            for i, j, r in slack:
+                rate = e[i] + e[j]
+                if rate < 0:
+                    t2 = 2 * (v[i] + v[j] - r) // -rate
+                    if step2 is None or t2 < step2:
+                        step2 = t2
+            if step2 is None:
+                continue
+            if step2 % 2:
+                raise ArithmeticError(f"edge step {step2}/2 from {v} is not integral")
+            w = tuple(a + step2 // 2 * b for a, b in zip(v, e))
+            if any(w[i] + w[j] < r for i, j, r in cons):
+                raise ArithmeticError(f"walked point {w} violates a constraint")
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def enumerate_complex(m: TerminalMetric) -> CellComplex:
     """The polyhedral cell complex of the tight span, exactly.
 
-    Vertices are the unique solutions of full-rank tight systems that satisfy
-    every remaining inequality; cells are the maximal bounded faces, grouped
-    by their tight-pair sets, with dimensions from the rank of the system and
-    adjacency between cells sharing a vertex.  Exhaustive over candidate
-    systems, so limited to six terminals.
+    Vertices come from an exact walk over the bounded edges of the
+    polyhedron (see `_walk_vertices`); cells are the maximal bounded faces,
+    found as intersections of vertex tight sets and grouped by their
+    tight-pair sets, with dimensions from the rank of the system and
+    adjacency between cells sharing a vertex.  Limited to six terminals to
+    bound the cost of the face closure.
     """
     problems = validate_metric(m)
     if problems:
@@ -227,21 +295,7 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
     cons, scale = _scaled_constraints(m)
     masks = [(1 << i) | (1 << j) for i, j, _ in cons]
     full = (1 << k) - 1
-    ncons = len(cons)
-
-    verts: dict[tuple[int, ...], None] = {}
-    for combo in combinations(range(ncons), k):
-        mask = 0
-        for c in combo:
-            mask |= masks[c]
-        if mask != full:
-            continue
-        sol = _tight_system([cons[c] for c in combo], k)[0]
-        if sol is None:
-            continue
-        if any(sol[i] + sol[j] < r for i, j, r in cons):
-            continue
-        verts.setdefault(tuple(sol), None)
+    verts = _walk_vertices(cons, k)
 
     vlist = sorted(verts)
     tight_sets = []

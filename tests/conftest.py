@@ -26,6 +26,23 @@ def rand_metric(rng: random.Random, k: int, names=None, den: int = 1000) -> Term
     return TerminalMetric.from_pairs(pairs, terminals=names)
 
 
+def tie_metric(rng: random.Random, k: int, hi: int = 3) -> TerminalMetric:
+    """Shortest-path metric of a complete graph with integer weights in
+    [1, hi]: small integers and many ties, so many pair systems are tight."""
+    names = [chr(ord("a") + i) for i in range(k)]
+    d = [[0 if i == j else rng.randint(1, hi) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i):
+            d[i][j] = d[j][i]
+    for via in range(k):
+        for i in range(k):
+            for j in range(k):
+                d[i][j] = min(d[i][j], d[i][via] + d[via][j])
+    return TerminalMetric.from_pairs(
+        {(names[i], names[j]): d[i][j] for i in range(k) for j in range(i + 1, k)},
+        terminals=names)
+
+
 def rand_valid_vector(rng: random.Random, m: TerminalMetric) -> dict:
     """x_t in [max_u D(t,u)/2, max_u D(t,u)] is always a valid vector."""
     vec = {}

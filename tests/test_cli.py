@@ -14,7 +14,7 @@ from spanflow.metric import TerminalMetric
 from spanflow.textio import dump_graph, dump_metric
 from spanflow.tightspan import enumerate_complex
 
-from conftest import rand_metric
+from conftest import rand_metric, tie_metric
 
 CLI = [sys.executable, "-m", "spanflow.cli"]
 
@@ -240,6 +240,8 @@ TIGHTSPAN_METRICS = {
          ("b", "c"): 4, ("b", "d"): F(13, 2), ("c", "d"): 5}),
     "k5": lambda: rand_metric(random.Random(2), 5, den=8),
     "metric6": metric6,
+    "rand6": lambda: rand_metric(random.Random(3), 6),
+    "tie6": lambda: tie_metric(random.Random(0), 6),
 }
 
 #: sha256 of `tightspan` stdout, recorded before the tight-system solvers
@@ -248,6 +250,9 @@ TIGHTSPAN_GOLDEN = {
     "k4": "f7613bf39081cb4f7c9357da278d6a1d811335f970ee26f7112bb59e85fededf",
     "k5": "006dcb6c029226fac6db6355cefe499ae20e38937ab8df0cbedddebb5abfa9e5",
     "metric6": "8ebcbe0fc37ddbaa78027a6d3944eb8a4c19eb60c3b28ecf05b268b55b81dac2",
+    # recorded from the brute-force vertex enumeration the edge walk replaced
+    "rand6": "b48323df695e13f916266221779475c9badea2e76087217370beb577f00063c4",
+    "tie6": "b5e2e1bd9a5723981360905d267f0ec2a21eaf8c1613beb84e4e1971bec5f10c",
 }
 
 

@@ -572,3 +572,22 @@ def test_lattice_diagnostics_keep_checks():
         for diagnostic in (losses, directional_losses, planar_losses):
             with pytest.raises(MetricError, match=message):
                 diagnostic(inst, sol)
+
+
+def test_snap_grid_run_checks_the_cover_once(monkeypatch, capsys):
+    import spanflow.hard6 as hard6
+    from spanflow.cli import main
+    checks = []
+    real = hard6._check_cover
+    monkeypatch.setattr(hard6, "_check_cover",
+                        lambda inst, sol: checks.append(sol) or real(inst, sol))
+    assert main(["hard6", "--L", "3", "--snap-grid", "2"]) == 0
+    assert len(checks) == 1
+    # outside a run each diagnostic checks its input again
+    inst = generate(3)
+    sol = grid_snap(inst, 2)
+    checks.clear()
+    losses(inst, sol)
+    planar_losses(inst, sol)
+    assert checks == [sol, sol]
+    assert hard6._SHARED is None

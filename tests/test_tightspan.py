@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spanflow.tightspan as tightspan
+from spanflow.decompose import type1_metric, type2_metric, type3_metric
+from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric
-from spanflow.tightspan import (UnsupportedSizeError, _tight_system,
+from spanflow.tightspan import (Cell, CellComplex, UnsupportedSizeError,
+                                _scaled_constraints, _tight_system, _walk_vertices,
                                 enumerate_complex, in_tight_span, max_cell_dimension,
                                 point_in_cell, project, ts_distance)
 
-from conftest import rand_metric, rand_valid_vector
+from conftest import rand_metric, rand_valid_vector, tie_metric
 
 
 def m3():
@@ -237,7 +242,7 @@ def _gauss(cons, k):
 
 
 def _check_tight_system(cons, k, seen):
-    values, free = _tight_system(cons, k)
+    values, free, signs = _tight_system(cons, k)
     rank, consistent, solution = _gauss(cons, k)
     if not consistent:
         assert values is None, cons
@@ -245,6 +250,12 @@ def _check_tight_system(cons, k, seen):
         return
     assert free == k - rank, cons
     assert values == solution, cons
+    # the signs solve the homogeneous system and are zero exactly on the
+    # coordinates that the system pins
+    assert all(signs[i] + signs[j] == 0 for i, j, _ in cons), cons
+    pinned = [c for c in range(k)
+              if _gauss(list(cons) + [(c, c, 0)], k)[0] == rank]
+    assert [c for c in range(k) if signs[c] == 0] == pinned, cons
     seen["unique" if solution else "singular"] += 1
 
 
@@ -277,3 +288,132 @@ def test_tight_system_rejects_half_integral_vertex():
     # the unique solution (1/2, 1/2, -1/2) is not integral: not a lattice vertex
     assert _gauss([(0, 1, 1), (1, 2, 0), (0, 2, 0)], 3)[2] == [F(1, 2), F(1, 2), F(-1, 2)]
     assert _tight_system([(0, 1, 1), (1, 2, 0), (0, 2, 0)], 3)[0] is None
+
+
+# -- the edge walk against the brute-force enumeration ------------------------
+
+def brute_force_complex(m):
+    """The reference enumeration: a tight system for every k-subset of the
+    constraints that touches every coordinate, then the same face closure."""
+    k = len(m.terminals)
+    cons, scale = _scaled_constraints(m)
+    masks = [(1 << i) | (1 << j) for i, j, _ in cons]
+    full = (1 << k) - 1
+    verts = set()
+    for combo in combinations(range(len(cons)), k):
+        mask = 0
+        for c in combo:
+            mask |= masks[c]
+        if mask != full:
+            continue
+        sol = _tight_system([cons[c] for c in combo], k)[0]
+        if sol is not None and all(sol[i] + sol[j] >= r for i, j, r in cons):
+            verts.add(tuple(sol))
+    vlist = sorted(verts)
+    tight_sets = [frozenset(c for c, (i, j, r) in enumerate(cons) if v[i] + v[j] == r)
+                  for v in vlist]
+    closure = set(tight_sets)
+    frontier = list(closure)
+    while frontier:
+        fresh = {a & b for a in frontier for b in tight_sets} - closure
+        closure |= fresh
+        frontier = list(fresh)
+    faces = []
+    for a in closure:
+        touched = 0
+        for c in a:
+            touched |= masks[c]
+        if touched == full:
+            faces.append(a)
+    maximal = [a for a in faces if not any(b < a for b in faces)]
+
+    def pair_names(cids):
+        return tuple(sorted((m.terminals[cons[c][0]], m.terminals[cons[c][1]])
+                            for c in cids))
+
+    ordered = sorted(maximal, key=pair_names)
+    members = [tuple(i for i, tset in enumerate(tight_sets) if tset >= a)
+               for a in ordered]
+    cells = tuple(
+        Cell(pairs=pair_names(a), dim=_tight_system([cons[c] for c in a], k)[1],
+             vertex_ids=mem,
+             adjacent=tuple(j for j, other in enumerate(members)
+                            if j != n and set(mem).intersection(other)))
+        for n, (a, mem) in enumerate(zip(ordered, members)))
+    vertices = tuple({t: F(v[i], scale) for i, t in enumerate(m.terminals)}
+                     for v in vlist)
+    return CellComplex(metric=m, vertices=vertices, cells=cells)
+
+
+def _reference_corpus():
+    rng = random.Random(17)
+    out = []
+    for k, count in ((2, 4), (3, 8), (4, 8), (5, 6), (6, 3)):
+        for den in (1000, 8):
+            out += [(f"rand k={k} den={den}", rand_metric(rng, k, den=den))
+                    for _ in range(count)]
+    for k, count in ((3, 8), (4, 8), (5, 6), (6, 4)):
+        out += [(f"ties k={k}", tie_metric(rng, k)) for _ in range(count)]
+    out.append(("metric6", metric6()))
+    names = "abcdef"
+    out.append(("all-equal k=6", TerminalMetric.from_pairs(
+        {(t, u): 2 for t, u in combinations(names, 2)}, terminals=list(names))))
+    pend = {"a": 1, "b": F(3, 2), "c": 2, "d": F(1, 2), "e": 1}
+    out.append(("type1", type1_metric(pend, {("a", "b"): 2, ("b", "c"): 1,
+                                             ("c", "d"): 3, ("d", "e"): F(5, 2),
+                                             ("e", "a"): 1})))
+    out.append(("type2", type2_metric(7, 6, 2, 1, F(3, 2), pend)))
+    out.append(("type3", type3_metric(2, 3, 1, 2, F(3, 2), pend)))
+    return out
+
+
+def test_edge_walk_matches_brute_force():
+    dims = set()
+    for label, m in _reference_corpus():
+        cx = enumerate_complex(m)
+        assert cx == brute_force_complex(m), label
+        dims.add((len(m.terminals), max_cell_dimension(cx)))
+    # the corpus reaches 3-cells at k=6 and 2-cells at k=4 and 5
+    assert {(4, 2), (5, 2), (6, 3)} <= dims
+
+
+def test_all_equal_metric_centre():
+    # every pair is tight at the centre, the most degenerate vertex
+    names = list("abcdef")
+    m = TerminalMetric.from_pairs({(t, u): 2 for t, u in combinations(names, 2)},
+                                  terminals=names)
+    cx = enumerate_complex(m)
+    assert len(cx.vertices) == 7
+    centre = cx.vertex_id({t: 1 for t in names})
+    assert centre is not None
+    assert all(c.dim == 1 and centre in c.vertex_ids for c in cx.cells)
+    assert len(cx.cells) == 6
+
+
+def test_walk_rejects_a_non_integral_step():
+    # all distances 1 at scale 1: the centre (1/2, 1/2, 1/2) is off the lattice
+    cons = [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 0, 0), (1, 1, 0), (2, 2, 0)]
+    with pytest.raises(ArithmeticError):
+        _walk_vertices(cons, 3)
+    # at scale 4 the same walk finds the centre, as the enumeration does
+    scaled = [(i, j, 4 * r) for i, j, r in cons]
+    assert (2, 2, 2) in _walk_vertices(scaled, 3)
+    m = TerminalMetric.from_pairs({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1})
+    assert enumerate_complex(m).vertex_id({t: F(1, 2) for t in "abc"}) is not None
+
+
+def test_walk_solves_few_tight_systems(monkeypatch):
+    # brute_force_complex solves 27,367 systems for metric6 and 27,381 for
+    # the random metric; the walk solves a few per vertex and one per cell
+    calls = [0]
+    real = tightspan._tight_system
+
+    def counting(cons, k):
+        calls[0] += 1
+        return real(cons, k)
+
+    monkeypatch.setattr(tightspan, "_tight_system", counting)
+    for m in (metric6(), rand_metric(random.Random(3), 6)):
+        calls[0] = 0
+        enumerate_complex(m)
+        assert 0 < calls[0] < 2000
