@@ -15,8 +15,10 @@ Shape handling:
   rectangle-plus-triangle and two-overlapping-rectangles shapes as well as
   four-terminal rectangles; one entangled threshold drives both cuts through
   the fold, everything else is independent);
-* trees (one threshold per segment);
-* anything else falls back to a deterministic nearest-vertex snap.
+* trees (one threshold per segment).
+
+A complex that none of these models fits is rejected with a `MetricError`
+that gives each model's reason.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ _SEED_MIX = 0x9E3779B97F4A7C15
 @dataclass
 class TSTemplate:
     """Classification of a tight-span complex with extracted parameters."""
-    tag: str  # "type1" | "type2" | "type3" | "degenerate"
+    tag: str  # "type1" fan | "type2"/"type3" folded plane | "degenerate" tree, other plane
     params: dict[str, Fraction] = field(default_factory=dict)
     roles: dict[str, str] = field(default_factory=dict)
     cycle: tuple[str, ...] | None = None
@@ -267,42 +269,23 @@ class _ModelBase:
 
 
 class _TreeModel(_ModelBase):
-    tag = "degenerate"
+    """A complex of dimension at most 1: one threshold per 1-cell."""
 
     def __init__(self, complex_):
         super().__init__(complex_)
-        if any(c.dim > 1 or (c.dim == 1 and len(c.vertex_ids) != 2)
-               for c in complex_.cells):
-            raise MetricError("not a tree complex")
         self._add_tree_draws()
 
     def _localize_inner(self, p, key):
+        # a single-vertex complex (k = 1) is its terminal row, caught by
+        # localize; every other vertex ends a 1-cell
         tok = self._segment_token(p, key)
-        if tok is not None:
-            return tok
-        for v in self.complex.vertices:  # isolated vertex (single-point span)
-            if key == _vec_key(self.metric, v):
-                return ("rep", key)
-        raise MetricError("point not on the tree span")
-
-
-class _SnapModel(_ModelBase):
-    """Deterministic fallback: every point joins its nearest complex vertex."""
-    tag = "degenerate"
-
-    def _localize_inner(self, p, key):
-        best = None
-        for v in self.complex.vertices:
-            d = ts_distance(p, v)
-            cand = (d, _vec_key(self.metric, v))
-            if best is None or cand < best:
-                best = cand
-        return ("rep", best[1])
+        if tok is None:
+            raise MetricError("point not on the tree span")
+        return tok
 
 
 class _FanModel(_ModelBase):
     """Five rectangles around a common center, five pendants."""
-    tag = "type1"
 
     def __init__(self, complex_):
         super().__init__(complex_)
@@ -441,6 +424,8 @@ class _PlanarModel(_ModelBase):
         cx = complex_
         if not self.two:
             raise MetricError("no 2-cells for the planar model")
+        if any(c.dim > 2 for c in cx.cells):
+            raise MetricError("a cell of dimension above 2")
         chart = self._find_chart()
         if chart is None:
             raise MetricError("no global planar chart")
@@ -611,24 +596,23 @@ class _PlanarModel(_ModelBase):
 
 
 def _build_model(cx: CellComplex):
+    """The tree model for a complex of dimension <= 1, else the fan or the plane."""
     if max_cell_dimension(cx) <= 1:
+        return _TreeModel(cx)
+    reasons = []
+    for name, model in (("fan", _FanModel), ("planar", _PlanarModel)):
         try:
-            return _TreeModel(cx)
-        except MetricError:
-            return _SnapModel(cx)
-    try:
-        return _FanModel(cx)
-    except MetricError:
-        pass
-    try:
-        return _PlanarModel(cx)
-    except MetricError:
-        pass
-    return _SnapModel(cx)
+            return model(cx)
+        except MetricError as exc:
+            reasons.append(f"{name}: {exc}")
+    raise MetricError("no span model fits the complex (" + "; ".join(reasons) + ")")
 
 
 def classify(cx: CellComplex) -> TSTemplate:
-    """Classify a <=5-terminal span complex and extract its parameters."""
+    """Classify a <=5-terminal span complex and extract its parameters.
+
+    Raises `MetricError` with each model's reason if no span model fits.
+    """
     if len(cx.metric.terminals) > 5:
         raise UnsupportedSizeError("classification supports at most 5 terminals")
     return _template_of(_build_model(cx))

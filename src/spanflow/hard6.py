@@ -18,6 +18,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple
 
@@ -468,12 +469,13 @@ class _Lattice:
             d = self._dist[key] = _sup_dist(self.ipts[pu], self.ipts[pv])
         return d
 
-    def excess(self, paths: list[PathRecord]) -> list[int]:
-        """S-scaled embedded length minus terminal distance, per path."""
+    @cached_property
+    def excess(self) -> list[int]:
+        """S-scaled embedded length minus terminal distance, per `inst.all_paths()` path."""
         image, dist = self.image, self.dist
         term_dist: dict[tuple[str, str], int] = {}
         out = []
-        for p in paths:
+        for p in self.inst.all_paths():
             ids = p.vertex_ids
             length = 0
             for u, v in zip(ids, ids[1:]):
@@ -539,12 +541,11 @@ def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
     """Capacity-weighted per-path losses; total equals vol - opt exactly."""
     lat = _lattice(inst, sol)
     paths = inst.all_paths()
-    excess = lat.excess(paths)
     out = []
-    for p, n in zip(paths, excess):
+    for p, n in zip(paths, lat.excess):
         out.append(PathLoss(name=p.name, group=p.group, capacity=p.capacity,
                             excess=lat.frac[n], loss=p.capacity * lat.frac[n]))
-    total = _weighted(zip((p.capacity for p in paths), excess), lat.frac)
+    total = _weighted(zip((p.capacity for p in paths), lat.excess), lat.frac)
     return LossReport(per_path=out, total=total)
 
 
@@ -618,7 +619,7 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
                     failures.append(f"dir{direction} x-bound at {vid}")
 
     group_excess: dict[str, int] = {}
-    for p, n in zip(inst.paths, lat.excess(inst.paths)):
+    for p, n in zip(inst.paths, lat.excess):   # all_paths() starts with inst.paths
         group_excess[p.group] = group_excess.get(p.group, 0) + n
     aggregates = []
     for direction, terms in AGGREGATE_TERMS.items():
@@ -709,8 +710,7 @@ def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
             table[(jy, kz)] = frac[tot + 3 * edge0 + 3 * edge1]
             ends += 2 * (edge0 + edge1)
 
-    paths = inst.all_paths()
-    lhs = _weighted(zip((p.capacity for p in paths), lat.excess(paths)), lat.frac)
+    lhs = _weighted(zip((p.capacity for p in inst.all_paths()), lat.excess), lat.frac)
     planar_sum = (sum(l_x.values()) + sum(l_y.values())
                   + sum(l_z1.values()) + sum(l_z2.values()))
     rhs = Fraction(2 * planar_sum + 3 * ends, 3 * T)

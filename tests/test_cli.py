@@ -6,11 +6,12 @@ import sys
 from fractions import Fraction as F
 from itertools import combinations
 
+from spanflow import decompose
 from spanflow.cli import main
 from spanflow.decompose import Decomposer, type1_metric, type2_metric, type3_metric
 from spanflow.graphs import TerminalGraph, project_graph
 from spanflow.hard6 import metric6
-from spanflow.metric import TerminalMetric
+from spanflow.metric import MetricError, TerminalMetric
 from spanflow.textio import dump_graph, dump_metric
 from spanflow.tightspan import enumerate_complex
 
@@ -367,3 +368,20 @@ def test_sparsify_golden_bytes(tmp_path, capsys):
         got[name] = _sha(_in_process(capsys, "sparsify", str(f), "--seed", "3",
                                      "--samples", "40"))
     assert got == SPARSIFY_GOLDEN
+
+
+def test_sparsify_exit_2_when_no_model_fits(tmp_path, capsys, monkeypatch):
+    def rejecting(reason):
+        def model(cx):
+            raise MetricError(reason)
+        return model
+
+    monkeypatch.setattr(decompose, "_FanModel", rejecting("no fan here"))
+    monkeypatch.setattr(decompose, "_PlanarModel", rejecting("no plane here"))
+    g = {name: g for name, g, _ in _sparsify_fixtures()}["fold"]
+    f = tmp_path / "fold.txt"
+    f.write_text(dump_graph(g))
+    assert main(["sparsify", str(f), "--seed", "3", "--samples", "40"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "fan: no fan here" in err and "planar: no plane here" in err

@@ -1,16 +1,20 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
-from spanflow.decompose import (Decomposer, classify, contract, cost,
-                                expected_cost, mean_stderr, sample_decomposition,
-                                sample_seed, sample_volumes, type1_metric,
-                                type2_metric, type3_metric)
+import pytest
+
+from spanflow.decompose import (Decomposer, _build_model, _TreeModel, classify,
+                                contract, cost, expected_cost, mean_stderr,
+                                sample_decomposition, sample_seed, sample_volumes,
+                                type1_metric, type2_metric, type3_metric)
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
-from spanflow.metric import TerminalMetric
+from spanflow.hard6 import metric6
+from spanflow.metric import MetricError, TerminalMetric, validate_metric
 from spanflow.tightspan import enumerate_complex
 
-from conftest import graph_from_metric, rand_metric
+from conftest import graph_from_metric, rand_connected_graph, rand_metric
 
 
 def rand_fr(rng, lo=1, hi=6):
@@ -91,6 +95,55 @@ def test_classify_path_metric_degenerate():
     tpl = classify(enumerate_complex(m))
     assert tpl.tag == "degenerate"
     assert all(c.dim <= 1 for c in enumerate_complex(m).cells)
+
+
+def _model_name(m: TerminalMetric) -> str:
+    return type(_build_model(enumerate_complex(m))).__name__
+
+
+def test_degenerate_inputs_build_a_paper_model():
+    # tie-heavy and zero-parameter inputs: each must build the tree, fan or
+    # planar model (a rejection raises), and the set reaches all three
+    pairs = list(combinations("abcde", 2))
+    small = Counter(_model_name(TerminalMetric.from_pairs(dict(zip(pairs, ds))))
+                    for ds in product((1, 2), repeat=10))
+    assert small == {"_TreeModel": 122, "_PlanarModel": 890, "_FanModel": 12}
+    fans = Counter()
+    for vals in product((0, 1), repeat=10):
+        m = type1_metric(dict(zip("abcde", vals[:5])),
+                         dict(zip(zip("abcde", "bcdea"), vals[5:])))
+        if not validate_metric(m):
+            fans[_model_name(m)] += 1
+    assert fans == {"_TreeModel": 156, "_PlanarModel": 560, "_FanModel": 32}
+
+
+def test_three_dimensional_complex_is_rejected_with_each_reason():
+    cx = enumerate_complex(metric6())
+    assert max(c.dim for c in cx.cells) == 3
+    with pytest.raises(MetricError) as err:
+        _build_model(cx)
+    assert "fan: not a fan complex" in str(err.value)
+    assert "planar: a cell of dimension above 2" in str(err.value)
+
+
+def test_one_and_two_terminal_graphs_build_tree_models(rng):
+    one = TerminalGraph(vertices=["a", "x", "y"],
+                        edges=[("a", "x", F(1), F(2)), ("x", "y", F(3), F(1))],
+                        terminals={"a": "a"})
+    dec = Decomposer(project_graph(one))
+    assert isinstance(dec.model, _TreeModel)
+    for seed in range(5):
+        sol = dec.solution(seed)
+        assert [(c.label, c.vertices) for c in sol.clusters] == [("t:a", ["a", "x", "y"])]
+    two = rand_connected_graph(rng, 10, 8)
+    emb = project_graph(two)
+    dec = Decomposer(emb)
+    assert isinstance(dec.model, _TreeModel)
+    assert any(tok[0] == "tree" for tok in dec.tokens.values())
+    for seed in range(20):
+        sol = dec.solution(seed)
+        cs, ct = sol.cluster_of(two.terminals["s"]), sol.cluster_of(two.terminals["t"])
+        assert sol.delta(cs, ct) == emb.metric.d("s", "t")
 
 
 def test_sampler_terminal_exactness_and_bounds(rng):
