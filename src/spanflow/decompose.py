@@ -19,6 +19,12 @@ Shape handling:
 
 A complex that none of these models fits is rejected with a `MetricError`
 that gives each model's reason.
+
+A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
+("draw > s", or "draw >= s" across a fold) is the integer test U > t for a t
+fixed at build time.  Each vertex's representative is compiled once into a
+cut tree of such tests whose leaves are interned representatives; a sample
+draws the U's and walks the trees with integer compares.
 """
 from __future__ import annotations
 
@@ -198,13 +204,40 @@ def type3_metric(x_lo, x_hi, y_lo, y_hi, fold, pendants: Mapping[str, object],
 # ---------------------------------------------------------------------------
 # models
 
+_DRAW_BITS = 53
+
 
 def _vec_key(m: TerminalMetric, p: Vec) -> tuple:
     return tuple(p[t] for t in m.terminals)
 
 
+class _Cut:
+    """Cut-tree node: `above` if the integer U of draw `d` exceeds `t`, else `below`.
+
+    A leaf is an interned representative id (a value of the model's
+    `rep_ids`), or None for a banded region without an anchor, which raises only
+    when a sample reaches it.
+    """
+    __slots__ = ("d", "t", "below", "above")
+
+    def __init__(self, d: int, t: int, below, above):
+        self.d, self.t, self.below, self.above = d, t, below, above
+
+
+def _threshold(s: Fraction, lo: Fraction, w: Fraction, closed: bool = False) -> int:
+    """The int t with U > t iff lo + U*w/2^53 > s (>= s if closed), for w > 0.
+
+    With (s - lo)*2^53/w = a/b, b > 0: U > a/b iff U > floor(a/b), and
+    U >= a/b iff U > ceil(a/b) - 1 = floor((a - 1)/b).
+    """
+    a = ((s.numerator * lo.denominator - lo.numerator * s.denominator)
+         * w.denominator << _DRAW_BITS)
+    b = s.denominator * lo.denominator * w.numerator
+    return (a - 1) // b if closed else a // b
+
+
 class _ModelBase:
-    """Shared assignment plumbing; subclasses implement localize/resolve."""
+    """Shared localization plumbing; subclasses implement _localize_inner."""
 
     def __init__(self, complex_: CellComplex):
         self.complex = complex_
@@ -213,59 +246,54 @@ class _ModelBase:
         self.row_keys = {_vec_key(self.metric, r): t for t, r in self.rows.items()}
         self.two = [c for c in complex_.cells if c.dim == 2]
         self.trees = [c for c in complex_.cells if c.dim == 1]
-        self.draw_spec: list[tuple[object, Fraction, Fraction]] = []
+        self.rep_ids: dict[tuple, int] = {}  # representative tuple -> id, in id order
+        self.vertex_reps = [self._rep(_vec_key(self.metric, v)) for v in complex_.vertices]
+        # (lo, width) of each uniform draw lo + U*width/2^53, in RNG order
+        self.draw_spec: list[tuple[Fraction, Fraction]] = []
+
+    def _rep(self, key: tuple) -> int:
+        """The interned id of a representative coordinate tuple."""
+        return self.rep_ids.setdefault(key, len(self.rep_ids))
+
+    def _add_draw(self, lo: Fraction, w: Fraction) -> int:
+        self.draw_spec.append((lo, w))
+        return len(self.draw_spec) - 1
+
+    def _cut(self, d: int, s: Fraction, below, above, closed: bool = False) -> _Cut:
+        """Node taking `above` iff draw d > s (>= s if closed)."""
+        lo, w = self.draw_spec[d]
+        return _Cut(d, _threshold(s, lo, w, closed), below, above)
 
     def _add_tree_draws(self):
-        """One threshold per 1-cell, measured from its lower vertex id."""
+        """One draw per 1-cell, measured from its lower vertex id."""
         V = self.complex.vertices
         self.segments = []
-        for ci, cell in enumerate(self.trees):
+        for cell in self.trees:
             i, j = sorted(cell.vertex_ids)
-            self.segments.append((("t", ci), cell, i, j,
+            d = self._add_draw(Fraction(0), ts_distance(V[i], V[j]))
+            self.segments.append((d, cell, i, j,
                                   _vec_key(self.metric, V[i]), _vec_key(self.metric, V[j])))
-            self.draw_spec.append((("t", ci), Fraction(0), ts_distance(V[i], V[j])))
 
-    def _vertex_token(self, vid):
-        """A complex vertex's token: the vertex itself."""
-        return ("rep", _vec_key(self.metric, self.complex.vertices[vid]))
+    def _vertex_node(self, vid):
+        """A complex vertex's node: the vertex itself."""
+        return self.vertex_reps[vid]
 
-    def _segment_token(self, p, key):
-        """Token of a point on a 1-cell (None if on none): an end, or a threshold."""
-        for dkey, cell, i, j, ikey, jkey in self.segments:
+    def _segment_node(self, p, key):
+        """Node of a point on a 1-cell (None if on none): an end, or a cut."""
+        for d, cell, i, j, ikey, jkey in self.segments:
             if key == ikey or key == jkey:
-                return self._vertex_token(i if key == ikey else j)
+                return self._vertex_node(i if key == ikey else j)
             if point_in_cell(self.complex, cell, p):
-                return ("tree", dkey, ts_distance(p, self.complex.vertices[i]),
-                        self._vertex_token(i), self._vertex_token(j))
+                return self._cut(d, ts_distance(p, self.complex.vertices[i]),
+                                 self._vertex_node(j), self._vertex_node(i))
         return None
 
-    def draws(self, seed: int) -> dict:
-        rng = random.Random(seed)
-        out = {}
-        for key, lo, hi in self.draw_spec:
-            u = Fraction(rng.getrandbits(53), 1 << 53)
-            out[key] = lo + u * (hi - lo)
-        return out
-
-    def prepare(self, seed: int):
-        """Per-sample state handed to resolve (subclasses may extend)."""
-        return self.draws(seed)
-
     def localize(self, p: Vec):
+        """The cut tree of a span point: a representative id or a `_Cut`."""
         key = _vec_key(self.metric, p)
         if key in self.row_keys:
-            return ("rep", key)
+            return self._rep(key)
         return self._localize_inner(p, key)
-
-    def resolve(self, token, draws) -> tuple:
-        """Token -> representative coordinate tuple."""
-        kind = token[0]
-        if kind == "rep":
-            return token[1]
-        if kind == "tree":
-            _, dkey, s, near, far = token
-            return self.resolve(near if s < draws[dkey] else far, draws)
-        return self._resolve_inner(token, draws)
 
 
 class _TreeModel(_ModelBase):
@@ -278,10 +306,10 @@ class _TreeModel(_ModelBase):
     def _localize_inner(self, p, key):
         # a single-vertex complex (k = 1) is its terminal row, caught by
         # localize; every other vertex ends a 1-cell
-        tok = self._segment_token(p, key)
-        if tok is None:
+        node = self._segment_node(p, key)
+        if node is None:
             raise MetricError("point not on the tree span")
-        return tok
+        return node
 
 
 class _FanModel(_ModelBase):
@@ -369,11 +397,11 @@ class _FanModel(_ModelBase):
             if check.d(t, u) != m.d(t, u):
                 raise MetricError("fan parameters do not reproduce the metric")
 
-        order = sorted(m.terminals)
-        for t in order:
-            self.draw_spec.append((("fp", t), Fraction(0), self.pend_len[t]))
-        for k in sorted(self.corner, key=sorted):
-            self.draw_spec.append((("fs", k), Fraction(0), self.side_len[k]))
+        # zero-width pendant draws keep the RNG order but no point reads them
+        self.pend_draw = {t: self._add_draw(Fraction(0), self.pend_len[t])
+                          for t in sorted(m.terminals)}
+        self.side_draw = {k: self._add_draw(Fraction(0), self.side_len[k])
+                          for k in sorted(self.corner, key=sorted)}
         self._static = {_vec_key(m, cx.vertices[vid]) for vid in
                         (self.o_id, *self.prime.values(), *self.corner.values())}
         i = self.cycle.index
@@ -382,14 +410,14 @@ class _FanModel(_ModelBase):
 
     def _localize_inner(self, p, key):
         if key in self._static:
-            return ("rep", key)
+            return self._rep(key)
         m, V = self.metric, self.complex.vertices
         for t in sorted(m.terminals):
             # pendant test: p lies between the terminal and its prime corner
             d_t = ts_distance(p, self.rows[t])
             if d_t + ts_distance(p, V[self.prime[t]]) == self.pend_len[t]:
-                return ("tree", ("fp", t), d_t, ("rep", _vec_key(m, self.rows[t])),
-                        ("rep", _vec_key(m, V[self.prime[t]])))
+                return self._cut(self.pend_draw[t], d_t, self.vertex_reps[self.prime[t]],
+                                 self._rep(_vec_key(m, self.rows[t])))
         for t in self.cycle:
             cell = self.rect_cells[t]
             if not point_in_cell(self.complex, cell, p):
@@ -400,20 +428,15 @@ class _FanModel(_ModelBase):
             dp = ts_distance(p, V[self.prime[t]])
             u1 = (dp + ts_distance(p, V[self.corner[e_next]]) - self.side_len[e_prev]) / 2
             u2 = (dp + ts_distance(p, V[self.corner[e_prev]]) - self.side_len[e_next]) / 2
-            return ("fan", t, u1, u2)
+            # with r1, r2 the draws of the next and the previous side, the
+            # corner is prime if u1 < r1 and u2 < r2, the next side's if only
+            # u1 < r1, the previous side's if only u2 < r2, else the center
+            d1, d2 = self.side_draw[e_next], self.side_draw[e_prev]
+            leaf = [self.vertex_reps[vid] for vid in (self.o_id, self.corner[e_prev],
+                                                      self.corner[e_next], self.prime[t])]
+            return self._cut(d1, u1, self._cut(d2, u2, leaf[0], leaf[1]),
+                             self._cut(d2, u2, leaf[2], leaf[3]))
         raise MetricError("point not on the fan span")
-
-    def _resolve_inner(self, token, draws):
-        _, t, u1, u2 = token
-        m, V = self.metric, self.complex.vertices
-        nxt, prv = self.next_of[t], self.prev_of[t]
-        r1 = draws[("fs", frozenset((t, nxt)))]
-        r2 = draws[("fs", frozenset((prv, t)))]
-        if u1 < r1:
-            vid = self.prime[t] if u2 < r2 else self.corner[frozenset((t, nxt))]
-        else:
-            vid = self.corner[frozenset((prv, t))] if u2 < r2 else self.o_id
-        return _vec_key(m, V[vid])
 
 
 class _PlanarModel(_ModelBase):
@@ -458,20 +481,19 @@ class _PlanarModel(_ModelBase):
                 raise MetricError("fold must span single bands")
             slope = 1 if (xb - xa) == (yb - ya) else -1
             self.fold_bands = (bx, by, slope, xhi - xlo)
-        for i in range(len(self.xs) - 1):
-            if self.fold_bands and i == self.fold_bands[0]:
-                continue
-            self.draw_spec.append((("x", i), self.xs[i], self.xs[i + 1]))
-        for j in range(len(self.ys) - 1):
-            if self.fold_bands and j == self.fold_bands[1]:
-                continue
-            self.draw_spec.append((("y", j), self.ys[j], self.ys[j + 1]))
+        # per axis, each band's draw; the fold band reads the fold draw instead
+        self.band_draws: tuple[list, list] = ([], [])
+        for axis, grid in enumerate((self.xs, self.ys)):
+            for i in range(len(grid) - 1):
+                fold = self.fold_bands and i == self.fold_bands[axis]
+                self.band_draws[axis].append(
+                    None if fold else self._add_draw(grid[i], grid[i + 1] - grid[i]))
         if self.fold_bands:
-            self.draw_spec.append((("fold",), Fraction(0), self.fold_bands[3]))
+            self.fold_draw = self._add_draw(Fraction(0), self.fold_bands[3])
         self._add_tree_draws()
 
         # anchor lifts per cell via exact barycentric interpolation
-        self.lift: dict[tuple[int, int, int], tuple | None] = {}
+        self.lift: dict[tuple[int, int, int], int | None] = {}
         for ci, cell in enumerate(self.two):
             pts = [(self.plan[v], cx.vertices[v]) for v in cell.vertex_ids]
             for gx in range(len(self.xs)):
@@ -530,7 +552,7 @@ class _PlanarModel(_ModelBase):
         return (l0, l1, l2)
 
     def _lift_point(self, pts, x, y):
-        """TS point of the cell over planar (x, y), or None if outside."""
+        """Rep id of the cell's TS point over planar (x, y), or None if outside."""
         for tri in combinations(pts, 3):
             coeff = self._bary([q[0] for q in tri], x, y)
             if coeff is None or any(c < 0 for c in coeff):
@@ -538,61 +560,56 @@ class _PlanarModel(_ModelBase):
             vec = {}
             for t in self.metric.terminals:
                 vec[t] = sum(c * q[1][t] for c, q in zip(coeff, tri))
-            return _vec_key(self.metric, vec)
+            return self._rep(_vec_key(self.metric, vec))
         return None
 
-    def _vertex_token(self, vid):
+    def _vertex_node(self, vid):
         """A non-terminal vertex on 2-cells resolves through their anchors."""
         key = _vec_key(self.metric, self.complex.vertices[vid])
         cells = tuple(ci for ci, c in enumerate(self.two) if vid in c.vertex_ids)
         if cells and key not in self.row_keys:
-            x, y = self.plan[vid]
-            return ("cell", x, y, cells)
-        return ("rep", key)
+            return self._cell_node(*self.plan[vid], cells)
+        return self.vertex_reps[vid]
 
     def _localize_inner(self, p, key):
         cells = tuple(ci for ci, c in enumerate(self.two)
                       if point_in_cell(self.complex, c, p))
         if cells:
-            x = (p[self.t1] + p[self.t2]) / 2
-            y = (p[self.t1] - p[self.t2]) / 2
-            return ("cell", x, y, cells)
-        tok = self._segment_token(p, key)
-        if tok is None:
+            return self._cell_node((p[self.t1] + p[self.t2]) / 2,
+                                   (p[self.t1] - p[self.t2]) / 2, cells)
+        node = self._segment_node(p, key)
+        if node is None:
             raise MetricError("point not on the planar span")
-        return tok
+        return node
 
-    def _cuts(self, draws):
-        xcuts, ycuts = [], []
-        for i in range(len(self.xs) - 1):
-            if self.fold_bands and i == self.fold_bands[0]:
-                xcuts.append(self.xs[i] + draws[("fold",)])
-            else:
-                xcuts.append(draws[("x", i)])
-        for j in range(len(self.ys) - 1):
-            if self.fold_bands and j == self.fold_bands[1]:
-                s = draws[("fold",)]
-                _, by, slope, h = self.fold_bands
-                ycuts.append(self.ys[by] + s if slope == 1 else self.ys[by + 1] - s)
-            else:
-                ycuts.append(draws[("y", j)])
-        return xcuts, ycuts
+    def _cell_node(self, x, y, cells):
+        """Cut tree of planar (x, y) in `cells`: the first cell's lift over (gx, gy)."""
+        def anchor(gx, gy):
+            return next((rep for ci in cells
+                         if (rep := self.lift[(ci, gx, gy)]) is not None), None)
 
-    def prepare(self, seed: int):
-        draws = self.draws(seed)
-        draws[("__cuts__",)] = self._cuts(draws)
-        return draws
+        def column(gx):
+            return self._axis_node(1, y, lambda gy: anchor(gx, gy))
+        return self._axis_node(0, x, column)
 
-    def _resolve_inner(self, token, draws):
-        _, x, y, cells = token
-        xcuts, ycuts = draws[("__cuts__",)]
-        gx = bisect_right(xcuts, x)
-        gy = bisect_right(ycuts, y)
-        for ci in cells:
-            rep = self.lift.get((ci, gx, gy))
-            if rep is not None:
-                return rep
-        raise MetricError("no anchor for a banded region (degenerate shape)")
+    def _axis_node(self, axis, v, leaf):
+        """Node choosing leaf(g), g the number of cuts <= v along one axis.
+
+        Band j's cut lies between grid[j] and grid[j+1], so v in band
+        [grid[i], grid[i+1]) counts every cut of a lower band, none of a
+        higher one, and its own band's cut iff that cut is <= v.
+        """
+        grid = (self.xs, self.ys)[axis]
+        i = bisect_right(grid, v) - 1
+        if i == len(grid) - 1:
+            return leaf(i)
+        d = self.band_draws[axis][i]
+        if d is not None:  # cut = draw
+            return self._cut(d, v, leaf(i + 1), leaf(i))
+        if axis == 1 and self.fold_bands[2] == -1:  # cut = grid[i+1] - fold draw
+            return self._cut(self.fold_draw, grid[i + 1] - v, leaf(i), leaf(i + 1),
+                             closed=True)
+        return self._cut(self.fold_draw, v - grid[i], leaf(i + 1), leaf(i))  # grid[i] + draw
 
 
 def _build_model(cx: CellComplex):
@@ -680,21 +697,11 @@ class Decomposer:
         self.complex = enumerate_complex(m)
         self.model = _build_model(self.complex)
         self.template = _template_of(self.model)
-        self.tokens = {v: self.model.localize(p) for v, p in embedded.points.items()}
-        self._dynamic = [(v, tok) for v, tok in self.tokens.items() if tok[0] != "rep"]
-        self._reps: list[tuple] = []
-        self._rep_ids: dict[tuple, int] = {}
-        self._static_ids = {v: self._intern(tok[1]) for v, tok in self.tokens.items()
-                            if tok[0] == "rep"}
+        self.nodes = {v: self.model.localize(p) for v, p in embedded.points.items()}
+        self._reps = list(self.model.rep_ids)  # localizing interned every leaf
+        self._static_ids = {v: n for v, n in self.nodes.items() if type(n) is int}
+        self._dynamic = [(v, n) for v, n in self.nodes.items() if type(n) is not int]
         self._dist_cache: dict[tuple[int, int], Fraction] = {}
-
-    def _intern(self, rep: tuple) -> int:
-        rid = self._rep_ids.get(rep)
-        if rid is None:
-            rid = len(self._reps)
-            self._rep_ids[rep] = rid
-            self._reps.append(rep)
-        return rid
 
     def assignment(self, seed: int) -> dict[Hashable, tuple]:
         """Each vertex's representative coordinate tuple for one sample."""
@@ -702,10 +709,15 @@ class Decomposer:
 
     def assignment_ids(self, seed: int) -> dict[Hashable, int]:
         """Each vertex's interned representative id (see `rep_of`) for one sample."""
-        draws = self.model.prepare(seed)
+        rng = random.Random(seed)
+        us = [rng.getrandbits(_DRAW_BITS) for _ in self.model.draw_spec]
         out = dict(self._static_ids)
-        for v, tok in self._dynamic:
-            out[v] = self._intern(self.model.resolve(tok, draws))
+        for v, node in self._dynamic:
+            while node.__class__ is _Cut:
+                node = node.above if us[node.d] > node.t else node.below
+            if node is None:
+                raise MetricError("no anchor for a banded region (degenerate shape)")
+            out[v] = node
         return out
 
     def rep_of(self, rid: int) -> tuple:

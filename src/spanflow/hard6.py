@@ -155,11 +155,11 @@ class HardInstance:
 
     def neighbor(self, vid: str, direction: int) -> str | None:
         """Grid vertex one step along a critical direction, if it exists."""
+        if direction not in STEPS:
+            raise ValueError("direction must be 1..4")
         ijk = self.index.get(vid)
         if ijk is None:
             return None
-        if direction not in STEPS:
-            raise ValueError("direction must be 1..4")
         return _grid_step(self.L, ijk, STEPS[direction])
 
 

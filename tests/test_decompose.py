@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -5,8 +6,9 @@ from itertools import combinations, product
 
 import pytest
 
-from spanflow.decompose import (Decomposer, _build_model, _TreeModel, classify,
-                                contract, cost, expected_cost, mean_stderr,
+from spanflow import decompose
+from spanflow.decompose import (Decomposer, _build_model, _Cut, _PlanarModel, _TreeModel,
+                                classify, contract, cost, expected_cost, mean_stderr,
                                 sample_decomposition, sample_seed, sample_volumes,
                                 type1_metric, type2_metric, type3_metric)
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
@@ -15,6 +17,7 @@ from spanflow.metric import MetricError, TerminalMetric, validate_metric
 from spanflow.tightspan import enumerate_complex
 
 from conftest import graph_from_metric, rand_connected_graph, rand_metric
+from test_cli import _sparsify_fixtures
 
 
 def rand_fr(rng, lo=1, hi=6):
@@ -139,7 +142,7 @@ def test_one_and_two_terminal_graphs_build_tree_models(rng):
     emb = project_graph(two)
     dec = Decomposer(emb)
     assert isinstance(dec.model, _TreeModel)
-    assert any(tok[0] == "tree" for tok in dec.tokens.values())
+    assert any(isinstance(node, _Cut) for node in dec.nodes.values())
     for seed in range(20):
         sol = dec.solution(seed)
         cs, ct = sol.cluster_of(two.terminals["s"]), sol.cluster_of(two.terminals["t"])
@@ -193,31 +196,40 @@ def _graph_with_points(m, points):
     return TerminalGraph(vertices=verts, edges=edges, terminals={t: t for t in ts_names})
 
 
+#: tag, metric and cluster bound of each shape in `test_boundary_points_exact`;
+#: type2 folds with slope +1, type3 with slope -1
+BOUNDARY_CASES = [
+    ("type2", type2_metric(F(7), F(6), F(2), F(1), F(3, 2),
+                           {t: F(2) for t in "abcde"}), 22),
+    ("type3", type3_metric(F(2), F(3), F(1), F(2), F(3, 2),
+                           {t: F(1) for t in "abcde"}), 21),
+    ("type1", type1_metric({t: F(1) for t in "abcde"},
+                           {("a", "b"): F(2), ("b", "c"): F(1), ("c", "d"): F(3),
+                            ("d", "e"): F(2), ("e", "a"): F(1)}), 16),
+]
+
+
+def _boundary_points(base: Decomposer) -> list:
+    """Every complex vertex, every cell centroid and the fold midpoint, if any."""
+    cx, m = base.complex, base.embedded.metric
+    pts = list(cx.vertices)
+    for cell in cx.cells:
+        ids = cell.vertex_ids
+        pts.append({t: sum(cx.vertices[i][t] for i in ids) / len(ids)
+                    for t in m.terminals})
+    if isinstance(base.model, _PlanarModel) and base.model.fold:
+        i, j = base.model.fold
+        a, b = cx.vertices[i], cx.vertices[j]
+        pts.append({t: (a[t] + b[t]) / 2 for t in m.terminals})
+    return pts
+
+
 def test_boundary_points_exact(rng):
     # vertices placed exactly on cell vertices, midpoints, and the fold
-    from spanflow.decompose import _PlanarModel
-    cases = [
-        ("type2", type2_metric(F(7), F(6), F(2), F(1), F(3, 2),
-                               {t: F(2) for t in "abcde"}), 22),
-        ("type3", type3_metric(F(2), F(3), F(1), F(2), F(3, 2),
-                               {t: F(1) for t in "abcde"}), 21),
-        ("type1", type1_metric({t: F(1) for t in "abcde"},
-                               {("a", "b"): F(2), ("b", "c"): F(1), ("c", "d"): F(3),
-                                ("d", "e"): F(2), ("e", "a"): F(1)}), 16),
-    ]
-    for tag, m, bound in cases:
+    for tag, m, bound in BOUNDARY_CASES:
         base = Decomposer(project_graph(_graph_with_points(m, [])))
         assert base.template.tag == tag
-        cx = base.complex
-        pts = list(cx.vertices)
-        for cell in cx.cells:
-            ids = cell.vertex_ids
-            pts.append({t: sum(cx.vertices[i][t] for i in ids) / len(ids)
-                        for t in m.terminals})
-        if isinstance(base.model, _PlanarModel) and base.model.fold:
-            i, j = base.model.fold
-            a, b = cx.vertices[i], cx.vertices[j]
-            pts.append({t: (a[t] + b[t]) / 2 for t in m.terminals})
+        pts = _boundary_points(base)
         emb = project_graph(_graph_with_points(m, pts))
         for i, p in enumerate(pts):
             assert emb.points[f"w{i}"] == p
@@ -228,6 +240,76 @@ def test_boundary_points_exact(rng):
         rep = expected_cost(emb, 1200, master_seed=11, per_edge=True)
         for st in rep.per_edge:
             assert float(st.mean_delta) <= float(st.embed_dist) + 3 * st.stderr + 1e-12
+
+
+def _pinned_graphs():
+    """The `sparsify` golden fixtures and the boundary-point graphs, by name."""
+    for name, g, _ in _sparsify_fixtures():
+        yield name, project_graph(g)
+    for tag, m, _ in BOUNDARY_CASES:
+        base = Decomposer(project_graph(_graph_with_points(m, [])))
+        yield f"boundary_{tag}", project_graph(_graph_with_points(m, _boundary_points(base)))
+
+
+def _assignment_digest(dec: Decomposer, seeds: range) -> str:
+    """sha256 of every vertex's representative tuple for each seed."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        assign = dec.assignment_ids(seed)
+        for v in sorted(assign, key=str):
+            h.update(f"{seed} {v} {' '.join(map(str, dec.rep_of(assign[v])))}\n".encode())
+    return h.hexdigest()
+
+
+#: `_assignment_digest` over seeds 0-199, recorded while every sample still
+#: drew Fractions and resolved tokens through the per-model resolvers
+ASSIGNMENT_GOLDEN = {
+    "fan": "e7ae1d61fe5e07ceac24c8997705c142e44be97e6233231b79ab11c3202b5af0",
+    "fold": "c208f373bb540984ae6c934e1eca9142e992f39554d6155e73dad695cabc2e03",
+    "overlap": "2eccf6ce89ef0629bc41f56d3f05088407e9670b6487ade2e583dc0d45938824",
+    "tree": "7340da3505d76578086b5d94c7ae767b6946fdd8ecda2d3b934b608e3e04569d",
+    "pendant": "b67d077b541dab880f3f29f5dbdf38bebb48b0d7095c44ebd2b3ea00afa3a47b",
+    "boundary_type2": "53d0eb0ea60f13f7dc99ea22cc39d7ae3ba0e1717de6c1b2f30010369f787a90",
+    "boundary_type3": "69a93543ef4f7b40bcf29b29a3f4870d6aaf2e52982c606c5f13be00510cddb7",
+    "boundary_type1": "ed83e12587c9061f984590d1dfc2bfecbacd84af9ce0f2a8febad89c672e8983",
+}
+
+
+def test_assignment_digests_pinned():
+    got = {name: _assignment_digest(Decomposer(emb), range(200))
+           for name, emb in _pinned_graphs()}
+    assert got == ASSIGNMENT_GOLDEN
+
+
+def _cuts(node):
+    if isinstance(node, _Cut):
+        yield node
+        yield from _cuts(node.below)
+        yield from _cuts(node.above)
+
+
+def test_cut_thresholds_match_fraction_draws(monkeypatch):
+    # reference: the exact Fraction draw lo + U*w/2^53, compared with s
+    compiled = []
+
+    def recording(s, lo, w, closed=False):
+        t = threshold(s, lo, w, closed)
+        compiled.append((s, lo, w, closed, t))
+        return t
+
+    threshold = decompose._threshold
+    monkeypatch.setattr(decompose, "_threshold", recording)
+    cut_ts = set()
+    for _, emb in _pinned_graphs():
+        dec = Decomposer(emb)
+        cut_ts |= {cut.t for node in dec.nodes.values() for cut in _cuts(node)}
+    assert {t for *_, t in compiled} >= cut_ts
+    assert any(closed for *_, closed, _ in compiled)
+    top = 1 << 53
+    for s, lo, w, closed, t in compiled:
+        for u in {min(max(u, 0), top - 1) for u in (0, 1, t - 1, t, t + 1, top - 1)}:
+            draw = lo + F(u, top) * w
+            assert (u > t) == (draw >= s if closed else draw > s), (s, lo, w, closed, u)
 
 
 def test_assignment_and_solution_follow_assignment_ids(rng):

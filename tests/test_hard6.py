@@ -146,6 +146,17 @@ def test_paths_geodesic_and_grid_small():
             assert ts_distance(inst.vecs[u], inst.vecs[v]) == F(1, inst.L)
 
 
+def test_neighbor_checks_the_direction_of_every_vertex():
+    inst = generate(3)
+    assert inst.neighbor("p0_0_0", 1) == "p0_0_1"
+    assert inst.neighbor("p0_0_0", 2) is None  # off the grid
+    assert inst.neighbor("b", 1) is None  # not a grid vertex
+    for vid in ("p0_0_0", "b"):
+        for bad in (0, 5, 9):
+            with pytest.raises(ValueError, match="direction must be 1..4"):
+                inst.neighbor(vid, bad)
+
+
 def test_span_distance_equals_critical_direction_travel(rng):
     # independent oracle: distance = least total travel along the four
     # step directions (one free parameter; minimum at a breakpoint)
