@@ -16,7 +16,7 @@ from .flow import (Demand, DualReport, FlowError, FlowResult, QualityReport,
                    quality_ratio)
 from .hard6 import (AssocVec, CandidateSolution, HardInstance, PathRecord,
                     adjust_solution, assoc_distance_lower, check_good,
-                    directional_losses, from_assoc, generate, grid_snap,
+                    diagnose, directional_losses, from_assoc, generate, grid_snap,
                     identity_solution, losses, metric6, planar_losses,
                     rect_distance, rect_project, to_assoc)
 from .textio import (TextFormatError, dump_demand, dump_graph, dump_metric,

@@ -17,8 +17,7 @@ from .decompose import (CostReport, Decomposer, contract, mean_stderr, opt_volum
                         sample_seed, sample_volumes)
 from .flow import Demand, FlowError, quality_ratio
 from .graphs import GraphError, project_graph
-from .hard6 import (_one_lattice, directional_losses, generate, grid_snap, losses,
-                    planar_losses)
+from .hard6 import diagnose, generate, grid_snap
 from .metric import MetricError, as_fraction
 from .textio import (TextFormatError, dump_graph, load_demand, load_graph,
                      load_metric)
@@ -152,15 +151,11 @@ def _cmd_hard6(args) -> int:
         payload["demand"] = demand
     diagnostics = None
     if args.snap_grid is not None:
-        sol = grid_snap(inst, args.snap_grid)
-        with _one_lattice():
-            rep = losses(inst, sol)
-            dr = directional_losses(inst, sol)
-            pr = planar_losses(inst, sol)
-        image_size = sol.image_size()
+        dg = diagnose(inst, grid_snap(inst, args.snap_grid))
+        rep, dr, pr = dg.losses, dg.directional, dg.planar
         diagnostics = {
             "snap_grid": args.snap_grid,
-            "image_size": image_size,
+            "image_size": dg.image_size,
             "total_loss": str(rep.total),
             "aggregates": {label: {"lhs": str(l), "rhs": str(r)}
                            for label, l, r in dr.aggregates},
@@ -181,7 +176,7 @@ def _cmd_hard6(args) -> int:
         payload["diagnostics"] = {
             "snap_grid": args.snap_grid,
             "total_loss": str(rep.total),
-            "image_size": image_size,
+            "image_size": dg.image_size,
         }
     if args.out:
         outdir = Path(args.out)

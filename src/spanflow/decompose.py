@@ -23,8 +23,11 @@ that gives each model's reason.
 A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
 ("draw > s", or "draw >= s" across a fold) is the integer test U > t for a t
 fixed at build time.  Each vertex's representative is compiled once into a
-cut tree of such tests whose leaves are interned representatives; a sample
-draws the U's and walks the trees with integer compares.
+cut tree of such tests whose leaves are interned representatives (a planar
+anchor is lifted the first time a tree reads it); a sample draws the U's and
+walks the trees with integer compares.  The interned representatives form
+one `PointLattice`, so a sample's volume is a sum of int capacity times int
+distance, turned into a Fraction once.
 """
 from __future__ import annotations
 
@@ -38,8 +41,9 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
 from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distances
-from .tightspan import (CellComplex, UnsupportedSizeError, enumerate_complex,
-                        in_tight_span, max_cell_dimension, point_in_cell, ts_distance)
+from .tightspan import (CellComplex, PointLattice, UnsupportedSizeError,
+                        enumerate_complex, in_tight_span, max_cell_dimension,
+                        point_in_cell, ts_distance)
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 
@@ -491,15 +495,8 @@ class _PlanarModel(_ModelBase):
         if self.fold_bands:
             self.fold_draw = self._add_draw(Fraction(0), self.fold_bands[3])
         self._add_tree_draws()
-
-        # anchor lifts per cell via exact barycentric interpolation
+        # (cell, gx, gy) -> rep id of the anchor, filled as cut trees read it
         self.lift: dict[tuple[int, int, int], int | None] = {}
-        for ci, cell in enumerate(self.two):
-            pts = [(self.plan[v], cx.vertices[v]) for v in cell.vertex_ids]
-            for gx in range(len(self.xs)):
-                for gy in range(len(self.ys)):
-                    self.lift[(ci, gx, gy)] = self._lift_point(
-                        pts, self.xs[gx], self.ys[gy])
 
     def _find_chart(self):
         """Two terminals whose coordinates chart every 2-cell isometrically.
@@ -551,6 +548,15 @@ class _PlanarModel(_ModelBase):
         l0 = 1 - l1 - l2
         return (l0, l1, l2)
 
+    def _lift(self, ci, gx, gy):
+        """`_lift_point` of cell ci over grid anchor (gx, gy), lifted on first use."""
+        key = (ci, gx, gy)
+        if key not in self.lift:
+            pts = [(self.plan[v], self.complex.vertices[v])
+                   for v in self.two[ci].vertex_ids]
+            self.lift[key] = self._lift_point(pts, self.xs[gx], self.ys[gy])
+        return self.lift[key]
+
     def _lift_point(self, pts, x, y):
         """Rep id of the cell's TS point over planar (x, y), or None if outside."""
         for tri in combinations(pts, 3):
@@ -586,7 +592,7 @@ class _PlanarModel(_ModelBase):
         """Cut tree of planar (x, y) in `cells`: the first cell's lift over (gx, gy)."""
         def anchor(gx, gy):
             return next((rep for ci in cells
-                         if (rep := self.lift[(ci, gx, gy)]) is not None), None)
+                         if (rep := self._lift(ci, gx, gy)) is not None), None)
 
         def column(gx):
             return self._axis_node(1, y, lambda gy: anchor(gx, gy))
@@ -698,14 +704,15 @@ class Decomposer:
         self.model = _build_model(self.complex)
         self.template = _template_of(self.model)
         self.nodes = {v: self.model.localize(p) for v, p in embedded.points.items()}
-        self._reps = list(self.model.rep_ids)  # localizing interned every leaf
+        # localizing interned every leaf; rep id i is lattice point i
+        self.lattice = PointLattice(self.model.rep_ids)
         self._static_ids = {v: n for v, n in self.nodes.items() if type(n) is int}
         self._dynamic = [(v, n) for v, n in self.nodes.items() if type(n) is not int]
-        self._dist_cache: dict[tuple[int, int], Fraction] = {}
 
     def assignment(self, seed: int) -> dict[Hashable, tuple]:
         """Each vertex's representative coordinate tuple for one sample."""
-        return {v: self._reps[i] for v, i in self.assignment_ids(seed).items()}
+        reps = self.lattice.points
+        return {v: reps[i] for v, i in self.assignment_ids(seed).items()}
 
     def assignment_ids(self, seed: int) -> dict[Hashable, int]:
         """Each vertex's interned representative id (see `rep_of`) for one sample."""
@@ -721,18 +728,11 @@ class Decomposer:
         return out
 
     def rep_of(self, rid: int) -> tuple:
-        return self._reps[rid]
+        return self.lattice.points[rid]
 
     def rep_distance(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        key = (i, j) if i < j else (j, i)
-        d = self._dist_cache.get(key)
-        if d is None:
-            a, b = self._reps[key[0]], self._reps[key[1]]
-            d = max(abs(x - y) for x, y in zip(a, b))
-            self._dist_cache[key] = d
-        return d
+        """Span distance between the representatives with ids i and j."""
+        return self.lattice.frac[self.lattice.dist(i, j)]
 
     def solution(self, seed: int) -> Solution:
         m = self.embedded.metric
@@ -743,7 +743,7 @@ class Decomposer:
         row_keys = self.model.row_keys
         clusters, by_vertex = [], {}
         steiner = 0
-        reps = self._reps
+        reps = self.lattice.points
         for rid in sorted(groups, key=lambda i: (reps[i] not in row_keys, reps[i])):
             key = reps[rid]
             if key in row_keys:
@@ -802,11 +802,13 @@ def sample_volumes(dec: Decomposer, n_samples: int, master_seed: int,
     """Draw `n_samples` seeded decompositions and their exact cut volumes.
 
     Per sample, capacities (scaled to integers by their common denominator)
-    are summed per cluster pair, so each distinct pair costs one exact
-    multiply by its span distance.
+    are summed per cluster pair and multiplied by the pair's int distance on
+    the representatives' lattice; the int total becomes one Fraction.
     """
     edges = dec.embedded.graph.edges
+    lat = dec.lattice
     scale = math.lcm(*(e.capacity.denominator for e in edges))
+    denominator = scale * lat.S
     caps = [e.capacity.numerator * (scale // e.capacity.denominator) for e in edges]
     ends = [(e.u, e.v) for e in edges]
     counts = [{} for _ in edges] if per_edge else None
@@ -820,9 +822,8 @@ def sample_volumes(dec: Decomposer, n_samples: int, master_seed: int,
         if counts is not None:
             for hist, key in zip(counts, keys):
                 hist[key] = hist.get(key, 0) + 1
-        vol = sum((dec.rep_distance(a, b) * c for (a, b), c in by_pair.items() if a != b),
-                  Fraction(0))
-        vols.append(vol / scale)
+        vol = sum(lat.dist(a, b) * c for (a, b), c in by_pair.items() if a != b)
+        vols.append(Fraction(vol, denominator))
     return Samples(vols=vols, pair_counts=counts)
 
 

@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .graphs import TerminalGraph, shortest_distances
-from .metric import as_fraction
+from .metric import as_fraction, pair_key
 
 
 class FlowError(ValueError):
@@ -50,7 +50,7 @@ class Demand:
             val = as_fraction(v)
             if val < 0:
                 raise FlowError(f"negative demand on ({t}, {u})")
-            key = (t, u) if t <= u else (u, t)
+            key = pair_key(t, u)
             norm[key] = norm.get(key, Fraction(0)) + val
         self.entries = norm
 
@@ -58,11 +58,8 @@ class Demand:
         return [(t, u, v) for (t, u), v in sorted(self.entries.items()) if v > 0]
 
     def total_weighted(self, values: Mapping[tuple[str, str], Fraction]) -> Fraction:
-        tot = Fraction(0)
-        for (t, u), d in self.entries.items():
-            key = (t, u) if (t, u) in values else (u, t)
-            tot += d * values[key]
-        return tot
+        """Sum of demand * value over the entries; `values` is keyed by `pair_key`."""
+        return sum((d * values[key] for key, d in self.entries.items()), Fraction(0))
 
 
 @dataclass
@@ -73,15 +70,6 @@ class FlowResult:
     routed: dict[tuple[str, str], Fraction]   # per demand pair, net inflow at its sink
     epsilon: Fraction
     iterations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": str(self.lam),
-            "congestion": str(self.congestion),
-            "epsilon": str(self.epsilon),
-            "iterations": self.iterations,
-            "loads": [str(x) for x in self.loads],
-        }
 
 
 def _reachable(adj, src) -> set:
@@ -275,10 +263,6 @@ class DualReport:
     feasible: bool
     violations: list[str]
 
-    def to_json_dict(self) -> dict:
-        return {"value": str(self.value), "feasible": self.feasible,
-                "violations": self.violations}
-
 
 def dual_value(g: TerminalGraph, lengths: Sequence, deltas: Mapping[tuple[str, str], object],
                demand: Demand | None = None) -> DualReport:
@@ -299,10 +283,7 @@ def dual_value(g: TerminalGraph, lengths: Sequence, deltas: Mapping[tuple[str, s
         vertices=list(g.vertices),
         edges=[(e.u, e.v, e.capacity, l) for e, l in zip(g.edges, lens)],
         terminals=dict(g.terminals))
-    norm = {}
-    for (t, u), v in deltas.items():
-        key = (t, u) if t <= u else (u, t)
-        norm[key] = as_fraction(v)
+    norm = {pair_key(t, u): as_fraction(v) for (t, u), v in deltas.items()}
     violations = []
     adj = reweighted.adjacency()
     by_source: dict[str, dict] = {}

@@ -11,21 +11,22 @@ bounded-image embedding must lose.
 Generation and diagnostics compute on integer lattice points (grid vertices
 scaled by L, a candidate's image points by the lcm of their denominators);
 lengths, losses and bounds become exact Fractions only where they are stored.
+Each diagnostic checks the candidate's cover and puts its image on a
+`PointLattice` once; `diagnose` runs all three on one such lattice.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Mapping, NamedTuple
 
-from .metric import MetricError, TerminalMetric, Vec, as_fraction, collinear_triples
+from .metric import (MetricError, TerminalMetric, Vec, as_fraction, collinear_triples,
+                     pair_key)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
-from .tightspan import in_tight_span
+from .tightspan import FractionTable, PointLattice, in_tight_span
 
 TERMS = ("a", "b", "c", "d", "e", "f")
 
@@ -188,24 +189,6 @@ def _admissible(L: int, i: int, j: int, k: int) -> bool:
     return 0 <= i + j <= 2 * L and 0 <= j <= L
 
 
-def _sup_dist(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    """Sup-norm distance of two int 6-vectors (the span distance, scaled)."""
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]), abs(p[2] - q[2]),
-               abs(p[3] - q[3]), abs(p[4] - q[4]), abs(p[5] - q[5]))
-
-
-class _Frac(dict):
-    """n -> Fraction(n, scale), built once per n so equal values share one object."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, n: int) -> Fraction:
-        value = self[n] = Fraction(n, self.scale)
-        return value
-
-
 _GROUP_CAPS = {
     "ad1": 2, "be1": 2, "ad2": 2, "be2": 2,
     "ad3": 1, "be3": 1, "cf3": 2,
@@ -231,7 +214,7 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
         raise MetricError("resolution L must be at least 2")
     m = metric6()
     gamma = as_fraction(gamma)
-    frac = _Frac(L)
+    frac = FractionTable(L)
 
     index: dict[str, tuple[int, int, int]] = {}
     assoc: dict[str, AssocVec] = {}
@@ -309,7 +292,7 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
         for uv in zip(ids, ids[1:]):
             length = lengths.get(uv)
             if length is None:
-                length = lengths[uv] = frac[_sup_dist(ivecs[uv[0]], ivecs[uv[1]])]
+                length = lengths[uv] = frac[PointLattice.sup_dist(ivecs[uv[0]], ivecs[uv[1]])]
             edges.append(Edge(uv[0], uv[1], p.capacity, length))
 
     ave_data = None
@@ -326,7 +309,7 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
             edges.append(Edge(ids[1], ids[2], weight, m.d(mid, u)))
         dem: dict[tuple[str, str], int] = {}   # capacities are integral
         for p in paths + tri_paths:
-            key = (p.source, p.sink) if p.source <= p.sink else (p.sink, p.source)
+            key = pair_key(p.source, p.sink)
             dem[key] = dem.get(key, 0) + int(p.capacity)
         entries = {key: Fraction(v) for key, v in dem.items()}
         entries[("a", "e")] = entries.get(("a", "e"), Fraction(0)) + gamma * weight
@@ -393,20 +376,11 @@ class PathLoss:
     excess: Fraction      # embedded length minus terminal distance
     loss: Fraction        # capacity * excess
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "group": self.group,
-                "capacity": str(self.capacity), "excess": str(self.excess),
-                "loss": str(self.loss)}
-
 
 @dataclass
 class LossReport:
     per_path: list[PathLoss]
     total: Fraction       # == vol - opt
-
-    def to_json_dict(self) -> dict:
-        return {"total": str(self.total),
-                "paths": [p.to_json_dict() for p in self.per_path]}
 
 
 def _check_cover(inst: HardInstance, sol: CandidateSolution
@@ -444,30 +418,17 @@ def _scaled(x: Fraction, scale: int) -> int:
     return x.numerator * q
 
 
-class _Lattice:
-    """A checked candidate solution on one integer lattice.
+class _Lattice(PointLattice):
+    """A checked candidate solution: its distinct image points on one lattice.
 
-    S is the lcm of the denominators of the distinct image points, so span
-    distances between images are int sup-norms at scale S.  `image[vid]` is a
-    vertex's point id, `points[pid]` the point's Fraction coordinates and
-    `ipts[pid]` its S-scaled ints; `frac[n]` is Fraction(n, S).
+    `image[vid]` is a vertex's point id; the points, their S-scaled ints and
+    distances are the `PointLattice` ones.
     """
 
     def __init__(self, inst: HardInstance, sol: CandidateSolution):
         self.inst = inst
-        self.image, self.points = _check_cover(inst, sol)
-        self.S = lcm(*{x.denominator for point in self.points for x in point})
-        self.ipts = [tuple(_scaled(x, self.S) for x in point) for point in self.points]
-        self.frac = _Frac(self.S)
-        self._dist: dict[tuple[int, int], int] = {}
-
-    def dist(self, pu: int, pv: int) -> int:
-        """S-scaled span distance between image points pu and pv."""
-        key = (pu, pv)
-        d = self._dist.get(key)
-        if d is None:
-            d = self._dist[key] = _sup_dist(self.ipts[pu], self.ipts[pv])
-        return d
+        self.image, points = _check_cover(inst, sol)
+        super().__init__(points)
 
     @cached_property
     def excess(self) -> list[int]:
@@ -500,36 +461,7 @@ class _Lattice:
         return out
 
 
-#: id(sol) -> (sol, its lattice) while `_one_lattice` is open, else None
-_SHARED: dict[int, tuple[CandidateSolution, _Lattice]] | None = None
-
-
-@contextmanager
-def _one_lattice():
-    """Share one checked `_Lattice` per candidate solution inside the block.
-
-    `losses`, `directional_losses`, `planar_losses` and `adjust_solution` then
-    check a solution's cover once between them; the solution must not change
-    inside the block.
-    """
-    global _SHARED
-    outer, _SHARED = _SHARED, {}
-    try:
-        yield
-    finally:
-        _SHARED = outer
-
-
-def _lattice(inst: HardInstance, sol: CandidateSolution) -> _Lattice:
-    if _SHARED is None:
-        return _Lattice(inst, sol)
-    hit = _SHARED.get(id(sol))   # the entry keeps sol alive, so ids stay unique
-    if hit is None or hit[1].inst is not inst:
-        hit = _SHARED[id(sol)] = (sol, _Lattice(inst, sol))
-    return hit[1]
-
-
-def _weighted(items, frac: _Frac) -> Fraction:
+def _weighted(items, frac: FractionTable) -> Fraction:
     """Sum of capacity * frac[n] over (capacity, n) pairs, one product per capacity."""
     by_cap: dict[Fraction, int] = {}
     for cap, n in items:
@@ -539,8 +471,11 @@ def _weighted(items, frac: _Frac) -> Fraction:
 
 def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
     """Capacity-weighted per-path losses; total equals vol - opt exactly."""
-    lat = _lattice(inst, sol)
-    paths = inst.all_paths()
+    return _losses(_Lattice(inst, sol))
+
+
+def _losses(lat: _Lattice) -> LossReport:
+    paths = lat.inst.all_paths()
     out = []
     for p, n in zip(paths, lat.excess):
         out.append(PathLoss(name=p.name, group=p.group, capacity=p.capacity,
@@ -586,12 +521,16 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
     l + l' >= 2|dx| reads l + l' >= |dX| and the anchor bound
     d(v, s) + d(v, t) >= 2 + 2 max(x, 0) reads D >= 2S + max(X, 0).
     """
-    lat = _lattice(inst, sol)
+    return _directional(_Lattice(inst, sol))
+
+
+def _directional(lat: _Lattice) -> DirectionalReport:
+    inst = lat.inst
     S, frac, image, dist = lat.S, lat.frac, lat.image, lat.dist
     X = {pid: _scaled(a.x, 2 * S) for pid, a in lat.assoc().items()}
     # per image point: S-scaled distances to the anchor terminals a..e
     anchors = {t: lat.ipts[image[inst.graph.terminals[t]]] for t in "abcde"}
-    near = [{t: _sup_dist(q, r) for t, r in anchors.items()} for q in lat.ipts]
+    near = [{t: lat.sup_dist(q, r) for t, r in anchors.items()} for q in lat.ipts]
 
     fwd: dict[tuple[str, int, str], Fraction] = {}
     bwd: dict[tuple[str, int, str], Fraction] = {}
@@ -654,7 +593,11 @@ class PlanarReport:
 
 def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
     """Losses of the projected points, all computed at scale T = 2S."""
-    lat = _lattice(inst, sol)
+    return _planar(_Lattice(inst, sol))
+
+
+def _planar(lat: _Lattice) -> PlanarReport:
+    inst = lat.inst
     L, T = inst.L, 2 * lat.S
     proj = {pid: (_scaled(a.x, T), _scaled(a.y, T))
             for pid, a in lat.assoc(planar=True).items()}
@@ -695,7 +638,7 @@ def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
             if l_z2[vid] > rhs:
                 tr_fail.append(vid)
 
-    frac = _Frac(T)
+    frac = FractionTable(T)
     table: dict[tuple[int, int], Fraction] = {}
     ends = 0   # boundary sums: 2 max(x, 0) at i = 0 plus 2 max(1 - x, 0) at i = L
     for jy in range(L + 1):
@@ -724,22 +667,39 @@ def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
                         bound_lhs=lhs, bound_rhs=rhs)
 
 
+@dataclass
+class Diagnosis:
+    """All three loss diagnostics of one candidate solution."""
+    image_size: int         # distinct image points, as sol.image_size()
+    losses: LossReport
+    directional: DirectionalReport
+    planar: PlanarReport
+
+
+def diagnose(inst: HardInstance, sol: CandidateSolution) -> Diagnosis:
+    """`losses`, `directional_losses` and `planar_losses` on one checked lattice.
+
+    The cover is checked and the image put on its lattice once for all three.
+    """
+    lat = _Lattice(inst, sol)
+    return Diagnosis(image_size=len(lat.points), losses=_losses(lat),
+                     directional=_directional(lat), planar=_planar(lat))
+
+
 # ---------------------------------------------------------------------------
 # average-version machinery
 
 
 def _delta_lookup(deltas: Mapping[tuple[str, str], object]):
-    norm = {}
-    for (t, u), v in deltas.items():
-        key = (t, u) if t <= u else (u, t)
-        norm[key] = as_fraction(v)
+    """The lookup (t, u) -> delta of a table keyed by pairs in either order."""
+    norm = {pair_key(t, u): as_fraction(v) for (t, u), v in deltas.items()}
     for t, u in _D6:
         if (t, u) not in norm:
             raise MetricError(f"missing delta for pair ({t}, {u})")
 
     def get(t, u):
-        return norm[(t, u)] if t <= u else norm[(u, t)]
-    return norm, get
+        return norm[pair_key(t, u)]
+    return get
 
 
 @dataclass
@@ -758,7 +718,7 @@ def check_good(inst: HardInstance, deltas: Mapping[tuple[str, str], object],
     if inst.ave is None:
         raise MetricError("check_good needs an average-version instance")
     eta = as_fraction(eta)
-    _, get = _delta_lookup(deltas)
+    get = _delta_lookup(deltas)
     violations = []
     for t, mid, u in collinear_triples(inst.metric):
         slack = get(t, mid) + get(mid, u) - get(t, u)
@@ -806,15 +766,15 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     report = check_good(inst, deltas, eta)
     if not report.good:
         raise MetricError("input is not good: " + "; ".join(report.violations))
-    lat = _lattice(inst, sol)
-    _, get_in = _delta_lookup(deltas)
+    lat = _Lattice(inst, sol)
+    get_in = _delta_lookup(deltas)
 
     A = get_in("b", "c") - 3 * eta
     B = get_in("a", "e") - 3 * eta
     table = _adjusted_table(A, B)
 
     def get_new(t, u):
-        return table[(t, u)] if (t, u) in table else table[(u, t)]
+        return table[pair_key(t, u)]
 
     for t, mid, u in collinear_triples(inst.metric):
         if get_new(t, mid) + get_new(mid, u) != get_new(t, u):
@@ -839,14 +799,12 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     final_table = {k: scale * v for k, v in table.items()}
 
     def get_final(t, u):
-        if t == u:
-            return Fraction(0)
-        return final_table[(t, u)] if (t, u) in final_table else final_table[(u, t)]
+        return Fraction(0) if t == u else final_table[pair_key(t, u)]
 
-    # the remapped points on their own lattice, scale S2
-    S2 = lcm(*{x.denominator for vec in remapped.values() for x in vec.values()})
-    moved = {pid: tuple(_scaled(remapped[key][t], S2) for t in TERMS)
-             for pid, key in enumerate(lat.points) if key in remapped}
+    # the remapped points on a lattice of their own; mid[pid] is pid's index there
+    moved = PointLattice([tuple(vec[t] for t in TERMS) for vec in remapped.values()])
+    index_of = {key: n for n, key in enumerate(remapped)}
+    mid = {pid: index_of[key] for pid, key in enumerate(lat.points) if key in index_of}
     col = {t: n for n, t in enumerate(TERMS)}
     tt_before = tt_after = Fraction(0)   # terminal-terminal edges
     lens_before, lens_after = [], []     # (capacity, scaled length) of the rest
@@ -860,17 +818,15 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
         pu, pv = lat.image[u], lat.image[v]
         lens_before.append((cap, lat.dist(pu, pv)))
         if tu is not None:
-            lens_after.append((cap, moved[pv][col[tu]]))
+            lens_after.append((cap, moved.ipts[mid[pv]][col[tu]]))
         elif tv is not None:
-            lens_after.append((cap, moved[pu][col[tv]]))
+            lens_after.append((cap, moved.ipts[mid[pu]][col[tv]]))
         else:
-            lens_after.append((cap, _sup_dist(moved[pu], moved[pv])))
+            lens_after.append((cap, moved.dist(mid[pu], mid[pv])))
     cost_before = tt_before + _weighted(lens_before, lat.frac)
-    cost_after = tt_after + _weighted(lens_after, _Frac(S2))
+    cost_after = tt_after + _weighted(lens_after, moved.frac)
 
-    before = sol.image_size()
-    after = len({tuple(v[t] for t in TERMS) for v in remapped.values()}) + 6
     return AdjustedSolution(
         deltas=final_table, cluster_vectors=remapped, scale=scale,
-        image_size_before=before, image_size_after=after,
+        image_size_before=len(lat.points), image_size_after=len(set(moved.points)) + 6,
         cost_before=cost_before, cost_after=cost_after)

@@ -19,6 +19,11 @@ class MetricError(ValueError):
     """Structural problem with a metric, a vector, or their combination."""
 
 
+def pair_key(t: str, u: str) -> tuple[str, str]:
+    """The unordered pair {t, u} as a sorted tuple: the key of pair tables."""
+    return (t, u) if t <= u else (u, t)
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and strings like '3/4', '7' or '2.5' exactly."""
     if isinstance(value, Fraction):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .flow import Demand
 from .graphs import TerminalGraph
-from .metric import MetricError, TerminalMetric, as_fraction
+from .metric import MetricError, TerminalMetric, as_fraction, pair_key
 
 
 class TextFormatError(ValueError):
@@ -44,7 +44,7 @@ def load_metric(text: str) -> TerminalMetric:
         _, t, u, val = fields
         if t == u:
             raise TextFormatError(lineno, "distance requires two distinct terminals")
-        key = (t, u) if t <= u else (u, t)
+        key = pair_key(t, u)
         if key in pairs:
             raise TextFormatError(lineno, f"duplicate distance for pair ({t}, {u})")
         pairs[key] = _rational(lineno, val)
@@ -121,7 +121,7 @@ def load_demand(text: str) -> Demand:
         _, t, u, val = fields
         if t == u:
             raise TextFormatError(lineno, "demand requires two distinct terminals")
-        key = (t, u) if t <= u else (u, t)
+        key = pair_key(t, u)
         entries[key] = entries.get(key, Fraction(0)) + _rational(lineno, val)
     if not entries:
         raise TextFormatError(1, "no demand entries found")

@@ -7,7 +7,9 @@ and every coordinate sits in at least one tight pair.  It equals the union of
 the bounded faces of the polyhedron cut out by those inequalities, which is
 what :func:`enumerate_complex` computes, exactly, for up to six terminals: an
 integer walk over the bounded edges finds the vertices, and intersections of
-their tight sets give the faces.
+their tight sets give the faces.  :class:`PointLattice` holds a fixed set of
+span points as ints on one common scale, for code that measures many
+distances between the same points.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import sub
 from typing import Mapping, Sequence
 
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
@@ -84,6 +87,49 @@ def ts_distance(x: Mapping[str, object], y: Mapping[str, object]) -> Fraction:
     if set(x) != set(y):
         raise MetricError("points live over different terminal sets")
     return max(abs(as_fraction(x[t]) - as_fraction(y[t])) for t in x)
+
+
+class FractionTable(dict):
+    """n -> Fraction(n, scale), built once per n so equal values share one object."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, n: int) -> Fraction:
+        value = self[n] = Fraction(n, self.scale)
+        return value
+
+
+class PointLattice:
+    """A fixed list of exact points (coordinate tuples) on one integer lattice.
+
+    S is the lcm of the denominators of all coordinates, `ipts[i]` point i's
+    S-scaled int coordinates and `frac[n]` is Fraction(n, S), so
+    `frac[dist(i, j)]` equals `ts_distance` of points i and j.  Callers pass
+    distinct points, so an index names a point.
+    """
+
+    def __init__(self, points: Sequence[Sequence[Fraction]]):
+        self.points = [tuple(p) for p in points]
+        self.S = lcm(*{x.denominator for p in self.points for x in p})
+        self.ipts = [tuple(x.numerator * (self.S // x.denominator) for x in p)
+                     for p in self.points]
+        self.frac = FractionTable(self.S)
+        self._dist: dict[tuple[int, int], int] = {}
+
+    @staticmethod
+    def sup_dist(p: Sequence[int], q: Sequence[int]) -> int:
+        """Sup-norm distance of two int vectors (a span distance, scaled)."""
+        return max(map(abs, map(sub, p, q)))
+
+    def dist(self, i: int, j: int) -> int:
+        """S-scaled span distance between points i and j, memoized."""
+        key = (i, j)
+        d = self._dist.get(key)
+        if d is None:
+            d = self._dist[key] = self.sup_dist(self.ipts[i], self.ipts[j])
+        return d
 
 
 @dataclass(frozen=True)

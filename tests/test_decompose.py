@@ -488,6 +488,23 @@ def test_sample_volumes_equal_cost_of_each_solution(rng):
             assert vol == cost(emb, dec.solution(sample_seed(3, i))).vol
 
 
+def test_sample_volumes_equal_cost_on_the_planar_goldens():
+    scales = set()
+    for name, base, model in _sparsify_fixtures():
+        if model != "_PlanarModel":
+            continue
+        g = TerminalGraph(vertices=base.vertices, terminals=base.terminals,
+                          edges=[(u, v, cap * F(1 + i % 5, 3 + i % 4), length)
+                                 for i, (u, v, cap, length) in enumerate(base.edges)])
+        emb = project_graph(g)
+        dec = Decomposer(emb)
+        scales.add(dec.lattice.S)
+        run = sample_volumes(dec, 25, master_seed=11)
+        for i, vol in enumerate(run.vols):
+            assert vol == cost(emb, dec.solution(sample_seed(11, i))).vol, (name, i)
+    assert max(scales) > 1   # the representatives' lattice is not the integers
+
+
 def _mean_and_squared_stderr(values):
     n = len(values)
     mean = sum(values, F(0)) / n

@@ -1,9 +1,11 @@
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
 from spanflow.hard6 import (AssocVec, CandidateSolution, adjust_solution,
-                            assoc_distance_lower, check_good, directional_losses,
+                            assoc_distance_lower, check_good, diagnose,
+                            directional_losses,
                             from_assoc, generate, grid_snap, identity_solution,
                             losses, metric6, planar_losses, rect_distance,
                             rect_project, to_assoc)
@@ -601,4 +603,24 @@ def test_snap_grid_run_checks_the_cover_once(monkeypatch, capsys):
     losses(inst, sol)
     planar_losses(inst, sol)
     assert checks == [sol, sol]
-    assert hard6._SHARED is None
+
+
+def test_diagnose_equals_the_standalone_reports(monkeypatch):
+    import spanflow.hard6 as hard6
+    checks = []
+    real = hard6._check_cover
+    monkeypatch.setattr(hard6, "_check_cover",
+                        lambda inst, sol: checks.append(sol) or real(inst, sol))
+    cases = [(generate(L), g) for L in (3, 4, 5) for g in (1, 2, 3)]
+    cases += [(generate(4, ave=True), g) for g in (1, 2, 3)]
+    for inst, g in cases:
+        sol = grid_snap(inst, g)
+        checks.clear()
+        dg = diagnose(inst, sol)
+        assert checks == [sol]
+        assert dg.image_size == sol.image_size()
+        for got, standalone in ((dg.losses, losses), (dg.directional, directional_losses),
+                                (dg.planar, planar_losses)):
+            want = standalone(inst, sol)
+            for f in fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), (inst.L, g, f.name)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ import spanflow.tightspan as tightspan
 from spanflow.decompose import type1_metric, type2_metric, type3_metric
 from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric
-from spanflow.tightspan import (Cell, CellComplex, UnsupportedSizeError,
+from spanflow.tightspan import (Cell, CellComplex, PointLattice, UnsupportedSizeError,
                                 _scaled_constraints, _tight_system, _walk_vertices,
                                 enumerate_complex, in_tight_span, max_cell_dimension,
                                 point_in_cell, project, ts_distance)
@@ -417,3 +418,19 @@ def test_walk_solves_few_tight_systems(monkeypatch):
         calls[0] = 0
         enumerate_complex(m)
         assert 0 < calls[0] < 2000
+
+
+def test_point_lattice_matches_ts_distance(rng):
+    dens = (1, 2, 3, 4, 6, 7, 10)
+    pts = [tuple(F(rng.randint(-40, 40), rng.choice(dens)) for _ in range(5))
+           for _ in range(12)]
+    pts += [pts[0], pts[7]]   # repeated points sit at distance 0
+    lat = PointLattice(pts)
+    assert lat.S == lcm(*(x.denominator for p in pts for x in p))
+    for i, j in product(range(len(pts)), repeat=2):
+        d = lat.dist(i, j)
+        assert type(d) is int and d == lat.dist(i, j)
+        assert lat.frac[d] == ts_distance(dict(enumerate(pts[i])), dict(enumerate(pts[j])))
+    assert lat.dist(0, len(pts) - 2) == lat.dist(7, len(pts) - 1) == 0
+    assert lat.frac[3] is lat.frac[3] and lat.frac[3] == F(3, lat.S)
+    assert PointLattice([]).S == 1
