@@ -14,7 +14,8 @@ Shape handling:
 * a banded plane with at most one 45-degree fold segment (covers the
   rectangle-plus-triangle and two-overlapping-rectangles shapes as well as
   four-terminal rectangles; one entangled threshold drives both cuts through
-  the fold, everything else is independent);
+  the fold, everything else is independent; each cell's grid anchors come
+  from `tightspan.cell_point`);
 * trees (one threshold per segment).
 
 A complex that none of these models fits is rejected with a `MetricError`
@@ -41,7 +42,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
 from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distances
-from .tightspan import (CellComplex, PointLattice, UnsupportedSizeError,
+from .tightspan import (CellComplex, PointLattice, UnsupportedSizeError, cell_point,
                         enumerate_complex, in_tight_span, max_cell_dimension,
                         point_in_cell, ts_distance)
 
@@ -444,7 +445,13 @@ class _FanModel(_ModelBase):
 
 
 class _PlanarModel(_ModelBase):
-    """Banded plane with at most one 45-degree fold; covers types 2 and 3."""
+    """Banded plane with at most one 45-degree fold; covers types 2 and 3.
+
+    Terminals t1, t2 chart every 2-cell (`_find_chart`), and a point's planar
+    position is ((x_{t1} + x_{t2})/2, (x_{t1} - x_{t2})/2).  The vertices'
+    positions give the band grid; a cell's anchor over a grid point is the
+    cell's point at that position (`tightspan.cell_point`).
+    """
 
     def __init__(self, complex_):
         super().__init__(complex_)
@@ -453,7 +460,7 @@ class _PlanarModel(_ModelBase):
             raise MetricError("no 2-cells for the planar model")
         if any(c.dim > 2 for c in cx.cells):
             raise MetricError("a cell of dimension above 2")
-        chart = self._find_chart()
+        chart = _find_chart(cx, self.two)
         if chart is None:
             raise MetricError("no global planar chart")
         self.t1, self.t2 = chart
@@ -498,76 +505,14 @@ class _PlanarModel(_ModelBase):
         # (cell, gx, gy) -> rep id of the anchor, filled as cut trees read it
         self.lift: dict[tuple[int, int, int], int | None] = {}
 
-    def _find_chart(self):
-        """Two terminals whose coordinates chart every 2-cell isometrically.
-
-        On each cell all coordinates are affine; the span distance restricted
-        to a cell equals max(|d x_{t1}|, |d x_{t2}|) for all point pairs iff
-        every other coordinate's gradient has l1 norm at most 1 in the
-        (x_{t1}, x_{t2}) frame.  That condition is checked exactly here.
-        """
-        m = self.metric
-        V = self.complex.vertices
-        for t1, t2 in combinations(m.terminals, 2):
-            ok = True
-            for c in self.two:
-                tri = None
-                for cand in combinations(c.vertex_ids, 3):
-                    a, b, d = (V[i] for i in cand)
-                    det = ((b[t1] - a[t1]) * (d[t2] - a[t2])
-                           - (d[t1] - a[t1]) * (b[t2] - a[t2]))
-                    if det != 0:
-                        tri = (a, b, d, det)
-                        break
-                if tri is None:
-                    ok = False  # chart degenerate on this cell
-                    break
-                a, b, d, det = tri
-                for t in m.terminals:
-                    alpha = ((b[t] - a[t]) * (d[t2] - a[t2])
-                             - (d[t] - a[t]) * (b[t2] - a[t2])) / det
-                    beta = ((d[t] - a[t]) * (b[t1] - a[t1])
-                            - (b[t] - a[t]) * (d[t1] - a[t1])) / det
-                    if abs(alpha) + abs(beta) > 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return (t1, t2)
-        return None
-
-    @staticmethod
-    def _bary(tri, x, y):
-        (x0, y0), (x1, y1), (x2, y2) = tri
-        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if det == 0:
-            return None
-        l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
-        l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
-        l0 = 1 - l1 - l2
-        return (l0, l1, l2)
-
     def _lift(self, ci, gx, gy):
-        """`_lift_point` of cell ci over grid anchor (gx, gy), lifted on first use."""
+        """Rep id of cell ci's point at grid anchor (gx, gy), None off the cell; memoized."""
         key = (ci, gx, gy)
         if key not in self.lift:
-            pts = [(self.plan[v], self.complex.vertices[v])
-                   for v in self.two[ci].vertex_ids]
-            self.lift[key] = self._lift_point(pts, self.xs[gx], self.ys[gy])
+            x, y = self.xs[gx], self.ys[gy]
+            p = cell_point(self.complex, self.two[ci], {self.t1: x + y, self.t2: x - y})
+            self.lift[key] = None if p is None else self._rep(_vec_key(self.metric, p))
         return self.lift[key]
-
-    def _lift_point(self, pts, x, y):
-        """Rep id of the cell's TS point over planar (x, y), or None if outside."""
-        for tri in combinations(pts, 3):
-            coeff = self._bary([q[0] for q in tri], x, y)
-            if coeff is None or any(c < 0 for c in coeff):
-                continue
-            vec = {}
-            for t in self.metric.terminals:
-                vec[t] = sum(c * q[1][t] for c, q in zip(coeff, tri))
-            return self._rep(_vec_key(self.metric, vec))
-        return None
 
     def _vertex_node(self, vid):
         """A non-terminal vertex on 2-cells resolves through their anchors."""
@@ -616,6 +561,22 @@ class _PlanarModel(_ModelBase):
             return self._cut(self.fold_draw, grid[i + 1] - v, leaf(i), leaf(i + 1),
                              closed=True)
         return self._cut(self.fold_draw, v - grid[i], leaf(i + 1), leaf(i))  # grid[i] + draw
+
+
+def _find_chart(cx: CellComplex, two) -> tuple[str, str] | None:
+    """The first terminal pair whose coordinates chart every 2-cell in `two`.
+
+    A 2-cell's tight pairs split the coordinates into two free groups, each
+    coordinate +-s + c in one group's parameter s, or fixed.  Pinning x_{t1}
+    and x_{t2} at a vertex determines a point of the cell iff t1 and t2 lie in
+    different groups; the span distance on the cell is then
+    max(|d x_{t1}|, |d x_{t2}|).
+    """
+    firsts = [(c, cx.vertices[c.vertex_ids[0]]) for c in two]
+    for t1, t2 in combinations(cx.metric.terminals, 2):
+        if all(cell_point(cx, c, {t1: v[t1], t2: v[t2]}) is not None for c, v in firsts):
+            return (t1, t2)
+    return None
 
 
 def _build_model(cx: CellComplex):

@@ -7,7 +7,10 @@ and every coordinate sits in at least one tight pair.  It equals the union of
 the bounded faces of the polyhedron cut out by those inequalities, which is
 what :func:`enumerate_complex` computes, exactly, for up to six terminals: an
 integer walk over the bounded edges finds the vertices, and intersections of
-their tight sets give the faces.  :class:`PointLattice` holds a fixed set of
+their tight sets give the faces.  One integer solver for tight pair systems
+(`_tight_system`, a signed BFS) gives the walk's edge directions, each
+cell's dimension and :func:`cell_point`, the point of a cell where some
+coordinates take given values.  :class:`PointLattice` holds a fixed set of
 span points as ints on one common scale, for code that measures many
 distances between the same points.
 """
@@ -207,22 +210,20 @@ def _tight_system(cons: Sequence[tuple[int, int, int]], k: int
     """Solve a tight system on k coords by a signed BFS of its pair graph.
 
     Along a spanning walk each coordinate is sigma * s + c for its component's
-    parameter s; a self constraint or an odd cycle pins s.  Returns the unique
-    solution (None if the system is singular, or inconsistent over the
-    integers), the number of components whose s stays free, which is k minus
-    the rank of a consistent system, and the signs: sigma on the coordinates
-    of free components and 0 on pinned ones, so with one free component they
-    span the null space of the system.  An inconsistent system returns
-    (None, 0, zeros) at once.
+    parameter s.  A self constraint (i, i, r) reads x_i + x_i = r: it is a loop
+    of the pair graph, so like any odd cycle it pins s, to an integer or the
+    system is inconsistent over the integers.  Returns the unique solution
+    (None if the system is singular, or inconsistent over the integers), the
+    number of components whose s stays free, which is k minus the rank of a
+    consistent system, and the signs: sigma on the coordinates of free
+    components and 0 on pinned ones, so with one free component they span the
+    null space of the system.  An inconsistent system returns (None, 0, zeros)
+    at once.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    zero = [False] * k
     for i, j, r in cons:
-        if i == j:
-            zero[i] = True
-        else:
-            adj[i].append((j, r))
-            adj[j].append((i, r))
+        adj[i].append((j, r))
+        adj[j].append((i, r))
     sigma = [0] * k  # 0 marks an unvisited coordinate
     const = [0] * k
     values = [0] * k
@@ -235,12 +236,6 @@ def _tight_system(cons: Sequence[tuple[int, int, int]], k: int
         nodes = [root]
         s_val: int | None = None
         for u in nodes:  # grows while it is walked
-            if zero[u]:
-                cand = -const[u] * sigma[u]
-                if s_val is None:
-                    s_val = cand
-                elif s_val != cand:
-                    return None, 0, [0] * k
             for w, r in adj[u]:
                 if not sigma[w]:
                     sigma[w] = -sigma[u]
@@ -406,3 +401,25 @@ def point_in_cell(complex_: CellComplex, cell: Cell, x: Vec) -> bool:
         elif x[a] + x[b] != m.d(a, b):
             return False
     return True
+
+
+def cell_point(complex_: CellComplex, cell: Cell, fixed: Mapping[str, object]) -> Vec | None:
+    """The unique point of `cell` whose coordinates in `fixed` have the given values.
+
+    Solves the cell's tight pairs plus x_t + x_t = 2v for each fixed value v,
+    in integers on the lattice of `_scaled_constraints` refined by the
+    denominators of the fixed values.  Returns None if the system leaves the
+    point undetermined or is inconsistent, or if its solution breaks a
+    constraint of the polyhedron and so lies outside the cell.
+    """
+    m = complex_.metric
+    pins = {m.index(t): as_fraction(v) for t, v in fixed.items()}
+    cons, base = _scaled_constraints(m)
+    scale = lcm(base, *(v.denominator for v in pins.values()))
+    cons = [(i, j, r * (scale // base)) for i, j, r in cons]
+    system = [(m.index(a), m.index(b), int(m.d(a, b) * scale)) for a, b in cell.pairs]
+    system += [(i, i, int(2 * v * scale)) for i, v in pins.items()]
+    values = _tight_system(system, len(m.terminals))[0]
+    if values is None or any(values[i] + values[j] < r for i, j, r in cons):
+        return None
+    return {t: Fraction(x, scale) for t, x in zip(m.terminals, values)}

@@ -129,6 +129,111 @@ def test_three_dimensional_complex_is_rejected_with_each_reason():
     assert "planar: a cell of dimension above 2" in str(err.value)
 
 
+# -- the planar chart and lifts against the determinant and barycentric code ---
+
+def _det_chart(cx, two):
+    """Reference chart: the first terminal pair such that each 2-cell has a
+    vertex triangle of nonzero determinant in the (x_t1, x_t2) frame, and
+    every coordinate's gradient in that frame has l1 norm at most 1."""
+    V = cx.vertices
+    for t1, t2 in combinations(cx.metric.terminals, 2):
+        ok = True
+        for c in two:
+            tri = None
+            for cand in combinations(c.vertex_ids, 3):
+                a, b, d = (V[i] for i in cand)
+                det = ((b[t1] - a[t1]) * (d[t2] - a[t2])
+                       - (d[t1] - a[t1]) * (b[t2] - a[t2]))
+                if det != 0:
+                    tri = (a, b, d, det)
+                    break
+            if tri is None:
+                ok = False  # chart degenerate on this cell
+                break
+            a, b, d, det = tri
+            for t in cx.metric.terminals:
+                alpha = ((b[t] - a[t]) * (d[t2] - a[t2])
+                         - (d[t] - a[t]) * (b[t2] - a[t2])) / det
+                beta = ((d[t] - a[t]) * (b[t1] - a[t1])
+                        - (b[t] - a[t]) * (d[t1] - a[t1])) / det
+                if abs(alpha) + abs(beta) > 1:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return (t1, t2)
+    return None
+
+
+def _bary(tri, x, y):
+    (x0, y0), (x1, y1), (x2, y2) = tri
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    if det == 0:
+        return None
+    l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
+    l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
+    return (1 - l1 - l2, l1, l2)
+
+
+def _bary_lift(model, ci, gx, gy):
+    """Reference lift: cell ci's point over grid anchor (gx, gy) as the
+    barycentric mix of the first vertex triangle whose plan contains the
+    anchor, a coordinate tuple, or None if no triangle does."""
+    x, y = model.xs[gx], model.ys[gy]
+    pts = [(model.plan[v], model.complex.vertices[v]) for v in model.two[ci].vertex_ids]
+    for tri in combinations(pts, 3):
+        coeff = _bary([q[0] for q in tri], x, y)
+        if coeff is None or any(c < 0 for c in coeff):
+            continue
+        return tuple(sum(c * q[1][t] for c, q in zip(coeff, tri))
+                     for t in model.metric.terminals)
+    return None
+
+
+def _reversed(m):
+    """m with its terminals in reverse order (this flips the fold's slope)."""
+    ts = m.terminals[::-1]
+    return TerminalMetric(ts, [[m.d(a, b) for b in ts] for a in ts])
+
+
+def test_planar_lifts_match_the_barycentric_reference(rng):
+    metrics = [terminal_metric(g) for _, g, model in _sparsify_fixtures()
+               if model == "_PlanarModel"]
+    for builder in (rand_type2, rand_type3):
+        for _ in range(3):
+            m = builder(rng)[-1]
+            metrics += [m, _reversed(m)]
+    slopes, lifted = Counter(), Counter()
+    for m in metrics:
+        model = _build_model(enumerate_complex(m))
+        assert isinstance(model, _PlanarModel)
+        if model.fold_bands:
+            slopes[model.fold_bands[2]] += 1
+        keys = list(product(range(len(model.two)), range(len(model.xs)), range(len(model.ys))))
+        lifts = [model._lift(*key) for key in keys]
+        reps = list(model.rep_ids)
+        for key, rid in zip(keys, lifts):
+            assert (None if rid is None else reps[rid]) == _bary_lift(model, *key), (m, key)
+            lifted[rid is None] += 1
+    assert slopes[1] >= 5 and slopes[-1] >= 5, slopes
+    assert min(lifted.values()) > 100, lifted
+
+
+def test_planar_chart_matches_the_determinant_reference():
+    pairs = list(combinations("abcde", 2))
+    charts = Counter()
+    for ds in product((1, 2), repeat=10):
+        cx = enumerate_complex(TerminalMetric.from_pairs(dict(zip(pairs, ds))))
+        two = [c for c in cx.cells if c.dim == 2]
+        if two:
+            chart = decompose._find_chart(cx, two)
+            assert chart == _det_chart(cx, two), ds
+            charts[chart is not None] += 1
+    # the 890 planar models are charted; the 12 fans have no chart
+    assert charts == {True: 890, False: 12}
+
+
 def test_one_and_two_terminal_graphs_build_tree_models(rng):
     one = TerminalGraph(vertices=["a", "x", "y"],
                         edges=[("a", "x", F(1), F(2)), ("x", "y", F(3), F(1))],

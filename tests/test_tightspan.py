@@ -12,8 +12,8 @@ from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric
 from spanflow.tightspan import (Cell, CellComplex, PointLattice, UnsupportedSizeError,
                                 _scaled_constraints, _tight_system, _walk_vertices,
-                                enumerate_complex, in_tight_span, max_cell_dimension,
-                                point_in_cell, project, ts_distance)
+                                cell_point, enumerate_complex, in_tight_span,
+                                max_cell_dimension, point_in_cell, project, ts_distance)
 
 from conftest import rand_metric, rand_valid_vector, tie_metric
 
@@ -214,14 +214,13 @@ def test_json_export_shape():
 
 def _gauss(cons, k):
     """Rank, consistency and unique solution of a tight system, by Fraction
-    Gauss-Jordan elimination; (i, i, _) stands for x_i = 0."""
+    Gauss-Jordan elimination; (i, i, r) stands for 2 x_i = r."""
     rows = []
     for i, j, r in cons:
         row = [F(0)] * (k + 1)
-        row[i] = F(1)
-        if i != j:
-            row[j] = F(1)
-            row[k] = F(r)
+        row[i] += 1
+        row[j] += 1
+        row[k] = F(r)
         rows.append(row)
     rank = 0
     for col in range(k):
@@ -275,9 +274,10 @@ def test_tight_system_matches_gaussian_elimination():
         for _ in range(400):
             cons = rng.sample(pairs, rng.randint(1, min(len(pairs), k + 2)))
             # right-hand sides from a hidden point, as the scaled enumeration
-            # sees them (even), sometimes with one side moved off it
+            # sees them (even), sometimes with one side moved off it; a self
+            # side is 2 * (x_i + x_i), as cell_point pins a coordinate
             x = [rng.choice((0, rng.randint(1, 9))) for _ in range(k)]
-            rhs = [0 if i == j else 2 * (x[i] + x[j]) for i, j in cons]
+            rhs = [2 * (x[i] + x[j]) for i, j in cons]
             if rng.random() < 0.3:
                 n = rng.randrange(len(cons))
                 rhs[n] += 2 * rng.randint(1, 3)
@@ -434,3 +434,58 @@ def test_point_lattice_matches_ts_distance(rng):
     assert lat.dist(0, len(pts) - 2) == lat.dist(7, len(pts) - 1) == 0
     assert lat.frac[3] is lat.frac[3] and lat.frac[3] == F(3, lat.S)
     assert PointLattice([]).S == 1
+
+
+# -- cell_point ----------------------------------------------------------------
+
+def _mix(p, q, w):
+    """The point p + w * (q - p): between p and q for w in [0, 1], past p for w < 0."""
+    return {t: p[t] + w * (q[t] - p[t]) for t in p}
+
+
+def test_cell_point_contract(rng):
+    weights = (F(1, 2), F(1, 3), F(5, 7), F(1, 9000))
+    seen = {"charts": 0, "fine_pins": 0, "past": 0}
+    for k, den in product((4, 5), (1000, 8)):
+        for _ in range(6):
+            m = rand_metric(rng, k, den=den)
+            cx = enumerate_complex(m)
+            walk_scale = _scaled_constraints(m)[1]
+            for cell in (c for c in cx.cells if c.dim == 2):
+                V = [cx.vertices[i] for i in cell.vertex_ids]
+
+                def solve(p, ts):
+                    got = cell_point(cx, cell, {t: p[t] for t in ts})
+                    if got is not None:
+                        assert point_in_cell(cx, cell, got) and in_tight_span(m, got)
+                    return got
+
+                charts = [ts for ts in combinations(m.terminals, 2)
+                          if solve(V[0], ts) is not None]
+                assert charts, cell
+                seen["charts"] += len(charts)
+                for ts in charts:
+                    assert all(solve(v, ts) == v for v in V)
+                    for (p, q), w in product(combinations(V, 2), weights):
+                        mid = _mix(p, q, w)
+                        assert solve(mid, ts) == mid
+                        if any(walk_scale % mid[t].denominator for t in ts):
+                            seen["fine_pins"] += 1
+                        # p is a vertex, so the cell stops at p on the line from q
+                        assert solve(_mix(p, q, -w), ts) is None
+                        seen["past"] += 1
+                for t in m.terminals:
+                    assert solve(V[0], (t,)) is None
+    assert min(seen.values()) > 50, seen
+
+
+def test_cell_point_pins_every_coordinate_of_a_vertex():
+    for m in (m3(), m_ex2(), metric6()):
+        cx = enumerate_complex(m)
+        for cell in cx.cells:
+            for vid in cell.vertex_ids:
+                assert cell_point(cx, cell, cx.vertices[vid]) == cx.vertices[vid]
+            # every coordinate sits in a tight pair, so moving one breaks it
+            v = cx.vertices[cell.vertex_ids[0]]
+            for t in m.terminals:
+                assert cell_point(cx, cell, {**v, t: v[t] + F(1, 3)}) is None
