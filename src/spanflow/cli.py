@@ -81,7 +81,7 @@ def _cmd_sparsify(args) -> int:
     run = sample_volumes(dec, args.samples, args.seed)
     best = min(range(args.samples), key=run.vols.__getitem__)  # first cheapest
     sol = dec.solution(sample_seed(args.seed, best))
-    report = CostReport.of(run.vols[best], opt_volume(g))
+    report = CostReport.of(run.vols[best], opt_volume(g, emb.distances))
     mean, stderr = mean_stderr((v, 1) for v in run.vols)
     sparsifier = contract(g, sol)
     payload = {

@@ -41,10 +41,11 @@ from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
-from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distances
+from .graphs import (Distances, Edge, EmbeddedGraph, GraphError, TerminalGraph, Vertex,
+                     edge_distance_ints)
 from .tightspan import (CellComplex, PointLattice, UnsupportedSizeError, cell_point,
-                        enumerate_complex, in_tight_span, max_cell_dimension,
-                        point_in_cell, ts_distance)
+                        enumerate_complex, int_in_span, max_cell_dimension,
+                        point_in_cell, to_lattice, ts_distance)
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 
@@ -548,11 +549,13 @@ class _PlanarModel(_ModelBase):
 
         Band j's cut lies between grid[j] and grid[j+1], so v in band
         [grid[i], grid[i+1]) counts every cut of a lower band, none of a
-        higher one, and its own band's cut iff that cut is <= v.
+        higher one, and its own band's cut iff that cut is <= v.  A v on the
+        grid line itself takes leaf(i): its band's cut equals v only on a
+        draw of U = 0, and leaf(i + 1) may have no anchor there.
         """
         grid = (self.xs, self.ys)[axis]
         i = bisect_right(grid, v) - 1
-        if i == len(grid) - 1:
+        if i == len(grid) - 1 or v == grid[i]:
             return leaf(i)
         d = self.band_draws[axis][i]
         if d is not None:  # cut = draw
@@ -654,11 +657,13 @@ class Decomposer:
         g, m = embedded.graph, embedded.metric
         if len(m.terminals) > 5:
             raise UnsupportedSizeError("decomposition supports at most 5 terminals")
-        for t in m.terminals:
-            if _vec_key(m, embedded.points[g.terminals[t]]) != _vec_key(m, m.row(t)):
+        d, ipts, _ = to_lattice(m, embedded.points.values())
+        at = dict(zip(embedded.points, ipts))
+        for t, row in zip(m.terminals, d):
+            if at[g.terminals[t]] != row:
                 raise MetricError(f"terminal {t} is not embedded at its own row")
-        for v, p in embedded.points.items():
-            if not in_tight_span(m, p):
+        for v, x in at.items():
+            if not int_in_span(d, x):
                 raise MetricError(f"embedded point of vertex {v} is outside the span")
         self.embedded = embedded
         self.complex = enumerate_complex(m)
@@ -726,9 +731,16 @@ def sample_decomposition(embedded: EmbeddedGraph, seed: int) -> Solution:
     return Decomposer(embedded).solution(seed)
 
 
-def opt_volume(g: TerminalGraph) -> Fraction:
-    """Cost of the identity: sum of capacity times endpoint shortest-path distance."""
-    return sum((e.capacity * d for e, d in zip(g.edges, edge_distances(g))), Fraction(0))
+def opt_volume(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None) -> Fraction:
+    """Cost of the identity: sum of capacity times endpoint shortest-path distance.
+
+    `known` holds distance maps already computed on g, such as
+    `EmbeddedGraph.distances`; see `graphs.edge_distance_ints`.
+    """
+    scale = math.lcm(*(e.capacity.denominator for e in g.edges))
+    vol = sum(e.capacity.numerator * (scale // e.capacity.denominator) * n
+              for e, n in zip(g.edges, edge_distance_ints(g, known)))
+    return Fraction(vol, scale * g.length_table().scale)
 
 
 def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
@@ -739,7 +751,7 @@ def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
     vol = Fraction(0)
     for u, v, cap, _ in g.edges:
         vol += cap * sol.delta(sol.cluster_of(u), sol.cluster_of(v))
-    return CostReport.of(vol, opt_volume(g))
+    return CostReport.of(vol, opt_volume(g, embedded.distances))
 
 
 def sample_seed(master_seed: int, i: int) -> int:
@@ -855,7 +867,8 @@ def expected_cost(embedded: EmbeddedGraph, n_samples: int, master_seed: int,
             stats.append(EdgeStat(
                 edge=e, mean_delta=em, stderr=es,
                 embed_dist=ts_distance(embedded.points[e.u], embedded.points[e.v])))
-    return ExpectedCost(mean_vol=mean, stderr=stderr, opt=opt_volume(embedded.graph),
+    return ExpectedCost(mean_vol=mean, stderr=stderr,
+                        opt=opt_volume(embedded.graph, embedded.distances),
                         samples=n_samples, per_edge=stats)
 
 

@@ -1,13 +1,21 @@
-"""Terminal multigraphs with exact rational capacities and lengths."""
+"""Terminal multigraphs with exact rational capacities and lengths.
+
+Shortest paths run on ints: a graph's lengths share one scale, the lcm of
+their denominators, and Dijkstra adds and compares the scaled ints.  The
+embedding stays on that lattice (`project_graph` projects the scaled
+distance vectors with `tightspan.int_project`), and distances become
+Fractions only where they leave the module.
+"""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Mapping, NamedTuple
 
 from .metric import TerminalMetric, Vec, as_fraction
-from .tightspan import project
+from .tightspan import FractionTable, int_project
 
 Vertex = Hashable
 
@@ -23,16 +31,39 @@ class Edge(NamedTuple):
     length: Fraction
 
 
+class _LengthTable(NamedTuple):
+    """An adjacency with its lengths as ints on the lattice 1/scale.
+
+    `adj[u]` is the pair (neighbours, lengths) of parallel tuples; a graph
+    keeps its table, so it is stored compactly.
+    """
+    adj: dict[Vertex, tuple[tuple[Vertex, ...], tuple[int, ...]]]
+    scale: int
+
+    @classmethod
+    def of(cls, adj: Mapping[Vertex, list]) -> "_LengthTable":
+        lengths = {length for nbrs in adj.values() for _, length in nbrs}
+        scale = lcm(*{length.denominator for length in lengths})
+        # one int per distinct length, shared by both directions of an edge
+        ints = {length: length.numerator * (scale // length.denominator) for length in lengths}
+        return cls({u: (tuple([w for w, _ in nbrs]),
+                        tuple([ints[length] for _, length in nbrs]))
+                    for u, nbrs in adj.items()}, scale)
+
+
 @dataclass
 class TerminalGraph:
     """An undirected multigraph; parallel edges are kept distinct.
 
     `terminals` maps terminal names to vertex ids.  Lengths may be zero,
-    capacities must be positive.
+    capacities must be positive.  The first shortest-path query builds the
+    int length table that later ones reuse, so edges must not change after it.
     """
     vertices: list
     edges: list[Edge]
     terminals: dict[str, Vertex]
+    _lengths: _LengthTable | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         vset = set(self.vertices)
@@ -64,58 +95,94 @@ class TerminalGraph:
             adj[v].append((u, length))
         return adj
 
+    def length_table(self) -> _LengthTable:
+        """The int adjacency on the graph's length scale, built on first use."""
+        if self._lengths is None:
+            self._lengths = _LengthTable.of(self.adjacency())
+        return self._lengths
+
+
+class Distances(dict):
+    """Exact shortest-path distances from one source, as Fractions.
+
+    `ints` holds the same distances as ints on the length scale `scale`.
+    """
+
+    def __init__(self, ints: dict[Vertex, int], scale: int):
+        super().__init__(zip(ints, map(FractionTable(scale).__getitem__, ints.values())))
+        self.ints = ints
+        self.scale = scale
+
 
 def shortest_distances(g: TerminalGraph, source: Vertex,
-                       adj: Mapping[Vertex, list] | None = None) -> dict[Vertex, Fraction]:
-    """Exact single-source shortest-path distances; unreachable vertices absent."""
-    if adj is None:
-        adj = g.adjacency()
-    if source not in adj:
+                       adj: Mapping[Vertex, list] | None = None) -> Distances:
+    """Exact single-source shortest-path distances; unreachable vertices absent.
+
+    Runs on g's int length table, or on `adj` (vertex -> [(neighbour,
+    length)], as `TerminalGraph.adjacency` gives it) scaled to ints per call.
+    """
+    table = g.length_table() if adj is None else _LengthTable.of(adj)
+    nbrs = table.adj
+    if source not in nbrs:
         raise GraphError(f"unknown source vertex {source}")
-    dist: dict[Vertex, Fraction] = {source: Fraction(0)}
-    seen: set[Vertex] = set()
+    dist: dict[Vertex, int] = {source: 0}
+    push, pop = heapq.heappush, heapq.heappop
     counter = 0
-    heap = [(Fraction(0), counter, source)]
+    heap = [(0, counter, source)]
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in seen:
+        d, _, u = pop(heap)
+        if d > dist[u]:  # a stale entry; u was settled at a shorter distance
             continue
-        seen.add(u)
-        for w, length in adj[u]:
+        for w, length in zip(*nbrs[u]):
             nd = d + length
-            if w not in dist or nd < dist[w]:
+            old = dist.get(w)
+            if old is None or nd < old:
                 dist[w] = nd
                 counter += 1
-                heapq.heappush(heap, (nd, counter, w))
-    return dist
+                push(heap, (nd, counter, w))
+    return Distances(dist, table.scale)
 
 
-def edge_distances(g: TerminalGraph) -> list[Fraction]:
-    """Shortest-path distance between the endpoints of every edge, in edge order.
+def edge_distance_ints(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None
+                       ) -> list[int]:
+    """`edge_distances` as ints on g's length scale.
 
-    Each edge is charged to its endpoint of higher degree (ties go to the
-    earlier vertex), and one exact Dijkstra runs from each charged endpoint:
-    on a star-shaped graph those are its terminals.
+    `known` maps source vertices to the `shortest_distances(g, source)` maps
+    a caller already holds; an edge with an endpoint among them reads that
+    map and runs no Dijkstra.
     """
     degree = {v: 0 for v in g.vertices}
     for u, v, _, _ in g.edges:
         degree[u] += 1
         degree[v] += 1
     rank = {v: (-degree[v], i) for i, v in enumerate(g.vertices)}
-    adj = g.adjacency()
-    dists: dict[Vertex, dict[Vertex, Fraction]] = {}
+    dists = dict(known or {})
     out = []
     for u, v, _, _ in g.edges:
         src, dst = (u, v) if rank[u] <= rank[v] else (v, u)
         if src not in dists:
-            dists[src] = shortest_distances(g, src, adj)
-        out.append(dists[src][dst])
+            if dst in dists:
+                src, dst = dst, src
+            else:
+                dists[src] = shortest_distances(g, src)
+        out.append(dists[src].ints[dst])
     return out
 
 
-def _terminal_distances(g: TerminalGraph) -> dict[str, dict[Vertex, Fraction]]:
-    adj = g.adjacency()
-    return {t: shortest_distances(g, v, adj) for t, v in g.terminals.items()}
+def edge_distances(g: TerminalGraph) -> list[Fraction]:
+    """Shortest-path distance between the endpoints of every edge, in edge order.
+
+    An edge reads the distance map of an endpoint that already has one;
+    otherwise it is charged to its endpoint of higher degree (ties go to the
+    earlier vertex), and one exact Dijkstra runs from that endpoint: on a
+    star-shaped graph those are its terminals.
+    """
+    frac = FractionTable(g.length_table().scale)
+    return [frac[n] for n in edge_distance_ints(g)]
+
+
+def _terminal_distances(g: TerminalGraph) -> dict[str, Distances]:
+    return {t: shortest_distances(g, v) for t, v in g.terminals.items()}
 
 
 def _metric_from(g: TerminalGraph, dists: Mapping[str, Mapping]) -> TerminalMetric:
@@ -131,15 +198,14 @@ def _metric_from(g: TerminalGraph, dists: Mapping[str, Mapping]) -> TerminalMetr
     return TerminalMetric(names, mat)
 
 
-def _vectors_from(g: TerminalGraph, dists: Mapping[str, Mapping]) -> dict[Vertex, Vec]:
-    out: dict[Vertex, Vec] = {}
-    for v in g.vertices:
-        vec = {}
-        for t, dist in dists.items():
-            if v not in dist:
-                raise GraphError(f"vertex {v} is disconnected from terminal {t}")
-            vec[t] = dist[v]
-        out[v] = vec
+def _vector_ints(dists: Mapping[str, Distances], v: Vertex) -> list[int]:
+    """v's distances to the terminals, as ints in terminal order."""
+    out = []
+    for t, dist in dists.items():
+        n = dist.ints.get(v)
+        if n is None:
+            raise GraphError(f"vertex {v} is disconnected from terminal {t}")
+        out.append(n)
     return out
 
 
@@ -150,15 +216,23 @@ def terminal_metric(g: TerminalGraph) -> TerminalMetric:
 
 def distance_vectors(g: TerminalGraph) -> dict[Vertex, Vec]:
     """For every vertex, its vector of shortest-path distances to terminals."""
-    return _vectors_from(g, _terminal_distances(g))
+    dists = _terminal_distances(g)
+    frac = FractionTable(g.length_table().scale)
+    return {v: dict(zip(dists, map(frac.__getitem__, _vector_ints(dists, v))))
+            for v in g.vertices}
 
 
 @dataclass
 class EmbeddedGraph:
-    """A graph with every vertex mapped to a point of the terminal tight span."""
+    """A graph with every vertex mapped to a point of the terminal tight span.
+
+    `distances` maps each terminal vertex to its `shortest_distances` map,
+    which `edge_distance_ints` can reuse.
+    """
     graph: TerminalGraph
     metric: TerminalMetric
     points: dict[Vertex, Vec]
+    distances: dict[Vertex, Distances] = field(default_factory=dict, repr=False)
 
 
 def project_graph(g: TerminalGraph) -> EmbeddedGraph:
@@ -167,12 +241,19 @@ def project_graph(g: TerminalGraph) -> EmbeddedGraph:
     Each vertex's distance vector is projected; terminals land on their own
     metric rows, and for every edge the image distance is at most the edge's
     shortest-path length (projection is non-expanding).  One Dijkstra per
-    terminal serves both the metric and the distance vectors.
+    terminal serves the metric, the distance vectors and, through
+    `distances`, the identity cost.  The projection runs on twice the graph's
+    length scale, where `int_project` halves exactly.
     """
     dists = _terminal_distances(g)
     m = _metric_from(g, dists)
-    vecs = _vectors_from(g, dists)
-    points = {v: project(m, vec) for v, vec in vecs.items()}
+    frac = FractionTable(2 * g.length_table().scale)
+    d = [[2 * n for n in _vector_ints(dists, g.terminals[t])] for t in dists]
+    points = {}
+    for v in g.vertices:
+        p = int_project(d, [2 * n for n in _vector_ints(dists, v)])
+        points[v] = dict(zip(m.terminals, map(frac.__getitem__, p)))
     for t in g.terminals:
         points[g.terminals[t]] = m.row(t)
-    return EmbeddedGraph(graph=g, metric=m, points=points)
+    return EmbeddedGraph(graph=g, metric=m, points=points,
+                         distances={g.terminals[t]: dist for t, dist in dists.items()})

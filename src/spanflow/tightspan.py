@@ -13,22 +13,111 @@ cell's dimension and :func:`cell_point`, the point of a cell where some
 coordinates take given values.  :class:`PointLattice` holds a fixed set of
 span points as ints on one common scale, for code that measures many
 distances between the same points.
+
+Membership and projection run on ints too: :func:`to_lattice` puts a metric
+and points on the lcm of their denominators, and :func:`int_in_span` and
+:func:`int_project` work there; :func:`in_tight_span` and :func:`project` are
+their Fraction forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
-                     is_valid_vector, validate_metric)
+                     validate_metric)
 
 
 class UnsupportedSizeError(MetricError):
     """Raised when cell enumeration is asked for more than six terminals."""
+
+
+def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]
+               ) -> tuple[list[list[int]], list[list[int]], int]:
+    """The metric and the points as ints on one scale S, and S.
+
+    S is the lcm of the denominators of the metric and of every coordinate;
+    each point becomes its S-scaled coordinates in terminal order.  A point
+    whose keys are not exactly the terminals raises `MetricError`.
+    """
+    ts = m.terminals
+    names = set(ts)
+    rows = []
+    for p in points:
+        if p.keys() != names:
+            raise MetricError(f"point over {sorted(p)} is not over the terminals {list(ts)}")
+        rows.append([p[t] for t in ts])
+    scale = lcm(*{x.denominator for row in (*m.matrix(), *rows) for x in row})
+    return ([[x.numerator * (scale // x.denominator) for x in row] for row in m.matrix()],
+            [[x.numerator * (scale // x.denominator) for x in row] for row in rows],
+            scale)
+
+
+def int_in_span(d: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
+    """`in_tight_span` on ints: the matrix d and the vector x on one scale."""
+    for t, xt in enumerate(x):
+        if xt < 0:
+            return False
+        tight = False
+        for xu, dtu in zip(x, d[t]):
+            slack = xt + xu - dtu
+            if slack < 0:
+                return False
+            tight = tight or slack == 0  # at u = t: x_t = 0, the self pair
+        if not tight:
+            return False
+    return True
+
+
+def int_project(d: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """`project` on ints: the matrix d and the vector x on one even lattice.
+
+    Every entry of d and x must be even (scale a Fraction input by twice the
+    lcm of its denominators).  An active pair's slack is then even: it starts
+    even, and its two coordinates drop by the same total, so halving it is
+    exact; an odd one raises ArithmeticError instead of being floored.  The
+    first round's step is negative iff x is not valid (a negative coordinate
+    or a violated pair), which raises `MetricError`.
+    """
+    v = list(x)
+    k = len(v)
+    active = [True] * k
+    left = k
+    while left:
+        delta = None
+        freeze = []
+        for t in range(k):
+            if not active[t]:
+                continue
+            vt, row = v[t], d[t]
+            best = vt  # the self pair: x_t may drop to 0 at most (u = t repeats it)
+            for u in range(k):
+                slack = vt + v[u] - row[u]
+                if active[u]:
+                    if slack & 1:
+                        raise ArithmeticError(f"odd slack {slack} between active coordinates")
+                    slack >>= 1
+                if slack < best:
+                    best = slack
+            if delta is None or best < delta:
+                delta = best
+                freeze = [t]
+            elif best == delta:
+                freeze.append(t)
+        if delta < 0:
+            raise MetricError("projection requires a valid vector")
+        for t in range(k):
+            if active[t]:
+                v[t] -= delta
+        for t in freeze:
+            active[t] = False
+        left -= len(freeze)
+    return v
 
 
 def in_tight_span(m: TerminalMetric, x: Mapping[str, object]) -> bool:
@@ -36,15 +125,8 @@ def in_tight_span(m: TerminalMetric, x: Mapping[str, object]) -> bool:
 
     A zero coordinate counts as tight (the pair (t, t) with D(t, t) = 0).
     """
-    v = check_vector(m, x)
-    if not is_valid_vector(m, v):
-        return False
-    for t in m.terminals:
-        if v[t] == 0:
-            continue
-        if not any(u != t and v[t] + v[u] == m.d(t, u) for u in m.terminals):
-            return False
-    return True
+    d, (ix,), _ = to_lattice(m, [check_vector(m, x)])
+    return int_in_span(d, ix)
 
 
 def project(m: TerminalMetric, x: Mapping[str, object]) -> Vec:
@@ -54,35 +136,12 @@ def project(m: TerminalMetric, x: Mapping[str, object]) -> Vec:
     soon as one of its pair inequalities (or x_t >= 0) becomes tight.  The
     result dominates no coordinate of x and is a fixpoint iff x was already in
     the span.  The map is non-expanding in the sup norm but is not a
-    nearest-point projection.
+    nearest-point projection.  Runs as `int_project` on twice the lcm of the
+    denominators.
     """
-    v = check_vector(m, x)
-    if not is_valid_vector(m, v):
-        raise MetricError("projection requires a valid vector")
-    ts = m.terminals
-    active = set(ts)
-    while active:
-        delta = None
-        freeze = []
-        for t in active:
-            best = v[t]  # the self pair: x_t may drop to 0 at most
-            for u in ts:
-                if u == t:
-                    continue
-                slack = v[t] + v[u] - m.d(t, u)
-                if u in active:
-                    slack = slack / 2
-                if slack < best:
-                    best = slack
-            if delta is None or best < delta:
-                delta = best
-                freeze = [t]
-            elif best == delta:
-                freeze.append(t)
-        for t in active:
-            v[t] -= delta
-        active.difference_update(freeze)
-    return v
+    d, (ix,), scale = to_lattice(m, [check_vector(m, x)])
+    p = int_project([[2 * a for a in row] for row in d], [2 * a for a in ix])
+    return {t: Fraction(n, 2 * scale) for t, n in zip(m.terminals, p)}
 
 
 def ts_distance(x: Mapping[str, object], y: Mapping[str, object]) -> Fraction:
@@ -154,6 +213,21 @@ class CellComplex:
     metric: TerminalMetric
     vertices: tuple[Vec, ...]
     cells: tuple[Cell, ...]
+
+    @cached_property
+    def constraints(self) -> tuple[list[tuple[int, int, int]], int,
+                                   dict[tuple[str, str], tuple[int, int, int]]]:
+        """`_scaled_constraints` of the metric, once per complex, and its pairs.
+
+        The third entry maps each terminal pair, in both orders, to its
+        constraint (i, i, 0 for a pair (t, t)), as `cell_point` reads it.
+        """
+        cons, scale = _scaled_constraints(self.metric)
+        ts = self.metric.terminals
+        by_pair = {}
+        for c in cons:
+            by_pair[ts[c[0]], ts[c[1]]] = by_pair[ts[c[1]], ts[c[0]]] = c
+        return cons, scale, by_pair
 
     def vertex_id(self, point: Mapping[str, object]) -> int | None:
         p = check_vector(self.metric, point)
@@ -414,12 +488,12 @@ def cell_point(complex_: CellComplex, cell: Cell, fixed: Mapping[str, object]) -
     """
     m = complex_.metric
     pins = {m.index(t): as_fraction(v) for t, v in fixed.items()}
-    cons, base = _scaled_constraints(m)
+    cons, base, by_pair = complex_.constraints
     scale = lcm(base, *(v.denominator for v in pins.values()))
-    cons = [(i, j, r * (scale // base)) for i, j, r in cons]
-    system = [(m.index(a), m.index(b), int(m.d(a, b) * scale)) for a, b in cell.pairs]
-    system += [(i, i, int(2 * v * scale)) for i, v in pins.items()]
+    f = scale // base
+    system = [(i, j, r * f) for i, j, r in map(by_pair.__getitem__, cell.pairs)]
+    system += [(i, i, 2 * v.numerator * (scale // v.denominator)) for i, v in pins.items()]
     values = _tight_system(system, len(m.terminals))[0]
-    if values is None or any(values[i] + values[j] < r for i, j, r in cons):
+    if values is None or any(values[i] + values[j] < r * f for i, j, r in cons):
         return None
     return {t: Fraction(x, scale) for t, x in zip(m.terminals, values)}

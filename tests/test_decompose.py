@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import types
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -386,6 +388,67 @@ def test_assignment_digests_pinned():
     assert got == ASSIGNMENT_GOLDEN
 
 
+def _zero_draws(zero: set):
+    """A stand-in for the `random` module whose Random returns U = 0 on the
+    draws numbered in `zero` (in the order `assignment_ids` makes them)."""
+    class Random(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.calls = 0
+
+        def getrandbits(self, k):
+            u = super().getrandbits(k)
+            self.calls += 1
+            return 0 if self.calls - 1 in zero else u
+    return types.SimpleNamespace(Random=Random)
+
+
+def test_zero_draw_on_a_band_grid_line_has_an_anchor(monkeypatch):
+    # a vertex on a band's lower grid line used to take the next band's
+    # anchor when its band draw was U = 0, and that anchor can be missing
+    graphs = dict(_pinned_graphs())
+    for name, zero in (("boundary_type2", {1}), ("boundary_type3", {1}),
+                       ("boundary_type3", {3})):
+        dec = Decomposer(graphs[name])
+        expected = [dec.assignment_ids(seed) for seed in range(5)]
+        monkeypatch.setattr(decompose, "random", _zero_draws(zero))
+        for seed in range(5):
+            got = dec.assignment_ids(seed)
+            assert got.keys() == expected[seed].keys()
+            assert None not in got.values()
+        monkeypatch.undo()
+
+
+def _reachable_leaves(node, box):
+    """Leaves of a cut tree reachable by some draws: `box` maps a draw to the
+    interval [lo, hi] its U may still take."""
+    if not isinstance(node, _Cut):
+        yield node
+        return
+    lo, hi = box.get(node.d, (0, (1 << 53) - 1))
+    if lo <= node.t:
+        yield from _reachable_leaves(node.below, {**box, node.d: (lo, min(hi, node.t))})
+    if hi > node.t:
+        yield from _reachable_leaves(node.above, {**box, node.d: (max(lo, node.t + 1), hi)})
+
+
+def test_no_draw_reaches_a_missing_anchor():
+    # exact: over every 53-bit draw, no cut tree of the pinned graphs, or of
+    # random type2/type3 graphs, ends at a leaf without an anchor
+    rng = random.Random(61)
+    embs = [emb for _, emb in _pinned_graphs()]
+    embs += [project_graph(graph_from_metric(m, 12, rng))
+             for m in [rand_type2(rng)[-1] for _ in range(4)]
+             + [rand_type3(rng)[-1] for _ in range(4)]]
+    planar = 0
+    for emb in embs:
+        dec = Decomposer(emb)
+        planar += isinstance(dec.model, _PlanarModel)
+        for v, node in dec.nodes.items():
+            assert None not in set(_reachable_leaves(node, {})), v
+    assert planar >= 10
+
+
 def _cuts(node):
     if isinstance(node, _Cut):
         yield node
@@ -449,6 +512,25 @@ def test_embedding_mismatch_rejected(rng):
     import pytest
     from spanflow.metric import MetricError
     with pytest.raises(MetricError):
+        Decomposer(emb)
+
+
+def test_decomposer_rejects_points_off_the_span_or_off_the_rows(rng):
+    m = rand_type2(rng)[-1]
+    g = graph_from_metric(m, 5, rng)
+    Decomposer(project_graph(g))
+    emb = project_graph(g)
+    p = emb.points["v3"]
+    emb.points["v3"] = {**p, "c": p["c"] + F(1, 7)}  # valid, but c leaves its tight pairs
+    with pytest.raises(MetricError, match="vertex v3 is outside the span"):
+        Decomposer(emb)
+    emb = project_graph(g)
+    emb.points["v3"] = {**p, "c": p["c"] - F(1, 7)}  # breaks a pair inequality
+    with pytest.raises(MetricError, match="vertex v3 is outside the span"):
+        Decomposer(emb)
+    emb = project_graph(g)
+    emb.points["b"] = {**emb.points["b"], "a": emb.points["b"]["a"] + 1}
+    with pytest.raises(MetricError, match="terminal b is not embedded at its own row"):
         Decomposer(emb)
 
 

@@ -1,5 +1,7 @@
+import heapq
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -194,6 +196,45 @@ def test_edge_distances_match_all_pairs():
                    for u, v, _, _ in g.edges)
 
 
+def _dijkstra_reference(adj, source):
+    """Dijkstra in Fractions over an adjacency of (neighbour, length) lists."""
+    dist = {source: F(0)}
+    seen = set()
+    heap = [(F(0), 0, source)]
+    counter = 0
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in seen:
+            continue
+        seen.add(u)
+        for w, length in adj[u]:
+            if w not in dist or d + length < dist[w]:
+                dist[w] = d + length
+                counter += 1
+                heapq.heappush(heap, (d + length, counter, w))
+    return dist
+
+
+def test_int_dijkstra_matches_the_fraction_reference():
+    rng = random.Random(90210)
+    for _ in range(15):
+        g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
+        adj = g.adjacency()
+        scale = lcm(*(e.length.denominator for e in g.edges))
+        for v in g.vertices:
+            ref = _dijkstra_reference(adj, v)
+            for got in (shortest_distances(g, v), shortest_distances(g, v, adj)):
+                assert got == ref and list(got) == list(ref)
+                assert all(type(x) is F for x in got.values())
+                assert got.scale == scale
+                assert got.ints == {w: x * scale for w, x in ref.items()}
+    # an explicit adjacency wins over the graph's own lengths
+    g = star()
+    halved = {u: [(w, length / 2) for w, length in nbrs] for u, nbrs in g.adjacency().items()}
+    assert shortest_distances(g, "a", halved) == {"a": 0, "o": 1, "b": F(7, 2), "c": F(5, 2)}
+    assert shortest_distances(g, "a")["b"] == 7
+
+
 def test_edge_distances_star_runs_one_dijkstra_per_terminal(monkeypatch):
     rng = random.Random(5)
     m = rand_metric(rng, 5)
@@ -233,4 +274,4 @@ def test_sparsify_dijkstra_runs_do_not_grow_with_samples(monkeypatch, tmp_path, 
         runs.append(calls[0])
     capsys.readouterr()
     assert runs[0] == runs[1]
-    assert runs[0] <= 2 * len(g.terminals)  # projection plus opt, once each
+    assert runs[0] == len(g.terminals)  # opt reuses the projection's runs

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 import spanflow.tightspan as tightspan
 from spanflow.decompose import type1_metric, type2_metric, type3_metric
 from spanflow.hard6 import metric6
-from spanflow.metric import MetricError, TerminalMetric
+from spanflow.metric import MetricError, TerminalMetric, check_vector, is_valid_vector
 from spanflow.tightspan import (Cell, CellComplex, PointLattice, UnsupportedSizeError,
                                 _scaled_constraints, _tight_system, _walk_vertices,
-                                cell_point, enumerate_complex, in_tight_span,
-                                max_cell_dimension, point_in_cell, project, ts_distance)
+                                cell_point, enumerate_complex, in_tight_span, int_project,
+                                max_cell_dimension, point_in_cell, project, to_lattice,
+                                ts_distance)
 
 from conftest import rand_metric, rand_valid_vector, tie_metric
 
@@ -159,6 +160,91 @@ def test_projection_contract(seed, k):
     assert in_tight_span(m, px)
     assert ts_distance(px, py) <= ts_distance(x, y)
     assert all(px[t] <= x[t] for t in m.terminals)
+
+
+# -- int membership and projection against the Fraction loops -----------------
+
+def _in_tight_span_reference(m, x):
+    """Membership in Fractions: valid, and every nonzero coordinate in a tight pair."""
+    v = check_vector(m, x)
+    if not is_valid_vector(m, v):
+        return False
+    for t in m.terminals:
+        if v[t] == 0:
+            continue
+        if not any(u != t and v[t] + v[u] == m.d(t, u) for u in m.terminals):
+            return False
+    return True
+
+
+def _project_reference(m, x):
+    """The projection loop in Fractions: active coordinates drop together."""
+    v = check_vector(m, x)
+    if not is_valid_vector(m, v):
+        raise MetricError("projection requires a valid vector")
+    ts = m.terminals
+    active = set(ts)
+    while active:
+        delta = None
+        freeze = []
+        for t in active:
+            best = v[t]
+            for u in ts:
+                if u == t:
+                    continue
+                slack = v[t] + v[u] - m.d(t, u)
+                if u in active:
+                    slack = slack / 2
+                if slack < best:
+                    best = slack
+            if delta is None or best < delta:
+                delta = best
+                freeze = [t]
+            elif best == delta:
+                freeze.append(t)
+        for t in active:
+            v[t] -= delta
+        active.difference_update(freeze)
+    return v
+
+
+def test_int_membership_and_projection_match_the_fraction_loops():
+    rng = random.Random(4242)
+    dens = (1, 2, 3, 5, 8, 12)
+    seen = {"odd_slack": 0, "in_span": 0, "outside": 0, "invalid": 0}
+    for k in range(2, 7):
+        for trial in range(12):
+            names = "abcdef"[:k]
+            m = (tie_metric(rng, k) if trial % 4 == 0 else TerminalMetric.from_pairs(
+                {(a, b): F(rng.randint(den, 2 * den), den)
+                 for a, b in combinations(names, 2) for den in [rng.choice(dens)]},
+                terminals=names))
+            for _ in range(6):
+                n = rng.choice((1, 2, 3, 7, 9))
+                x = {}
+                for t in m.terminals:
+                    hi = max(m.d(t, u) for u in m.terminals)
+                    x[t] = hi / 2 + F(rng.randint(0, 2 * n), 2 * n) * hi / 2
+                d, (ix,), _ = to_lattice(m, [x])
+                if any((ix[i] + ix[j] - d[i][j]) % 2 for i, j in combinations(range(k), 2)):
+                    seen["odd_slack"] += 1
+                px = _project_reference(m, x)
+                bad = dict(x)
+                bad[rng.choice(m.terminals)] -= F(rng.randint(1, 3 * n), n)
+                for y in (x, px, bad):
+                    member = _in_tight_span_reference(m, y)
+                    assert in_tight_span(m, y) == member, (m, y)
+                    seen["in_span" if member else "outside"] += 1
+                    if is_valid_vector(m, y):
+                        assert project(m, y) == _project_reference(m, y), (m, y)
+                        continue
+                    seen["invalid"] += 1
+                    with pytest.raises(MetricError, match="requires a valid vector"):
+                        project(m, y)
+    assert min(seen.values()) > 50, seen
+    # a slack that is odd on the projection's lattice raises instead of flooring
+    with pytest.raises(ArithmeticError):
+        int_project([[0, 3], [3, 0]], [2, 2])
 
 
 def test_complex_invariants(rng):
