@@ -7,28 +7,24 @@ Terminal distances are preserved exactly on every sample, and for the three
 generic span shapes the expected distance between the clusters of any two
 points equals (or is bounded by) their span distance.
 
-Shape handling:
+Span models: a cyclic fan of five rectangles around a center (one threshold
+per pendant and per shared corner segment); a banded plane with at most one
+45-degree fold segment (the rectangle-plus-triangle and two-overlapping-
+rectangles shapes and four-terminal rectangles; one entangled threshold
+drives both cuts through the fold, each cell's grid anchors come from
+`tightspan.cell_point`); trees (one threshold per segment).  A complex that
+none fits is rejected with a `MetricError` that gives each model's reason.
 
-* a cyclic fan of five rectangles around a center (one threshold per pendant
-  and per shared corner segment);
-* a banded plane with at most one 45-degree fold segment (covers the
-  rectangle-plus-triangle and two-overlapping-rectangles shapes as well as
-  four-terminal rectangles; one entangled threshold drives both cuts through
-  the fold, everything else is independent; each cell's grid anchors come
-  from `tightspan.cell_point`);
-* trees (one threshold per segment).
-
-A complex that none of these models fits is rejected with a `MetricError`
-that gives each model's reason.
-
+A `Decomposer` puts the embedded points and its model's vertices, draws,
+cuts and representatives on one int scale (`_build_model`); Fractions appear
+only in what it hands out: template parameters, representatives and costs.
 A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
 ("draw > s", or "draw >= s" across a fold) is the integer test U > t for a t
 fixed at build time.  Each vertex's representative is compiled once into a
 cut tree of such tests whose leaves are interned representatives (a planar
-anchor is lifted the first time a tree reads it); a sample draws the U's and
-walks the trees with integer compares.  The interned representatives form
-one `PointLattice`, so a sample's volume is a sum of int capacity times int
-distance, turned into a Fraction once.
+anchor is lifted the first time a tree reads it); a sample draws the U's,
+walks the trees with integer compares, and its volume is a sum of int
+capacity times int distance, turned into a Fraction once.
 """
 from __future__ import annotations
 
@@ -37,15 +33,16 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
 from .graphs import (Distances, Edge, EmbeddedGraph, GraphError, TerminalGraph, Vertex,
                      edge_distance_ints)
-from .tightspan import (CellComplex, PointLattice, UnsupportedSizeError, cell_point,
-                        enumerate_complex, int_in_span, max_cell_dimension,
-                        point_in_cell, to_lattice, ts_distance)
+from .tightspan import (CellComplex, FractionTable, PointLattice, UnsupportedSizeError,
+                        cell_point, enumerate_complex, int_in_span, lattice_ints,
+                        max_cell_dimension, to_lattice)
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 
@@ -55,9 +52,7 @@ class TSTemplate:
     """Classification of a tight-span complex with extracted parameters."""
     tag: str  # "type1" fan | "type2"/"type3" folded plane | "degenerate" tree, other plane
     params: dict[str, Fraction] = field(default_factory=dict)
-    roles: dict[str, str] = field(default_factory=dict)
     cycle: tuple[str, ...] | None = None
-    complex: CellComplex | None = None
 
 
 @dataclass
@@ -77,10 +72,15 @@ class Solution:
     def cluster_of(self, v) -> int:
         return self.by_vertex[v]
 
+    @cached_property
+    def lattice(self) -> PointLattice:
+        """The cluster representatives on one lattice (point i is cluster i's rep)."""
+        ts = self.metric.terminals
+        return PointLattice.of([tuple(c.rep[t] for t in ts) for c in self.clusters])
+
     def delta(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        return ts_distance(self.clusters[i].rep, self.clusters[j].rep)
+        lat = self.lattice
+        return lat.frac[lat.dist(i, j)]
 
     def size(self) -> int:
         return len(self.clusters)
@@ -213,10 +213,6 @@ def type3_metric(x_lo, x_hi, y_lo, y_hi, fold, pendants: Mapping[str, object],
 _DRAW_BITS = 53
 
 
-def _vec_key(m: TerminalMetric, p: Vec) -> tuple:
-    return tuple(p[t] for t in m.terminals)
-
-
 class _Cut:
     """Cut-tree node: `above` if the integer U of draw `d` exceeds `t`, else `below`.
 
@@ -230,89 +226,112 @@ class _Cut:
         self.d, self.t, self.below, self.above = d, t, below, above
 
 
-def _threshold(s: Fraction, lo: Fraction, w: Fraction, closed: bool = False) -> int:
+def _threshold(s: int, lo: int, w: int, closed: bool = False) -> int:
     """The int t with U > t iff lo + U*w/2^53 > s (>= s if closed), for w > 0.
 
-    With (s - lo)*2^53/w = a/b, b > 0: U > a/b iff U > floor(a/b), and
-    U >= a/b iff U > ceil(a/b) - 1 = floor((a - 1)/b).
+    s, lo and w are ints on one scale, so t does not depend on it.  With
+    a = (s - lo)*2^53: U > a/w iff U > floor(a/w), and U >= a/w iff
+    U > ceil(a/w) - 1 = floor((a - 1)/w).
     """
-    a = ((s.numerator * lo.denominator - lo.numerator * s.denominator)
-         * w.denominator << _DRAW_BITS)
-    b = s.denominator * lo.denominator * w.numerator
-    return (a - 1) // b if closed else a // b
+    a = (s - lo) << _DRAW_BITS
+    return (a - 1) // w if closed else a // w
+
+
+def _half(n: int) -> int:
+    """n/2 for an even n; the model's scale keeps every halved sum even."""
+    if n & 1:
+        raise ArithmeticError(f"{n} is odd on the model's lattice")
+    return n >> 1
+
+
+def _in_cell(system, p) -> bool:
+    """Exact containment: p lies in the cell iff its tight pairs (`system`) hold."""
+    return all(p[i] + p[j] == r for i, j, r in system)
+
+
+_dist = PointLattice.sup_dist
 
 
 class _ModelBase:
-    """Shared localization plumbing; subclasses implement _localize_inner."""
+    """Shared localization plumbing; subclasses implement _localize_inner.
+    Vertices `V`, terminal rows, localized points, draws and representative
+    keys are ints on `scale` (see `_build_model`)."""
 
-    def __init__(self, complex_: CellComplex):
+    def __init__(self, complex_: CellComplex, scale: int):
         self.complex = complex_
         self.metric = complex_.metric
-        self.rows = {t: self.metric.row(t) for t in self.metric.terminals}
-        self.row_keys = {_vec_key(self.metric, r): t for t, r in self.rows.items()}
+        self.scale = scale
+        _, base, by_pair = complex_.constraints
+        f = scale // base
+        ts = self.metric.terminals
+        self.V = [tuple(x * f for x in v) for v in complex_.int_vertices]
+        self.vid = {v: i for i, v in enumerate(self.V)}
+        self.rows = {t: tuple(by_pair[t, u][2] * f for u in ts) for t in ts}
+        self.row_keys = {r: t for t, r in self.rows.items()}
+        # each cell's tight pairs as constraints on the scale
+        self.system = {c: [(i, j, r * f) for i, j, r in map(by_pair.__getitem__, c.pairs)]
+                       for c in complex_.cells}
         self.two = [c for c in complex_.cells if c.dim == 2]
         self.trees = [c for c in complex_.cells if c.dim == 1]
         self.rep_ids: dict[tuple, int] = {}  # representative tuple -> id, in id order
-        self.vertex_reps = [self._rep(_vec_key(self.metric, v)) for v in complex_.vertices]
+        self.vertex_reps = [self._rep(v) for v in self.V]
         # (lo, width) of each uniform draw lo + U*width/2^53, in RNG order
-        self.draw_spec: list[tuple[Fraction, Fraction]] = []
+        self.draw_spec: list[tuple[int, int]] = []
 
     def _rep(self, key: tuple) -> int:
         """The interned id of a representative coordinate tuple."""
         return self.rep_ids.setdefault(key, len(self.rep_ids))
 
-    def _add_draw(self, lo: Fraction, w: Fraction) -> int:
+    def _add_draw(self, lo: int, w: int) -> int:
         self.draw_spec.append((lo, w))
         return len(self.draw_spec) - 1
 
-    def _cut(self, d: int, s: Fraction, below, above, closed: bool = False) -> _Cut:
+    def _cut(self, d: int, s: int, below, above, closed: bool = False) -> _Cut:
         """Node taking `above` iff draw d > s (>= s if closed)."""
         lo, w = self.draw_spec[d]
         return _Cut(d, _threshold(s, lo, w, closed), below, above)
 
     def _add_tree_draws(self):
         """One draw per 1-cell, measured from its lower vertex id."""
-        V = self.complex.vertices
+        V = self.V
         self.segments = []
         for cell in self.trees:
             i, j = sorted(cell.vertex_ids)
-            d = self._add_draw(Fraction(0), ts_distance(V[i], V[j]))
-            self.segments.append((d, cell, i, j,
-                                  _vec_key(self.metric, V[i]), _vec_key(self.metric, V[j])))
+            d = self._add_draw(0, _dist(V[i], V[j]))
+            self.segments.append((d, self.system[cell], i, j))
 
     def _vertex_node(self, vid):
         """A complex vertex's node: the vertex itself."""
         return self.vertex_reps[vid]
 
-    def _segment_node(self, p, key):
+    def _segment_node(self, p):
         """Node of a point on a 1-cell (None if on none): an end, or a cut."""
-        for d, cell, i, j, ikey, jkey in self.segments:
-            if key == ikey or key == jkey:
-                return self._vertex_node(i if key == ikey else j)
-            if point_in_cell(self.complex, cell, p):
-                return self._cut(d, ts_distance(p, self.complex.vertices[i]),
-                                 self._vertex_node(j), self._vertex_node(i))
+        V = self.V
+        for d, system, i, j in self.segments:
+            if p == V[i] or p == V[j]:
+                return self._vertex_node(i if p == V[i] else j)
+            if _in_cell(system, p):
+                return self._cut(d, _dist(p, V[i]), self._vertex_node(j), self._vertex_node(i))
         return None
 
-    def localize(self, p: Vec):
-        """The cut tree of a span point: a representative id or a `_Cut`."""
-        key = _vec_key(self.metric, p)
-        if key in self.row_keys:
-            return self._rep(key)
-        return self._localize_inner(p, key)
+    def localize(self, p: tuple):
+        """The cut tree of a span point (ints on the scale): a representative id or a `_Cut`."""
+        if p in self.row_keys:
+            return self._rep(p)
+        return self._localize_inner(p)
 
 
 class _TreeModel(_ModelBase):
     """A complex of dimension at most 1: one threshold per 1-cell."""
 
-    def __init__(self, complex_):
-        super().__init__(complex_)
+    def __init__(self, complex_, scale):
+        super().__init__(complex_, scale)
         self._add_tree_draws()
 
-    def _localize_inner(self, p, key):
+    def _localize_inner(self, p):
         # a single-vertex complex (k = 1) is its terminal row, caught by
         # localize; every other vertex ends a 1-cell
-        node = self._segment_node(p, key)
+        node = self._segment_node(p)
         if node is None:
             raise MetricError("point not on the tree span")
         return node
@@ -321,10 +340,9 @@ class _TreeModel(_ModelBase):
 class _FanModel(_ModelBase):
     """Five rectangles around a common center, five pendants."""
 
-    def __init__(self, complex_):
-        super().__init__(complex_)
-        cx = complex_
-        m = self.metric
+    def __init__(self, complex_, scale):
+        super().__init__(complex_, scale)
+        m, V = self.metric, self.V
         two = self.two
         if len(two) != 5:
             raise MetricError("not a fan complex")
@@ -336,12 +354,9 @@ class _FanModel(_ModelBase):
         if len(common) != 1:
             raise MetricError("fan rectangles must share one center")
         self.o_id = common.pop()
-        term_vid = {}
-        for t in m.terminals:
-            vid = cx.vertex_id(self.rows[t])
-            if vid is None:
-                raise MetricError("terminal not a complex vertex")
-            term_vid[t] = vid
+        term_vid = {t: self.vid.get(self.rows[t]) for t in m.terminals}
+        if None in term_vid.values():
+            raise MetricError("terminal not a complex vertex")
         # pendants: terminal vertex <-> prime corner of exactly one rectangle;
         # a terminal sitting directly on its rectangle has a zero pendant
         self.prime = {}
@@ -354,11 +369,11 @@ class _FanModel(_ModelBase):
             t = terms[0]
             other = (ids - {term_vid[t]}).pop()
             self.prime[t] = other
-            self.pend_len[t] = ts_distance(cx.vertices[other], self.rows[t])
+            self.pend_len[t] = _dist(V[other], self.rows[t])
         for t in m.terminals:
             if t not in self.prime:
                 self.prime[t] = term_vid[t]
-                self.pend_len[t] = Fraction(0)
+                self.pend_len[t] = 0
         if len(self.prime) != 5:
             raise MetricError("each terminal needs its own pendant")
         rect_of = {}
@@ -392,48 +407,45 @@ class _FanModel(_ModelBase):
             cyc.append(min(nxts))
         self.cycle = tuple(cyc)
         self.corner = shared  # frozenset pair -> vertex id
-        self.side_len = {k: ts_distance(cx.vertices[self.o_id], cx.vertices[v])
-                         for k, v in shared.items()}
-        self.rect_cells = {t: two[rect_of[t]] for t in m.terminals}
+        self.side_len = {k: _dist(V[self.o_id], V[v]) for k, v in shared.items()}
+        self.rect_systems = {t: self.system[two[rect_of[t]]] for t in m.terminals}
         # round trip: the parameters must reproduce the metric exactly
         check = type1_metric(self.pend_len,
                              {tuple(sorted(k)): v for k, v in self.side_len.items()},
                              cycle=self.cycle)
         for t, u in combinations(m.terminals, 2):
-            if check.d(t, u) != m.d(t, u):
+            if check.d(t, u) != self.rows[t][m.index(u)]:
                 raise MetricError("fan parameters do not reproduce the metric")
 
         # zero-width pendant draws keep the RNG order but no point reads them
-        self.pend_draw = {t: self._add_draw(Fraction(0), self.pend_len[t])
-                          for t in sorted(m.terminals)}
-        self.side_draw = {k: self._add_draw(Fraction(0), self.side_len[k])
+        self.pend_draw = {t: self._add_draw(0, self.pend_len[t]) for t in sorted(m.terminals)}
+        self.side_draw = {k: self._add_draw(0, self.side_len[k])
                           for k in sorted(self.corner, key=sorted)}
-        self._static = {_vec_key(m, cx.vertices[vid]) for vid in
+        self._static = {V[vid] for vid in
                         (self.o_id, *self.prime.values(), *self.corner.values())}
         i = self.cycle.index
         self.next_of = {t: self.cycle[(i(t) + 1) % 5] for t in self.cycle}
         self.prev_of = {t: self.cycle[(i(t) - 1) % 5] for t in self.cycle}
 
-    def _localize_inner(self, p, key):
-        if key in self._static:
-            return self._rep(key)
-        m, V = self.metric, self.complex.vertices
-        for t in sorted(m.terminals):
+    def _localize_inner(self, p):
+        if p in self._static:
+            return self._rep(p)
+        V = self.V
+        for t in sorted(self.metric.terminals):
             # pendant test: p lies between the terminal and its prime corner
-            d_t = ts_distance(p, self.rows[t])
-            if d_t + ts_distance(p, V[self.prime[t]]) == self.pend_len[t]:
+            d_t = _dist(p, self.rows[t])
+            if d_t + _dist(p, V[self.prime[t]]) == self.pend_len[t]:
                 return self._cut(self.pend_draw[t], d_t, self.vertex_reps[self.prime[t]],
-                                 self._rep(_vec_key(m, self.rows[t])))
+                                 self._rep(self.rows[t]))
         for t in self.cycle:
-            cell = self.rect_cells[t]
-            if not point_in_cell(self.complex, cell, p):
+            if not _in_cell(self.rect_systems[t], p):
                 continue
             nxt, prv = self.next_of[t], self.prev_of[t]
             e_next = frozenset((t, nxt))
             e_prev = frozenset((prv, t))
-            dp = ts_distance(p, V[self.prime[t]])
-            u1 = (dp + ts_distance(p, V[self.corner[e_next]]) - self.side_len[e_prev]) / 2
-            u2 = (dp + ts_distance(p, V[self.corner[e_prev]]) - self.side_len[e_next]) / 2
+            dp = _dist(p, V[self.prime[t]])
+            u1 = _half(dp + _dist(p, V[self.corner[e_next]]) - self.side_len[e_prev])
+            u2 = _half(dp + _dist(p, V[self.corner[e_prev]]) - self.side_len[e_next])
             # with r1, r2 the draws of the next and the previous side, the
             # corner is prime if u1 < r1 and u2 < r2, the next side's if only
             # u1 < r1, the previous side's if only u2 < r2, else the center
@@ -454,8 +466,8 @@ class _PlanarModel(_ModelBase):
     cell's point at that position (`tightspan.cell_point`).
     """
 
-    def __init__(self, complex_):
-        super().__init__(complex_)
+    def __init__(self, complex_, scale):
+        super().__init__(complex_, scale)
         cx = complex_
         if not self.two:
             raise MetricError("no 2-cells for the planar model")
@@ -464,9 +476,8 @@ class _PlanarModel(_ModelBase):
         chart = _find_chart(cx, self.two)
         if chart is None:
             raise MetricError("no global planar chart")
-        self.t1, self.t2 = chart
-        self.plan = [((v[self.t1] + v[self.t2]) / 2, (v[self.t1] - v[self.t2]) / 2)
-                     for v in cx.vertices]
+        self.i1, self.i2 = map(self.metric.index, chart)
+        self.plan = [self._position(v) for v in self.V]
         # fold: a vertex pair shared by at least three 2-cells
         counts: dict[tuple[int, int], int] = {}
         for c in self.two:
@@ -501,35 +512,37 @@ class _PlanarModel(_ModelBase):
                 self.band_draws[axis].append(
                     None if fold else self._add_draw(grid[i], grid[i + 1] - grid[i]))
         if self.fold_bands:
-            self.fold_draw = self._add_draw(Fraction(0), self.fold_bands[3])
+            self.fold_draw = self._add_draw(0, self.fold_bands[3])
         self._add_tree_draws()
         # (cell, gx, gy) -> rep id of the anchor, filled as cut trees read it
         self.lift: dict[tuple[int, int, int], int | None] = {}
+
+    def _position(self, p) -> tuple[int, int]:
+        """The planar position of a point on the chart."""
+        a, b = p[self.i1], p[self.i2]
+        return _half(a + b), _half(a - b)
 
     def _lift(self, ci, gx, gy):
         """Rep id of cell ci's point at grid anchor (gx, gy), None off the cell; memoized."""
         key = (ci, gx, gy)
         if key not in self.lift:
             x, y = self.xs[gx], self.ys[gy]
-            p = cell_point(self.complex, self.two[ci], {self.t1: x + y, self.t2: x - y})
-            self.lift[key] = None if p is None else self._rep(_vec_key(self.metric, p))
+            p = cell_point(self.complex, self.two[ci], {self.i1: x + y, self.i2: x - y}, self.scale)
+            self.lift[key] = None if p is None else self._rep(tuple(p))
         return self.lift[key]
 
     def _vertex_node(self, vid):
         """A non-terminal vertex on 2-cells resolves through their anchors."""
-        key = _vec_key(self.metric, self.complex.vertices[vid])
         cells = tuple(ci for ci, c in enumerate(self.two) if vid in c.vertex_ids)
-        if cells and key not in self.row_keys:
+        if cells and self.V[vid] not in self.row_keys:
             return self._cell_node(*self.plan[vid], cells)
         return self.vertex_reps[vid]
 
-    def _localize_inner(self, p, key):
-        cells = tuple(ci for ci, c in enumerate(self.two)
-                      if point_in_cell(self.complex, c, p))
+    def _localize_inner(self, p):
+        cells = tuple(ci for ci, c in enumerate(self.two) if _in_cell(self.system[c], p))
         if cells:
-            return self._cell_node((p[self.t1] + p[self.t2]) / 2,
-                                   (p[self.t1] - p[self.t2]) / 2, cells)
-        node = self._segment_node(p, key)
+            return self._cell_node(*self._position(p), cells)
+        node = self._segment_node(p)
         if node is None:
             raise MetricError("point not on the planar span")
         return node
@@ -573,23 +586,28 @@ def _find_chart(cx: CellComplex, two) -> tuple[str, str] | None:
     coordinate +-s + c in one group's parameter s, or fixed.  Pinning x_{t1}
     and x_{t2} at a vertex determines a point of the cell iff t1 and t2 lie in
     different groups; the span distance on the cell is then
-    max(|d x_{t1}|, |d x_{t2}|).
+    max(|d x_{t1}|, |d x_{t2}|).  Runs on the complex's constraint scale.
     """
-    firsts = [(c, cx.vertices[c.vertex_ids[0]]) for c in two]
-    for t1, t2 in combinations(cx.metric.terminals, 2):
-        if all(cell_point(cx, c, {t1: v[t1], t2: v[t2]}) is not None for c, v in firsts):
-            return (t1, t2)
+    ts, scale = cx.metric.terminals, cx.constraints[1]
+    firsts = [(c, cx.int_vertices[c.vertex_ids[0]]) for c in two]
+    for i1, i2 in combinations(range(len(ts)), 2):
+        if all(cell_point(cx, c, {i1: v[i1], i2: v[i2]}, scale) is not None
+               for c, v in firsts):
+            return (ts[i1], ts[i2])
     return None
 
 
-def _build_model(cx: CellComplex):
-    """The tree model for a complex of dimension <= 1, else the fan or the plane."""
+def _build_model(cx: CellComplex, lattice: int):
+    """The tree model for a complex of dimension <= 1, else the fan or the plane,
+    on 4 * lcm(lattice, the constraint scale): there each point integral on
+    `lattice` is a multiple of 4, so every halving is exact."""
+    scale = 4 * math.lcm(lattice, cx.constraints[1])
     if max_cell_dimension(cx) <= 1:
-        return _TreeModel(cx)
+        return _TreeModel(cx, scale)
     reasons = []
     for name, model in (("fan", _FanModel), ("planar", _PlanarModel)):
         try:
-            return model(cx)
+            return model(cx, scale)
         except MetricError as exc:
             reasons.append(f"{name}: {exc}")
     raise MetricError("no span model fits the complex (" + "; ".join(reasons) + ")")
@@ -602,62 +620,53 @@ def classify(cx: CellComplex) -> TSTemplate:
     """
     if len(cx.metric.terminals) > 5:
         raise UnsupportedSizeError("classification supports at most 5 terminals")
-    return _template_of(_build_model(cx))
+    return _template_of(_build_model(cx, 1))
 
 
 def _template_of(model) -> TSTemplate:
     """The template tag and parameters of an already built span model."""
-    cx = model.complex
+    frac = FractionTable(model.scale)
     if isinstance(model, _FanModel):
-        params = {f"pendant_{t}": model.pend_len[t] for t in cx.metric.terminals}
-        for k, v in model.side_len.items():
-            t, u = sorted(k)
-            params[f"side_{t}_{u}"] = v
+        params = {f"pendant_{t}": frac[model.pend_len[t]] for t in model.metric.terminals}
+        params.update((f"side_{'_'.join(sorted(k))}", frac[v]) for k, v in model.side_len.items())
         return TSTemplate(tag="type1", params=params, cycle=model.cycle)
     if isinstance(model, _PlanarModel) and model.fold is not None:
         sizes = sorted(len(c.vertex_ids) for c in model.two)
         tag = "type2" if sizes == [3, 4, 4, 5, 5] else (
             "type3" if sizes == [4, 4, 4, 4, 5] else "degenerate")
-        params: dict[str, Fraction] = {}
-        for i in range(len(model.xs) - 1):
-            params[f"x_band_{i}"] = model.xs[i + 1] - model.xs[i]
-        for j in range(len(model.ys) - 1):
-            params[f"y_band_{j}"] = model.ys[j + 1] - model.ys[j]
-        params["fold"] = model.fold_bands[3]
-        roles = {"fold_slope": str(model.fold_bands[2])}
-        for t in cx.metric.terminals:
-            attach = _attach_point(model, t)
-            if attach is not None:
-                params[f"pendant_{t}"] = attach[0]
-                roles[f"terminal_{t}"] = attach[1]
-        return TSTemplate(tag=tag, params=params, roles=roles, complex=cx)
-    return TSTemplate(tag="degenerate", complex=cx)
+        params = {f"{axis}_band_{i}": frac[hi - lo]
+                  for axis, grid in zip("xy", (model.xs, model.ys))
+                  for i, (lo, hi) in enumerate(zip(grid, grid[1:]))}
+        params["fold"] = frac[model.fold_bands[3]]
+        for t in model.metric.terminals:
+            pendant = _attach_point(model, t)
+            if pendant is not None:
+                params[f"pendant_{t}"] = frac[pendant]
+        return TSTemplate(tag=tag, params=params)
+    return TSTemplate(tag="degenerate")
 
 
-def _attach_point(model: _PlanarModel, t: str):
-    """Pendant length and planar position label for a terminal, if tree-attached."""
-    cx, m = model.complex, model.metric
-    row = m.row(t)
-    vid = cx.vertex_id(row)
+def _attach_point(model: _PlanarModel, t: str) -> int | None:
+    """Pendant length of a terminal (0 on a 2-cell), if it is a complex vertex."""
+    vid = model.vid.get(model.rows[t])
     if vid is None:
         return None
     for cell in model.trees:
         if vid in cell.vertex_ids:
             other = [w for w in cell.vertex_ids if w != vid][0]
-            x, y = model.plan[other]
-            return (ts_distance(row, cx.vertices[other]), f"({x},{y})")
-    x, y = model.plan[vid]
-    return (Fraction(0), f"({x},{y})")
+            return _dist(model.rows[t], model.V[other])
+    return 0
 
 
 class Decomposer:
-    """Reusable sampler for one embedded graph (localization is precomputed)."""
+    """Reusable sampler for one embedded graph (localization is precomputed);
+    `ipoints` maps each vertex to its point as ints on the model's scale."""
 
     def __init__(self, embedded: EmbeddedGraph):
         g, m = embedded.graph, embedded.metric
         if len(m.terminals) > 5:
             raise UnsupportedSizeError("decomposition supports at most 5 terminals")
-        d, ipts, _ = to_lattice(m, embedded.points.values())
+        d, ipts, S = to_lattice(m, embedded.points.values())
         at = dict(zip(embedded.points, ipts))
         for t, row in zip(m.terminals, d):
             if at[g.terminals[t]] != row:
@@ -667,11 +676,13 @@ class Decomposer:
                 raise MetricError(f"embedded point of vertex {v} is outside the span")
         self.embedded = embedded
         self.complex = enumerate_complex(m)
-        self.model = _build_model(self.complex)
+        self.model = _build_model(self.complex, S)
+        f = self.model.scale // S
+        self.ipoints = {v: tuple(x * f for x in p) for v, p in at.items()}
         self.template = _template_of(self.model)
-        self.nodes = {v: self.model.localize(p) for v, p in embedded.points.items()}
+        self.nodes = {v: self.model.localize(p) for v, p in self.ipoints.items()}
         # localizing interned every leaf; rep id i is lattice point i
-        self.lattice = PointLattice(self.model.rep_ids)
+        self.lattice = PointLattice(self.model.rep_ids, self.model.scale)
         self._static_ids = {v: n for v, n in self.nodes.items() if type(n) is int}
         self._dynamic = [(v, n) for v, n in self.nodes.items() if type(n) is not int]
 
@@ -709,16 +720,16 @@ class Decomposer:
         row_keys = self.model.row_keys
         clusters, by_vertex = [], {}
         steiner = 0
-        reps = self.lattice.points
-        for rid in sorted(groups, key=lambda i: (reps[i] not in row_keys, reps[i])):
-            key = reps[rid]
+        ipts, reps = self.lattice.ipts, self.lattice.points
+        for rid in sorted(groups, key=lambda i: (ipts[i] not in row_keys, ipts[i])):
+            key = ipts[rid]
             if key in row_keys:
                 label = f"t:{row_keys[key]}"
             else:
                 label = f"s{steiner}"
                 steiner += 1
             idx = len(clusters)
-            rep = dict(zip(m.terminals, key))
+            rep = dict(zip(m.terminals, reps[rid]))
             clusters.append(Cluster(label=label, vertices=sorted(groups[rid], key=str),
                                     rep=rep))
             for v in groups[rid]:
@@ -737,21 +748,21 @@ def opt_volume(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None
     `known` holds distance maps already computed on g, such as
     `EmbeddedGraph.distances`; see `graphs.edge_distance_ints`.
     """
-    scale = math.lcm(*(e.capacity.denominator for e in g.edges))
-    vol = sum(e.capacity.numerator * (scale // e.capacity.denominator) * n
-              for e, n in zip(g.edges, edge_distance_ints(g, known)))
+    (caps,), scale = lattice_ints([[e.capacity for e in g.edges]])
+    vol = sum(c * n for c, n in zip(caps, edge_distance_ints(g, known)))
     return Fraction(vol, scale * g.length_table().scale)
 
 
 def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
+    """The solution's volume (int capacities times int distances on its lattice) and opt."""
     g = embedded.graph
     missing = [v for v in g.vertices if v not in sol.by_vertex]
     if missing:
         raise GraphError(f"solution does not cover vertices {missing[:3]}")
-    vol = Fraction(0)
-    for u, v, cap, _ in g.edges:
-        vol += cap * sol.delta(sol.cluster_of(u), sol.cluster_of(v))
-    return CostReport.of(vol, opt_volume(g, embedded.distances))
+    (caps,), scale = lattice_ints([[e.capacity for e in g.edges]])
+    lat, by = sol.lattice, sol.by_vertex
+    vol = sum(c * lat.dist(by[e.u], by[e.v]) for c, e in zip(caps, g.edges))
+    return CostReport.of(Fraction(vol, scale * lat.S), opt_volume(g, embedded.distances))
 
 
 def sample_seed(master_seed: int, i: int) -> int:
@@ -780,9 +791,8 @@ def sample_volumes(dec: Decomposer, n_samples: int, master_seed: int,
     """
     edges = dec.embedded.graph.edges
     lat = dec.lattice
-    scale = math.lcm(*(e.capacity.denominator for e in edges))
+    (caps,), scale = lattice_ints([[e.capacity for e in edges]])
     denominator = scale * lat.S
-    caps = [e.capacity.numerator * (scale // e.capacity.denominator) for e in edges]
     ends = [(e.u, e.v) for e in edges]
     counts = [{} for _ in edges] if per_edge else None
     vols = []
@@ -862,11 +872,11 @@ def expected_cost(embedded: EmbeddedGraph, n_samples: int, master_seed: int,
     stats = None
     if per_edge:
         stats = []
+        at, frac = dec.ipoints, dec.lattice.frac
         for e, hist in zip(embedded.graph.edges, run.pair_counts):
             em, es = mean_stderr((dec.rep_distance(a, b), c) for (a, b), c in hist.items())
-            stats.append(EdgeStat(
-                edge=e, mean_delta=em, stderr=es,
-                embed_dist=ts_distance(embedded.points[e.u], embedded.points[e.v])))
+            stats.append(EdgeStat(edge=e, mean_delta=em, stderr=es,
+                                  embed_dist=frac[_dist(at[e.u], at[e.v])]))
     return ExpectedCost(mean_vol=mean, stderr=stderr,
                         opt=opt_volume(embedded.graph, embedded.distances),
                         samples=n_samples, per_edge=stats)

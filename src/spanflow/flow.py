@@ -285,11 +285,10 @@ def dual_value(g: TerminalGraph, lengths: Sequence, deltas: Mapping[tuple[str, s
         terminals=dict(g.terminals))
     norm = {pair_key(t, u): as_fraction(v) for (t, u), v in deltas.items()}
     violations = []
-    adj = reweighted.adjacency()
     by_source: dict[str, dict] = {}
     for (t, u), target in sorted(norm.items()):
         if t not in by_source:
-            by_source[t] = shortest_distances(reweighted, g.terminals[t], adj)
+            by_source[t] = shortest_distances(reweighted, g.terminals[t])
         dist = by_source[t].get(g.terminals[u])
         if dist is None:
             violations.append(f"pair ({t}, {u}): disconnected")

@@ -11,11 +11,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Hashable, Mapping, NamedTuple
 
 from .metric import TerminalMetric, Vec, as_fraction
-from .tightspan import FractionTable, int_project
+from .tightspan import FractionTable, int_project, lattice_ints
 
 Vertex = Hashable
 
@@ -39,16 +38,6 @@ class _LengthTable(NamedTuple):
     """
     adj: dict[Vertex, tuple[tuple[Vertex, ...], tuple[int, ...]]]
     scale: int
-
-    @classmethod
-    def of(cls, adj: Mapping[Vertex, list]) -> "_LengthTable":
-        lengths = {length for nbrs in adj.values() for _, length in nbrs}
-        scale = lcm(*{length.denominator for length in lengths})
-        # one int per distinct length, shared by both directions of an edge
-        ints = {length: length.numerator * (scale // length.denominator) for length in lengths}
-        return cls({u: (tuple([w for w, _ in nbrs]),
-                        tuple([ints[length] for _, length in nbrs]))
-                    for u, nbrs in adj.items()}, scale)
 
 
 @dataclass
@@ -98,7 +87,13 @@ class TerminalGraph:
     def length_table(self) -> _LengthTable:
         """The int adjacency on the graph's length scale, built on first use."""
         if self._lengths is None:
-            self._lengths = _LengthTable.of(self.adjacency())
+            # one int per distinct length, shared by both directions of an edge
+            lengths = list({e.length for e in self.edges})
+            (scaled,), scale = lattice_ints([lengths])
+            ints = dict(zip(lengths, scaled))
+            self._lengths = _LengthTable({u: (tuple([w for w, _ in nbrs]),
+                                              tuple([ints[length] for _, length in nbrs]))
+                                          for u, nbrs in self.adjacency().items()}, scale)
         return self._lengths
 
 
@@ -114,15 +109,12 @@ class Distances(dict):
         self.scale = scale
 
 
-def shortest_distances(g: TerminalGraph, source: Vertex,
-                       adj: Mapping[Vertex, list] | None = None) -> Distances:
+def shortest_distances(g: TerminalGraph, source: Vertex) -> Distances:
     """Exact single-source shortest-path distances; unreachable vertices absent.
 
-    Runs on g's int length table, or on `adj` (vertex -> [(neighbour,
-    length)], as `TerminalGraph.adjacency` gives it) scaled to ints per call.
+    Runs on g's int length table.
     """
-    table = g.length_table() if adj is None else _LengthTable.of(adj)
-    nbrs = table.adj
+    nbrs, scale = g.length_table()
     if source not in nbrs:
         raise GraphError(f"unknown source vertex {source}")
     dist: dict[Vertex, int] = {source: 0}
@@ -140,7 +132,7 @@ def shortest_distances(g: TerminalGraph, source: Vertex,
                 dist[w] = nd
                 counter += 1
                 push(heap, (nd, counter, w))
-    return Distances(dist, table.scale)
+    return Distances(dist, scale)
 
 
 def edge_distance_ints(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None

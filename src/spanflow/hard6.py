@@ -26,7 +26,7 @@ from .metric import (MetricError, TerminalMetric, Vec, as_fraction, collinear_tr
                      pair_key)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
-from .tightspan import FractionTable, PointLattice, in_tight_span
+from .tightspan import FractionTable, PointLattice, in_tight_span, lattice_ints
 
 TERMS = ("a", "b", "c", "d", "e", "f")
 
@@ -428,7 +428,7 @@ class _Lattice(PointLattice):
     def __init__(self, inst: HardInstance, sol: CandidateSolution):
         self.inst = inst
         self.image, points = _check_cover(inst, sol)
-        super().__init__(points)
+        super().__init__(*lattice_ints(points))
 
     @cached_property
     def excess(self) -> list[int]:
@@ -802,7 +802,7 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
         return Fraction(0) if t == u else final_table[pair_key(t, u)]
 
     # the remapped points on a lattice of their own; mid[pid] is pid's index there
-    moved = PointLattice([tuple(vec[t] for t in TERMS) for vec in remapped.values()])
+    moved = PointLattice.of([tuple(vec[t] for t in TERMS) for vec in remapped.values()])
     index_of = {key: n for n, key in enumerate(remapped)}
     mid = {pid: index_of[key] for pid, key in enumerate(lat.points) if key in index_of}
     col = {t: n for n, t in enumerate(TERMS)}

@@ -10,9 +10,9 @@ integer walk over the bounded edges finds the vertices, and intersections of
 their tight sets give the faces.  One integer solver for tight pair systems
 (`_tight_system`, a signed BFS) gives the walk's edge directions, each
 cell's dimension and :func:`cell_point`, the point of a cell where some
-coordinates take given values.  :class:`PointLattice` holds a fixed set of
-span points as ints on one common scale, for code that measures many
-distances between the same points.
+coordinates take given values, on any multiple of the complex's constraint
+scale.  :class:`PointLattice` holds a fixed set of span points as ints on one
+common scale, for code that measures many distances between the same points.
 
 Membership and projection run on ints too: :func:`to_lattice` puts a metric
 and points on the lcm of their denominators, and :func:`int_in_span` and
@@ -37,6 +37,12 @@ class UnsupportedSizeError(MetricError):
     """Raised when cell enumeration is asked for more than six terminals."""
 
 
+def lattice_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows as ints on S, the lcm of all their denominators, and S."""
+    S = lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (S // x.denominator) for x in row] for row in rows], S
+
+
 def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]
                ) -> tuple[list[list[int]], list[list[int]], int]:
     """The metric and the points as ints on one scale S, and S.
@@ -52,10 +58,8 @@ def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]
         if p.keys() != names:
             raise MetricError(f"point over {sorted(p)} is not over the terminals {list(ts)}")
         rows.append([p[t] for t in ts])
-    scale = lcm(*{x.denominator for row in (*m.matrix(), *rows) for x in row})
-    return ([[x.numerator * (scale // x.denominator) for x in row] for row in m.matrix()],
-            [[x.numerator * (scale // x.denominator) for x in row] for row in rows],
-            scale)
+    ints, scale = lattice_ints([*m.matrix(), *rows])
+    return ints[:len(ts)], ints[len(ts):], scale
 
 
 def int_in_span(d: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
@@ -166,19 +170,25 @@ class FractionTable(dict):
 class PointLattice:
     """A fixed list of exact points (coordinate tuples) on one integer lattice.
 
-    S is the lcm of the denominators of all coordinates, `ipts[i]` point i's
-    S-scaled int coordinates and `frac[n]` is Fraction(n, S), so
-    `frac[dist(i, j)]` equals `ts_distance` of points i and j.  Callers pass
-    distinct points, so an index names a point.
+    `ipts[i]` is point i's coordinates as ints on the scale S, `points[i]` the
+    same as Fractions (built on first read) and `frac[n]` is Fraction(n, S),
+    so `frac[dist(i, j)]` equals `ts_distance` of points i and j.
     """
 
-    def __init__(self, points: Sequence[Sequence[Fraction]]):
-        self.points = [tuple(p) for p in points]
-        self.S = lcm(*{x.denominator for p in self.points for x in p})
-        self.ipts = [tuple(x.numerator * (self.S // x.denominator) for x in p)
-                     for p in self.points]
-        self.frac = FractionTable(self.S)
+    def __init__(self, ipts: Iterable[Sequence[int]], S: int):
+        self.S = S
+        self.ipts = [tuple(p) for p in ipts]
+        self.frac = FractionTable(S)
         self._dist: dict[tuple[int, int], int] = {}
+
+    @classmethod
+    def of(cls, points: Sequence[Sequence[Fraction]]) -> "PointLattice":
+        """Fraction points on the lcm of their denominators."""
+        return cls(*lattice_ints(points))
+
+    @cached_property
+    def points(self) -> list[tuple[Fraction, ...]]:
+        return [tuple(map(self.frac.__getitem__, p)) for p in self.ipts]
 
     @staticmethod
     def sup_dist(p: Sequence[int], q: Sequence[int]) -> int:
@@ -228,6 +238,16 @@ class CellComplex:
         for c in cons:
             by_pair[ts[c[0]], ts[c[1]]] = by_pair[ts[c[1]], ts[c[0]]] = c
         return cons, scale, by_pair
+
+    @cached_property
+    def int_vertices(self) -> list[tuple[int, ...]]:
+        """The vertices as ints on the constraint scale `constraints[1]`, where
+        `enumerate_complex` finds them (ArithmeticError if one is off it)."""
+        _, points, S = to_lattice(self.metric, self.vertices)
+        f, rem = divmod(self.constraints[1], S)
+        if rem:
+            raise ArithmeticError(f"vertices off the 1/{self.constraints[1]} lattice")
+        return [tuple(x * f for x in p) for p in points]
 
     def vertex_id(self, point: Mapping[str, object]) -> int | None:
         p = check_vector(self.metric, point)
@@ -465,35 +485,20 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
     return CellComplex(metric=m, vertices=vertices, cells=tuple(cells))
 
 
-def point_in_cell(complex_: CellComplex, cell: Cell, x: Vec) -> bool:
-    """Exact containment: x (a span point) lies in `cell` iff its tight pairs hold."""
-    m = complex_.metric
-    for a, b in cell.pairs:
-        if a == b:
-            if x[a] != 0:
-                return False
-        elif x[a] + x[b] != m.d(a, b):
-            return False
-    return True
+def cell_point(complex_: CellComplex, cell: Cell, pins: Mapping[int, int],
+               scale: int) -> list[int] | None:
+    """The unique point of `cell` with x_i = v for each pin (i, v), as ints.
 
-
-def cell_point(complex_: CellComplex, cell: Cell, fixed: Mapping[str, object]) -> Vec | None:
-    """The unique point of `cell` whose coordinates in `fixed` have the given values.
-
-    Solves the cell's tight pairs plus x_t + x_t = 2v for each fixed value v,
-    in integers on the lattice of `_scaled_constraints` refined by the
-    denominators of the fixed values.  Returns None if the system leaves the
-    point undetermined or is inconsistent, or if its solution breaks a
-    constraint of the polyhedron and so lies outside the cell.
+    The pins and the point are on `scale`, a multiple of `constraints[1]`.
+    Solves the cell's tight pairs plus x_i + x_i = 2v per pin in integers;
+    None if the point is undetermined, inconsistent or not integral there,
+    or breaks a constraint of the polyhedron and so lies outside the cell.
     """
-    m = complex_.metric
-    pins = {m.index(t): as_fraction(v) for t, v in fixed.items()}
     cons, base, by_pair = complex_.constraints
-    scale = lcm(base, *(v.denominator for v in pins.values()))
     f = scale // base
     system = [(i, j, r * f) for i, j, r in map(by_pair.__getitem__, cell.pairs)]
-    system += [(i, i, 2 * v.numerator * (scale // v.denominator)) for i, v in pins.items()]
-    values = _tight_system(system, len(m.terminals))[0]
+    system += [(i, i, 2 * v) for i, v in pins.items()]
+    values = _tight_system(system, len(complex_.metric.terminals))[0]
     if values is None or any(values[i] + values[j] < r * f for i, j, r in cons):
         return None
-    return {t: Fraction(x, scale) for t, x in zip(m.terminals, values)}
+    return values

@@ -53,8 +53,12 @@ def rand_valid_vector(rng: random.Random, m: TerminalMetric) -> dict:
 
 
 def graph_from_metric(m: TerminalMetric, n_steiner: int, rng: random.Random,
-                      cap_hi: int = 4) -> TerminalGraph:
-    """Complete terminal graph realizing m exactly, plus random Steiner stars."""
+                      cap_hi: int = 4, den: int = 1000) -> TerminalGraph:
+    """Complete terminal graph realizing m exactly, plus random Steiner stars.
+
+    A Steiner length is hi/2 + (r/den) * hi/2 for a random r in [0, den],
+    hi the terminal's largest distance, so the terminal metric stays m.
+    """
     ts = list(m.terminals)
     verts = list(ts)
     edges = []
@@ -66,7 +70,7 @@ def graph_from_metric(m: TerminalMetric, n_steiner: int, rng: random.Random,
         verts.append(vid)
         for t in ts:
             hi = max(m.d(t, u) for u in ts)
-            x_t = hi / 2 + Fraction(rng.randint(0, 1000), 1000) * hi / 2
+            x_t = hi / 2 + Fraction(rng.randint(0, den), den) * hi / 2
             edges.append((vid, t, Fraction(rng.randint(1, cap_hi)), x_t))
     return TerminalGraph(vertices=verts, edges=edges, terminals={t: t for t in ts})
 

@@ -372,7 +372,7 @@ def test_sparsify_golden_bytes(tmp_path, capsys):
 
 def test_sparsify_exit_2_when_no_model_fits(tmp_path, capsys, monkeypatch):
     def rejecting(reason):
-        def model(cx):
+        def model(cx, scale):
             raise MetricError(reason)
         return model
 

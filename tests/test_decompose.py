@@ -16,7 +16,7 @@ from spanflow.decompose import (Decomposer, _build_model, _Cut, _PlanarModel, _T
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
 from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric, validate_metric
-from spanflow.tightspan import enumerate_complex
+from spanflow.tightspan import enumerate_complex, ts_distance
 
 from conftest import graph_from_metric, rand_connected_graph, rand_metric
 from test_cli import _sparsify_fixtures
@@ -103,7 +103,7 @@ def test_classify_path_metric_degenerate():
 
 
 def _model_name(m: TerminalMetric) -> str:
-    return type(_build_model(enumerate_complex(m))).__name__
+    return type(_build_model(enumerate_complex(m), 1)).__name__
 
 
 def test_degenerate_inputs_build_a_paper_model():
@@ -126,7 +126,7 @@ def test_three_dimensional_complex_is_rejected_with_each_reason():
     cx = enumerate_complex(metric6())
     assert max(c.dim for c in cx.cells) == 3
     with pytest.raises(MetricError) as err:
-        _build_model(cx)
+        _build_model(cx, 1)
     assert "fan: not a fan complex" in str(err.value)
     assert "planar: a cell of dimension above 2" in str(err.value)
 
@@ -181,9 +181,11 @@ def _bary(tri, x, y):
 def _bary_lift(model, ci, gx, gy):
     """Reference lift: cell ci's point over grid anchor (gx, gy) as the
     barycentric mix of the first vertex triangle whose plan contains the
-    anchor, a coordinate tuple, or None if no triangle does."""
-    x, y = model.xs[gx], model.ys[gy]
-    pts = [(model.plan[v], model.complex.vertices[v]) for v in model.two[ci].vertex_ids]
+    anchor, a coordinate tuple, or None if no triangle does.  The model's
+    grid and plan are ints on `model.scale`."""
+    x, y = F(model.xs[gx], model.scale), F(model.ys[gy], model.scale)
+    pts = [(tuple(F(n, model.scale) for n in model.plan[v]), model.complex.vertices[v])
+           for v in model.two[ci].vertex_ids]
     for tri in combinations(pts, 3):
         coeff = _bary([q[0] for q in tri], x, y)
         if coeff is None or any(c < 0 for c in coeff):
@@ -208,13 +210,13 @@ def test_planar_lifts_match_the_barycentric_reference(rng):
             metrics += [m, _reversed(m)]
     slopes, lifted = Counter(), Counter()
     for m in metrics:
-        model = _build_model(enumerate_complex(m))
+        model = _build_model(enumerate_complex(m), 1)
         assert isinstance(model, _PlanarModel)
         if model.fold_bands:
             slopes[model.fold_bands[2]] += 1
         keys = list(product(range(len(model.two)), range(len(model.xs)), range(len(model.ys))))
         lifts = [model._lift(*key) for key in keys]
-        reps = list(model.rep_ids)
+        reps = [tuple(F(n, model.scale) for n in rep) for rep in model.rep_ids]
         for key, rid in zip(keys, lifts):
             assert (None if rid is None else reps[rid]) == _bary_lift(model, *key), (m, key)
             lifted[rid is None] += 1
@@ -386,6 +388,41 @@ def test_assignment_digests_pinned():
     got = {name: _assignment_digest(Decomposer(emb), range(200))
            for name, emb in _pinned_graphs()}
     assert got == ASSIGNMENT_GOLDEN
+
+
+def _coprime_graphs():
+    """Two graphs per template whose Steiner lengths have denominators 7 and 11,
+    so the embedded points sit on a lattice finer than the complex's."""
+    rng = random.Random(71)
+    for rand_shape in (rand_type1, rand_type2, rand_type3):
+        for den in (7, 11):
+            m = rand_shape(rng)[-1]
+            yield (f"{rand_shape.__name__[5:]}_{den}",
+                   project_graph(graph_from_metric(m, 10, rng, den=den)))
+
+
+#: `_assignment_digest` over seeds 0-199, recorded while localization still
+#: computed in Fractions
+COPRIME_GOLDEN = {
+    "type1_7": "cf01c6a525886591f511a460578db70d69182f86283764d2909e6e4a05e8b404",
+    "type1_11": "44bbbe5d08e017771edc6c82cf11c3edfe51c7fb18b511217ac1a013f0ad850d",
+    "type2_7": "9e54073f82d2ea103be4087309894d5ad044b5eef781fddda3fbef97a842339f",
+    "type2_11": "6ce07cf42638ba1e3ce8f3420ec325e25e340de961e8838c7dfd172e5fddc8ef",
+    "type3_7": "04e8014b3e15d2a5e5dc104a4b2fe82edc4bd6be00e9232ad0eaee6b9f5c2b43",
+    "type3_11": "981e8a6d7485a5097c6c47b20c14f3330d4baa73083a4c24802fad100fbda36b",
+}
+
+
+def test_coprime_denominator_digests_pinned():
+    got, tags = {}, set()
+    for name, emb in _coprime_graphs():
+        dec = Decomposer(emb)
+        tags.add(dec.template.tag)
+        assert all(type(node) is _Cut for v, node in dec.nodes.items()
+                   if v not in emb.graph.terminals.values())
+        got[name] = _assignment_digest(dec, range(200))
+    assert tags == {"type1", "type2", "type3"}
+    assert got == COPRIME_GOLDEN
 
 
 def _zero_draws(zero: set):
@@ -720,10 +757,11 @@ def test_expected_cost_matches_naive_average(rng):
     mean, var = _mean_and_squared_stderr(vols)
     assert rep.mean_vol == mean
     assert var > 0 and _correctly_rounded_sqrt(var, rep.stderr)
-    for st, ds in zip(rep.per_edge, deltas):
+    for st, ds, (u, v, _, _) in zip(rep.per_edge, deltas, g.edges):
         em, evar = _mean_and_squared_stderr(ds)
         assert st.mean_delta == em
         assert _correctly_rounded_sqrt(evar, st.stderr)
+        assert st.embed_dist == ts_distance(emb.points[u], emb.points[v])
 
 
 def test_mean_stderr_exact():

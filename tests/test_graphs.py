@@ -140,9 +140,8 @@ def test_projection_chain_inequality(rng):
         g = graph_from_metric(m, 5, rng)
         emb = project_graph(g)
         vecs = distance_vectors(g)
-        adj = g.adjacency()
         for u, v, _, length in g.edges:
-            d_uv = shortest_distances(g, u, adj)[v]
+            d_uv = shortest_distances(g, u)[v]
             assert d_uv <= length
             assert ts_distance(vecs[u], vecs[v]) <= d_uv
             assert ts_distance(emb.points[u], emb.points[v]) <= ts_distance(vecs[u], vecs[v])
@@ -186,8 +185,7 @@ def test_edge_distances_match_all_pairs():
     rng = random.Random(7331)
     for _ in range(25):
         g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
-        adj = g.adjacency()
-        brute = {v: shortest_distances(g, v, adj) for v in g.vertices}
+        brute = {v: shortest_distances(g, v) for v in g.vertices}
         got = edge_distances(g)
         assert got == [brute[u].get(v) for u, v, _, _ in g.edges]
         assert all(d <= e.length for d, e in zip(got, g.edges))
@@ -223,16 +221,11 @@ def test_int_dijkstra_matches_the_fraction_reference():
         scale = lcm(*(e.length.denominator for e in g.edges))
         for v in g.vertices:
             ref = _dijkstra_reference(adj, v)
-            for got in (shortest_distances(g, v), shortest_distances(g, v, adj)):
-                assert got == ref and list(got) == list(ref)
-                assert all(type(x) is F for x in got.values())
-                assert got.scale == scale
-                assert got.ints == {w: x * scale for w, x in ref.items()}
-    # an explicit adjacency wins over the graph's own lengths
-    g = star()
-    halved = {u: [(w, length / 2) for w, length in nbrs] for u, nbrs in g.adjacency().items()}
-    assert shortest_distances(g, "a", halved) == {"a": 0, "o": 1, "b": F(7, 2), "c": F(5, 2)}
-    assert shortest_distances(g, "a")["b"] == 7
+            got = shortest_distances(g, v)
+            assert got == ref and list(got) == list(ref)
+            assert all(type(x) is F for x in got.values())
+            assert got.scale == scale
+            assert got.ints == {w: x * scale for w, x in ref.items()}
 
 
 def test_edge_distances_star_runs_one_dijkstra_per_terminal(monkeypatch):
@@ -242,9 +235,9 @@ def test_edge_distances_star_runs_one_dijkstra_per_terminal(monkeypatch):
     sources = []
     real = spanflow.graphs.shortest_distances
 
-    def counting(g, source, adj=None):
+    def counting(g, source):
         sources.append(source)
-        return real(g, source, adj)
+        return real(g, source)
 
     monkeypatch.setattr(spanflow.graphs, "shortest_distances", counting)
     edge_distances(g)
@@ -262,9 +255,9 @@ def test_sparsify_dijkstra_runs_do_not_grow_with_samples(monkeypatch, tmp_path, 
     calls = [0]
     real = spanflow.graphs.shortest_distances
 
-    def counting(g, source, adj=None):
+    def counting(g, source):
         calls[0] += 1
-        return real(g, source, adj)
+        return real(g, source)
 
     monkeypatch.setattr(spanflow.graphs, "shortest_distances", counting)
     runs = []

@@ -184,12 +184,11 @@ def test_opt_equals_edge_shortest_path_sum():
     from spanflow.graphs import shortest_distances
     inst = generate(4)
     g = inst.graph
-    adj = g.adjacency()
     opt = F(0)
     dists = {}
     for u, v, cap, length in g.edges:
         if u not in dists:
-            dists[u] = shortest_distances(g, u, adj)
+            dists[u] = shortest_distances(g, u)
         assert dists[u][v] == length
         opt += cap * length
     assert opt == inst.opt()

@@ -12,11 +12,27 @@ from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric, check_vector, is_valid_vector
 from spanflow.tightspan import (Cell, CellComplex, PointLattice, UnsupportedSizeError,
                                 _scaled_constraints, _tight_system, _walk_vertices,
-                                cell_point, enumerate_complex, in_tight_span, int_project,
-                                max_cell_dimension, point_in_cell, project, to_lattice,
+                                enumerate_complex, in_tight_span, int_project,
+                                max_cell_dimension, project, to_lattice,
                                 ts_distance)
 
 from conftest import rand_metric, rand_valid_vector, tie_metric
+
+
+def point_in_cell(cx, cell, x):
+    """Reference containment in Fractions: x lies in `cell` iff its tight pairs hold."""
+    return all(x[a] == 0 if a == b else x[a] + x[b] == cx.metric.d(a, b)
+               for a, b in cell.pairs)
+
+
+def cell_point(cx, cell, fixed):
+    """`tightspan.cell_point` for Fraction values by terminal: it runs on the
+    constraint scale refined by their denominators, and returns a Vec."""
+    ts = cx.metric.terminals
+    pins = {ts.index(t): F(v) for t, v in fixed.items()}
+    scale = lcm(cx.constraints[1], *(v.denominator for v in pins.values()))
+    got = tightspan.cell_point(cx, cell, {i: int(v * scale) for i, v in pins.items()}, scale)
+    return None if got is None else {t: F(x, scale) for t, x in zip(ts, got)}
 
 
 def m3():
@@ -511,7 +527,7 @@ def test_point_lattice_matches_ts_distance(rng):
     pts = [tuple(F(rng.randint(-40, 40), rng.choice(dens)) for _ in range(5))
            for _ in range(12)]
     pts += [pts[0], pts[7]]   # repeated points sit at distance 0
-    lat = PointLattice(pts)
+    lat = PointLattice.of(pts)
     assert lat.S == lcm(*(x.denominator for p in pts for x in p))
     for i, j in product(range(len(pts)), repeat=2):
         d = lat.dist(i, j)
@@ -519,7 +535,7 @@ def test_point_lattice_matches_ts_distance(rng):
         assert lat.frac[d] == ts_distance(dict(enumerate(pts[i])), dict(enumerate(pts[j])))
     assert lat.dist(0, len(pts) - 2) == lat.dist(7, len(pts) - 1) == 0
     assert lat.frac[3] is lat.frac[3] and lat.frac[3] == F(3, lat.S)
-    assert PointLattice([]).S == 1
+    assert PointLattice.of([]).S == 1
 
 
 # -- cell_point ----------------------------------------------------------------
