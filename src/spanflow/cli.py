@@ -13,8 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .decompose import (CostReport, Decomposer, contract, mean_stderr, opt_volume,
-                        sample_seed, sample_volumes)
+from .decompose import CostReport, Decomposer, contract, opt_volume, sample_seed, sample_volumes
 from .flow import Demand, FlowError, quality_ratio
 from .graphs import GraphError, project_graph
 from .hard6 import diagnose, generate, grid_snap
@@ -79,10 +78,10 @@ def _cmd_sparsify(args) -> int:
     emb = project_graph(g)
     dec = Decomposer(emb)
     run = sample_volumes(dec, args.samples, args.seed)
-    best = min(range(args.samples), key=run.vols.__getitem__)  # first cheapest
+    best = min(range(args.samples), key=run.ivols.__getitem__)  # first cheapest
     sol = dec.solution(sample_seed(args.seed, best))
-    report = CostReport.of(run.vols[best], opt_volume(g, emb.distances))
-    mean, stderr = mean_stderr((v, 1) for v in run.vols)
+    report = CostReport.of(Fraction(run.ivols[best], run.scale), opt_volume(g, emb.distances))
+    mean, stderr = run.volume_stats()
     sparsifier = contract(g, sol)
     payload = {
         "template": dec.template.tag,

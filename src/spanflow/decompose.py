@@ -23,8 +23,9 @@ A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
 fixed at build time.  Each vertex's representative is compiled once into a
 cut tree of such tests whose leaves are interned representatives (a planar
 anchor is lifted the first time a tree reads it); a sample draws the U's,
-walks the trees with integer compares, and its volume is a sum of int
-capacity times int distance, turned into a Fraction once.
+walks the trees with integer compares, and reads each edge's int distance
+from a table of the representatives' distances.  Means and standard errors
+come from int moment sums (`moment_stats`), divided exactly once.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import add, mul
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
@@ -772,42 +774,54 @@ def sample_seed(master_seed: int, i: int) -> int:
 
 @dataclass
 class Samples:
-    """Exact volumes of the samples `sample_seed(master_seed, i)`, in order of i.
+    """The samples `sample_seed(master_seed, i)`, in order of i, as ints.
 
-    `pair_counts[e]`, when requested, counts how often edge e joined each
-    ordered pair of interned cluster ids (see `Decomposer.rep_distance`).
+    `ivols[i]` is sample i's exact volume times `scale`.  With `per_edge`,
+    `delta_sums[e]` and `delta_squares[e]` are the sums over the samples of
+    edge e's span distance delta between its endpoints' representatives and of
+    delta^2, as ints on the representatives' lattice (`Decomposer.lattice.S`).
     """
-    vols: list[Fraction]
-    pair_counts: list[dict[tuple[int, int], int]] | None = None
+    ivols: list[int]
+    scale: int
+    delta_sums: list[int] | None = None
+    delta_squares: list[int] | None = None
+
+    @property
+    def vols(self) -> list[Fraction]:
+        """Each sample's exact volume."""
+        return [Fraction(v, self.scale) for v in self.ivols]
+
+    def volume_stats(self) -> tuple[Fraction, float]:
+        """Exact mean and standard error of the volumes (`moment_stats`)."""
+        vs = self.ivols
+        return moment_stats(sum(vs), sum(map(mul, vs, vs)), len(vs), self.scale)
 
 
 def sample_volumes(dec: Decomposer, n_samples: int, master_seed: int,
                    per_edge: bool = False) -> Samples:
     """Draw `n_samples` seeded decompositions and their exact cut volumes.
 
-    Per sample, capacities (scaled to integers by their common denominator)
-    are summed per cluster pair and multiplied by the pair's int distance on
-    the representatives' lattice; the int total becomes one Fraction.
+    The representatives' int span distances are tabulated once; a sample reads
+    each edge's delta from the table and its volume is the sum of int
+    capacity (on the capacities' common denominator) times delta.  With
+    `per_edge` the same loop adds each delta and its square to per-edge int
+    sums, so no Fraction is built per sample and edge.
     """
     edges = dec.embedded.graph.edges
-    lat = dec.lattice
+    ipts = dec.lattice.ipts
+    rows = [[_dist(p, q) for q in ipts] for p in ipts]
     (caps,), scale = lattice_ints([[e.capacity for e in edges]])
-    denominator = scale * lat.S
     ends = [(e.u, e.v) for e in edges]
-    counts = [{} for _ in edges] if per_edge else None
-    vols = []
+    s1 = s2 = [0] * len(edges) if per_edge else None
+    ivols = []
     for i in range(n_samples):
-        assign = dec.assignment_ids(sample_seed(master_seed, i))
-        keys = [(assign[u], assign[v]) for u, v in ends]
-        by_pair: dict[tuple[int, int], int] = {}
-        for key, c in zip(keys, caps):
-            by_pair[key] = by_pair.get(key, 0) + c
-        if counts is not None:
-            for hist, key in zip(counts, keys):
-                hist[key] = hist.get(key, 0) + 1
-        vol = sum(lat.dist(a, b) * c for (a, b), c in by_pair.items() if a != b)
-        vols.append(Fraction(vol, denominator))
-    return Samples(vols=vols, pair_counts=counts)
+        a = dec.assignment_ids(sample_seed(master_seed, i))
+        ds = [rows[a[u]][a[v]] for u, v in ends]
+        ivols.append(sum(map(mul, ds, caps)))
+        if per_edge:
+            s1 = list(map(add, s1, ds))
+            s2 = list(map(add, s2, map(mul, ds, ds)))
+    return Samples(ivols=ivols, scale=scale * dec.lattice.S, delta_sums=s1, delta_squares=s2)
 
 
 def _sqrt_float(q: Fraction) -> float:
@@ -825,19 +839,28 @@ def _sqrt_float(q: Fraction) -> float:
     return r / (1 << k)
 
 
-def mean_stderr(values: Iterable[tuple[Fraction, int]]) -> tuple[Fraction, float]:
-    """Exact mean and standard error of a sample given as (value, count) pairs.
+def moment_stats(s1: int, s2: int, n: int, scale: int) -> tuple[Fraction, float]:
+    """Exact mean and standard error of n values x_i/scale from s1 = sum x_i
+    and s2 = sum x_i^2, the x_i ints.
 
-    The standard error is sqrt(sum (x - mean)^2 / (n (n - 1))), computed
+    The mean is s1/(n scale).  The standard error is sqrt(sum (x - mean)^2 /
+    (n (n - 1))) = sqrt((n s2 - s1^2) / (n^2 (n - 1) scale^2)), computed
     exactly and rounded once; it is 0.0 for fewer than two observations.
     """
-    values = list(values)
-    n = sum(c for _, c in values)
-    mean = sum((x * c for x, c in values), Fraction(0)) / n
+    mean = Fraction(s1, n * scale)
     if n < 2:
         return mean, 0.0
-    ss = sum((c * (x - mean) ** 2 for x, c in values), Fraction(0))
-    return mean, _sqrt_float(ss / (n * (n - 1)))
+    return mean, _sqrt_float(Fraction(n * s2 - s1 * s1, n * n * (n - 1) * scale * scale))
+
+
+def mean_stderr(values: Iterable[tuple[Fraction, int]]) -> tuple[Fraction, float]:
+    """`moment_stats` of a sample given as (value, count) pairs, the values put
+    on the lcm of their denominators."""
+    values = list(values)
+    (xs,), scale = lattice_ints([[x for x, _ in values]])
+    cs = [c for _, c in values]
+    cx = list(map(mul, cs, xs))
+    return moment_stats(sum(cx), sum(map(mul, cx, xs)), sum(cs), scale)
 
 
 @dataclass
@@ -862,21 +885,22 @@ def expected_cost(embedded: EmbeddedGraph, n_samples: int, master_seed: int,
     """Monte Carlo mean (exact) and standard error of the solution cost.
 
     Per-sample seeds derive deterministically from `master_seed` by index, so
-    the result does not depend on evaluation order.
+    the result does not depend on evaluation order.  With `per_edge`, each
+    edge's mean span distance between its endpoints' representatives and
+    its standard error come from that edge's int moment sums in `Samples`,
+    next to the distance of its embedded endpoints.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     dec = Decomposer(embedded)
     run = sample_volumes(dec, n_samples, master_seed, per_edge=per_edge)
-    mean, stderr = mean_stderr((v, 1) for v in run.vols)
+    mean, stderr = run.volume_stats()
     stats = None
     if per_edge:
-        stats = []
-        at, frac = dec.ipoints, dec.lattice.frac
-        for e, hist in zip(embedded.graph.edges, run.pair_counts):
-            em, es = mean_stderr((dec.rep_distance(a, b), c) for (a, b), c in hist.items())
-            stats.append(EdgeStat(edge=e, mean_delta=em, stderr=es,
-                                  embed_dist=frac[_dist(at[e.u], at[e.v])]))
+        at, lat = dec.ipoints, dec.lattice
+        stats = [EdgeStat(e, *moment_stats(s1, s2, n_samples, lat.S),
+                          embed_dist=lat.frac[_dist(at[e.u], at[e.v])])
+                 for e, s1, s2 in zip(embedded.graph.edges, run.delta_sums, run.delta_squares)]
     return ExpectedCost(mean_vol=mean, stderr=stderr,
                         opt=opt_volume(embedded.graph, embedded.distances),
                         samples=n_samples, per_edge=stats)

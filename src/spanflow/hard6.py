@@ -51,10 +51,6 @@ class AssocVec(NamedTuple):
     z: Fraction
 
 
-def _pos(v: Fraction) -> Fraction:
-    return v if v > 0 else Fraction(0)
-
-
 def from_assoc(a: AssocVec) -> Vec:
     """Distance vector of an associated point; validates the admissible region."""
     x, y, z = (as_fraction(c) for c in a)

@@ -425,6 +425,44 @@ def test_coprime_denominator_digests_pinned():
     assert got == COPRIME_GOLDEN
 
 
+def _expected_cost_digest(emb, n: int, seed: int) -> str:
+    """sha256 of `expected_cost(per_edge=True)`: the volume summary and, per
+    edge, its mean delta, stderr and embedded distance."""
+    rep = expected_cost(emb, n, seed, per_edge=True)
+    h = hashlib.sha256()
+    h.update(f"{rep.mean_vol} {rep.stderr!r}\n".encode())
+    for st in rep.per_edge:
+        h.update(f"{st.mean_delta} {st.stderr!r} {st.embed_dist}\n".encode())
+    return h.hexdigest()
+
+
+#: `_expected_cost_digest` with 60 samples from master seed 5, recorded while
+#: the per-edge statistics still counted cluster pairs per edge and averaged
+#: them with a Fraction `mean_stderr`
+EXPECTED_COST_GOLDEN = {
+    "fan": "595a677e087de7494cdf7dd5ad3f3aa60960c489d8cc737bf84d2ef8fd62c9fb",
+    "fold": "1be17110ba1fbe5ff39985618834b17bd924394473326e3236abd9bb8cfaf033",
+    "overlap": "8d4dd3e32cf551770de9cfe1131180bb2162424950ee1c51b4d23e10e0680fca",
+    "tree": "a182efe909ee47925504052c977a7d2149e77d3f7282f94aa2964e945e06a3a5",
+    "pendant": "113438038473a463517b03890f3c094e18ad128c1475b0bd833d9f0499150246",
+    "boundary_type2": "b33e4615a4d8a0cd7d8e268e4099f90e8c788d6a25f9e3b2ab463b839a8b2d30",
+    "boundary_type3": "f6ab2c4abc371a0a82cb5d1c46d2fef6ea769c41a2237b67d4701e6e3c3d57d1",
+    "boundary_type1": "c66429d6c9a74e2c5ca7f2daf5f29cc6120f05ac2a8bd72effd96e05bd27cffe",
+    "type1_7": "f3831093f651e46617367771825603760d2157d743cff5465f70fabfc4c3df51",
+    "type1_11": "d5d3b4b9bccde03631f5c181bc38f6c267a8995230dcc7708c660d7115ee851c",
+    "type2_7": "ab63003b5a7b952836393471b11ff2af018cc7990ebf1f4bcc2b87276c9a93aa",
+    "type2_11": "549f272e4333fac056887bc1600b25a93bc272e4ffa2e1a2a5bb06c787cd23e1",
+    "type3_7": "f874670c95939d370324b42cd18333f7d0228001f4eea4659e108553dc3763fd",
+    "type3_11": "68b8d01e54a1b55212a429e30734de7934371118d1a65defd0bfc81c89fbce27",
+}
+
+
+def test_expected_cost_digests_pinned():
+    got = {name: _expected_cost_digest(emb, 60, 5)
+           for name, emb in (*_pinned_graphs(), *_coprime_graphs())}
+    assert got == EXPECTED_COST_GOLDEN
+
+
 def _zero_draws(zero: set):
     """A stand-in for the `random` module whose Random returns U = 0 on the
     draws numbered in `zero` (in the order `assignment_ids` makes them)."""
@@ -762,6 +800,46 @@ def test_expected_cost_matches_naive_average(rng):
         assert st.mean_delta == em
         assert _correctly_rounded_sqrt(evar, st.stderr)
         assert st.embed_dist == ts_distance(emb.points[u], emb.points[v])
+
+
+def _extreme_scale_graphs():
+    """Per template and per scale 10^40 and 10^-40, a graph whose capacities
+    and Steiner lengths have the denominator 7*11*13, all scaled."""
+    rng = random.Random(1001)
+    for rand_shape in (rand_type1, rand_type2, rand_type3):
+        for scale in (F(10 ** 40), F(1, 10 ** 40)):
+            base = graph_from_metric(rand_shape(rng)[-1], 4, rng, den=7 * 11 * 13)
+            yield TerminalGraph(vertices=base.vertices, terminals=base.terminals,
+                                edges=[(u, v, cap * F(rng.randint(1, 1000), 1001) * scale,
+                                        length * scale) for u, v, cap, length in base.edges])
+
+
+def test_per_edge_moments_exact_at_extreme_scales():
+    # the int moment sums against a naive Fraction average of every sample,
+    # down to two samples
+    constant = varying = 0
+    for g in _extreme_scale_graphs():
+        emb = project_graph(g)
+        dec = Decomposer(emb)
+        assert (sample_volumes(dec, 30, 9).vols
+                == sample_volumes(dec, 30, 9, per_edge=True).vols)
+        for n in (2, 30):
+            rep = expected_cost(emb, n, master_seed=9, per_edge=True)
+            sols = [dec.solution(sample_seed(9, i)) for i in range(n)]
+            mean, var = _mean_and_squared_stderr([cost(emb, sol).vol for sol in sols])
+            assert rep.mean_vol == mean and _correctly_rounded_sqrt(var, rep.stderr)
+            for st in rep.per_edge:
+                u, v = st.edge.u, st.edge.v
+                ds = [sol.delta(sol.cluster_of(u), sol.cluster_of(v)) for sol in sols]
+                em, evar = _mean_and_squared_stderr(ds)
+                assert st.mean_delta == em
+                assert _correctly_rounded_sqrt(evar, st.stderr)
+                if len(set(ds)) == 1:
+                    assert st.stderr == 0.0   # exactly, not a rounding residue
+                    constant += 1
+                else:
+                    varying += 1
+    assert constant and varying
 
 
 def test_mean_stderr_exact():
