@@ -110,6 +110,8 @@ def _random_demand(names, rng) -> Demand:
 
 
 def _cmd_quality(args) -> int:
+    if args.random_demands < 0:
+        raise MetricError(f"--random-demands must be nonnegative, got {args.random_demands}")
     g = load_graph(Path(args.graph_g).read_text())
     h = load_graph(Path(args.graph_h).read_text())
     demands = [load_demand(Path(f).read_text()) for f in args.demands or []]

@@ -4,10 +4,13 @@ The concurrent-flow solver maximizes the fraction lambda of a demand that can
 be routed within capacities.  It solves an edge-flow LP in floating point
 (HiGHS via scipy): parallel edges merged into one arc pair of their summed
 capacity, self-loops dropped, one commodity per source of a greedy cover of
-the demand pairs.  What it reports is exact where stated:
+the demand pairs, and the columns arc-major (commodity k on arc a is column
+a * nk + k, lambda last).  What it reports is exact where stated:
 
-* every edge's load is at most its capacity, exactly (rational arithmetic on
-  the clipped float flow, scaled down once if rounding needs it);
+* every edge's load is at most its capacity, exactly: the clipped float flow
+  is read as ints on one power-of-two scale and the capacities as ints on
+  their common denominator, so the loads are int sums and the capacity check
+  one int comparison per merged edge, scaled down once if rounding needs it;
 * lambda is the float optimum shrunk by epsilon/10, so it lies in
   [(1 - epsilon) * opt, opt] as long as the solver's relative error stays
   below epsilon/10;
@@ -15,7 +18,8 @@ the demand pairs.  What it reports is exact where stated:
   Conservation holds only to float accuracy, so this is lambda times the
   demand up to rounding, and a pair with a tiny demand can read near 0.
 
-The single-commodity oracle and the dual checker are exact and independent of
+A NaN or infinite value in the solver's output raises `FlowError`.  The
+single-commodity oracle and the dual checker are exact and independent of
 that code path.
 """
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +36,7 @@ from scipy.sparse import coo_matrix
 
 from .graphs import TerminalGraph, shortest_distances
 from .metric import as_fraction, pair_key
+from .tightspan import dyadic_ints, lattice_ints
 
 
 class FlowError(ValueError):
@@ -114,8 +120,10 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     epsilon/10, and further if the rationalized loads need it.  Parallel edges
     are merged into one arc pair of their summed capacity, self-loops are
     dropped (load 0), and each source of a greedy source cover of the demand
-    (`_source_cover`) is one commodity.  Every load is exactly within its
-    edge's capacity; conservation holds only to float accuracy.
+    (`_source_cover`) is one commodity; commodity k's flow on arc a is
+    column a * nk + k.  Every load is exactly within its edge's capacity
+    (int accounting of the solver's floats); conservation holds only to float
+    accuracy.  A non-finite solver value raises `FlowError`.
     """
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
@@ -143,9 +151,11 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     keys, slot = np.unique(lo[real] * nv + hi[real], return_inverse=True)
     slot = slot.ravel()
     ne = len(keys)
-    caps = [Fraction(0)] * ne
-    for i, m in zip(real.tolist(), slot.tolist()):
-        caps[m] += g.edges[i].capacity
+    # capacities as ints on their common denominator cs, merged per edge
+    (cint,), cs = lattice_ints([[g.edges[i].capacity for i in real.tolist()]])
+    caps = [0] * ne
+    for m, ci in zip(slot.tolist(), cint):
+        caps[m] += ci
     # arc j < ne runs a -> b on merged edge j, arc ne + j runs back
     a, b = keys // nv, keys % nv
     tails, heads = np.concatenate([a, b]), np.concatenate([b, a])
@@ -153,15 +163,16 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
 
     cover = _source_cover(pairs)
     nk = len(cover)
-    nvar = nk * narc + 1   # f[k, arc] then lambda
-    lam_col = nvar - 1
+    nf = narc * nk
+    nvar = nf + 1   # f[arc, k] in column arc * nk + k, then lambda
+    lam_col = nf
     # equality rows (k, v): inflow - outflow - lambda * d_k(v) = 0, except at
     # the source, whose row the others imply
-    arc_cols = np.arange(nk * narc)
-    base = np.repeat(np.arange(nk) * nv, narc)
-    rows = [base + np.tile(heads, nk), base + np.tile(tails, nk)]
-    cols = [arc_cols, arc_cols]
-    vals = [np.ones(nk * narc), -np.ones(nk * narc)]
+    fcols = np.arange(nf)
+    arc, base = fcols // nk, fcols % nk * nv
+    rows = [base + heads[arc], base + tails[arc]]
+    cols = [fcols, fcols]
+    vals = [np.ones(nf), -np.ones(nf)]
     sink_rows = [k * nv + vindex[g.terminals[w]]
                  for k, (_, sinks) in enumerate(cover) for _, w, _ in sinks]
     rows.append(np.array(sink_rows, dtype=np.int64))
@@ -174,9 +185,8 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     keep = live[rows]
     a_eq = coo_matrix((vals[keep], (row_id[rows[keep]], cols[keep])),
                       shape=(int(live.sum()), nvar))
-    a_ub = coo_matrix((np.ones(nk * narc), (np.tile(np.arange(narc) % ne, nk), arc_cols)),
-                      shape=(ne, nvar))
-    b_ub = [float(c) for c in caps]
+    a_ub = coo_matrix((np.ones(nf), (arc % ne, fcols)), shape=(ne, nvar))
+    b_ub = [c / cs for c in caps]   # int true division rounds correctly
 
     c = np.zeros(nvar)
     c[lam_col] = -1.0
@@ -184,29 +194,33 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
                   bounds=(0, None), method="highs")
     if not res.success:
         raise FlowError(f"LP solver failed: {res.message}")
+    if not np.isfinite(res.x).all():
+        raise FlowError("LP solver returned a non-finite value")
 
-    # exact loads of the clipped float flow, then one exact scale keeps them in
-    # capacity: the epsilon/10 shrink, and more if rounding still overflows
+    # the clipped float flow exactly, as ints X on the power-of-two scale xs:
+    # merged edge m carries used[m] / xs against capacity caps[m] / cs.  One
+    # exact scale keeps every load in capacity: the epsilon/10 shrink, and
+    # more if rounding still overflows
     x = np.maximum(res.x, 0.0)
-    flows = x[:-1].reshape(nk, narc)
-    per_edge = np.concatenate([flows[:, :ne], flows[:, ne:]]).T.tolist()
-    fill = [sum(map(Fraction, filter(None, row)), Fraction(0)) / cap
-            for row, cap in zip(per_edge, caps)]
+    X, xs = dyadic_ints(x[:-1])
+    arc_flow = [sum(X[j:j + nk]) for j in range(0, nf, nk)]
+    used = list(map(add, arc_flow[:ne], arc_flow[ne:]))
     scale = 1 - eps / 10
-    worst = max(fill) * scale
-    if worst > 1:  # exact rescue; the shrink margin makes this unreachable
-        scale /= worst
+    # one int comparison per merged edge; the shrink margin makes the rescue unreachable
+    if any(u * cs * scale.numerator > c * xs * scale.denominator for u, c in zip(used, caps)):
+        scale /= max(Fraction(u * cs, c * xs) for u, c in zip(used, caps)) * scale
     lam = Fraction(x[-1]) * scale
+    sn, sd = scale.numerator, scale.denominator
     loads = [Fraction(0)] * len(g.edges)
-    for i, m in zip(real.tolist(), slot.tolist()):
-        loads[i] = fill[m] * scale * g.edges[i].capacity
+    for i, m, ci in zip(real.tolist(), slot.tolist(), cint):
+        loads[i] = Fraction(used[m] * ci * sn, caps[m] * xs * sd)
     routed = {}
     for k, (_, sinks) in enumerate(cover):
         for pair, w, _ in sinks:
             wi = vindex[g.terminals[w]]
-            inflow = sum(map(Fraction, flows[k, heads == wi].tolist()), Fraction(0))
-            outflow = sum(map(Fraction, flows[k, tails == wi].tolist()), Fraction(0))
-            routed[pair] = (inflow - outflow) * scale
+            net = (sum(X[j * nk + k] for j in np.flatnonzero(heads == wi).tolist())
+                   - sum(X[j * nk + k] for j in np.flatnonzero(tails == wi).tolist()))
+            routed[pair] = Fraction(net * sn, xs * sd)
     iterations = int(getattr(res, "nit", 0))
     congestion = Fraction(1) / lam if lam > 0 else Fraction(0)
     return FlowResult(lam=lam, congestion=congestion, loads=loads,

@@ -29,6 +29,8 @@ from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
                      validate_metric)
 
@@ -41,6 +43,15 @@ def lattice_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     """The rows as ints on S, the lcm of all their denominators, and S."""
     S = lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (S // x.denominator) for x in row] for row in rows], S
+
+
+def dyadic_ints(x: np.ndarray) -> tuple[list[int], int]:
+    """Finite floats as ints on one power-of-two scale S: x[i] = ints[i] / S exactly."""
+    m, e = np.frexp(x)   # x = m * 2**e with m * 2**53 an int
+    e = e.astype(np.int64) - 53
+    low = int(e.min(initial=0))   # <= 0, so S = 2**-low is an int
+    return [v << s for v, s in zip((m * 2.0 ** 53).astype(np.int64).tolist(),
+                                   (e - low).tolist())], 1 << -low
 
 
 def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import combinations
+from operator import add, mul
 
 import pytest
 
-from spanflow.decompose import (Cluster, Decomposer, Solution, contract,
+from spanflow.decompose import (Cluster, Decomposer, Solution, contract, moment_stats,
                                 type1_metric, type2_metric, type3_metric)
 from spanflow.flow import Demand, dual_value, exact_single_commodity, max_concurrent_flow
 from spanflow.graphs import project_graph, shortest_distances
@@ -140,27 +141,26 @@ def test_c06_decomposition_guarantees(capsys):
         emb = project_graph(g)
         dec = Decomposer(emb)
         ok = dec.template.tag == tag
-        edges = g.edges
-        sums = [F(0)] * len(edges)
-        sq = [0.0] * len(edges)
-        term_rows = {t: tuple(m.row(t)[u] for u in m.terminals) for t in m.terminals}
+        # per-edge int sums of delta and delta^2 on the lattice scale S
+        lat = dec.lattice
+        ends = [(u, v) for u, v, _, _ in g.edges]
+        s1 = s2 = [0] * len(ends)
+        # each terminal's row on the lattice, compared with its representative
+        term_ipts = {t: tuple(m.row(t)[u] * lat.S for u in m.terminals) for t in m.terminals}
         max_clusters = 0
         for i in range(n_samples):
             seed = seeder.getrandbits(64)
             assign = dec.assignment_ids(seed)
             max_clusters = max(max_clusters, len(set(assign.values())))
             for t in m.terminals:  # terminal exactness on every sample
-                if dec.rep_of(assign[g.terminals[t]]) != term_rows[t]:
+                if lat.ipts[assign[g.terminals[t]]] != term_ipts[t]:
                     ok = False
-            for ei, (u, v, _, _) in enumerate(edges):
-                d = dec.rep_distance(assign[u], assign[v])
-                sums[ei] += d
-                sq[ei] += float(d) * float(d)
+            ds = [lat.dist(assign[u], assign[v]) for u, v in ends]
+            s1 = list(map(add, s1, ds))
+            s2 = list(map(add, s2, map(mul, ds, ds)))
         ok = ok and max_clusters <= bound and max_clusters <= 30
-        for ei, (u, v, _, _) in enumerate(edges):
-            mean = sums[ei] / n_samples
-            var = max(sq[ei] / n_samples - float(mean) ** 2, 0.0)
-            stderr = (var / (n_samples - 1)) ** 0.5
+        for (u, v), e1, e2 in zip(ends, s1, s2):
+            mean, stderr = moment_stats(e1, e2, n_samples, lat.S)
             embed = ts_distance(emb.points[u], emb.points[v])
             if float(mean) > float(embed) + 3 * stderr + 1e-12:
                 ok = False

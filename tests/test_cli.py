@@ -118,6 +118,16 @@ def test_quality_missing_terminal_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_quality_negative_random_demands_exit_2(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(STAR)
+    assert main(["quality", str(f), str(f), "--random-demands", "-1", "--seed", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--random-demands must be nonnegative, got -1" in err
+    assert "no demands given" not in err
+
+
 def test_quality_of_contracted_sparsifier(tmp_path):
     # five-terminal graph with steiner points; contraction never hurts routing
     lines = ["terminal %s %s" % (t, t) for t in "abcde"]

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 from itertools import combinations
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from spanflow.flow import (Demand, FlowError, dual_value, exact_single_commodity,
@@ -324,10 +326,140 @@ def test_lp_size_ave_instance(monkeypatch):
     r = max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
     (c, kw), = calls
     # 474 merged edges, two arcs each, 4 sources cover the 9 demand pairs
-    assert len(c) == 2 * 474 * 4 + 1 == 3793
-    assert kw["A_ub"].shape == (474, 3793)
-    assert kw["A_eq"].shape == (4 * (len(inst.graph.vertices) - 1), 3793)
+    ne, nk = 474, 4
+    assert len(c) == 2 * ne * nk + 1 == 3793
+    assert kw["A_ub"].shape == (ne, 3793)
+    assert kw["A_eq"].shape == (nk * (len(inst.graph.vertices) - 1), 3793)
+    # arc-major columns: flow column j is commodity j % nk on arc j // nk
+    a_ub = kw["A_ub"].tocsc()
+    assert a_ub.nnz == len(c) - 1
+    for j in range(len(c) - 1):
+        assert a_ub.indices[a_ub.indptr[j]:a_ub.indptr[j + 1]].tolist() == [(j // nk) % ne]
+    assert a_ub.indptr[-1] == a_ub.indptr[-2]   # lambda has no capacity entry
     assert all(load <= e.capacity for load, e in zip(r.loads, inst.graph.edges))
+
+
+def test_capacity_bounds_are_the_rounded_merged_capacities(monkeypatch):
+    calls = capture_linprog(monkeypatch)
+    # coprime denominators, parallel copies in both orientations, a self-loop
+    g = TerminalGraph(vertices=["s", "m", "t"],
+                      edges=[("s", "m", F(1, 3), F(1)), ("m", "s", F(2, 7), F(1)),
+                             ("m", "t", F(5, 11), F(1)), ("t", "m", F(1, 13), F(2)),
+                             ("m", "t", F(4, 17), F(1)), ("m", "m", F(1, 19), F(1)),
+                             ("s", "t", F(3, 23), F(1))],
+                      terminals={"s": "s", "t": "t"})
+    max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
+    (_, kw), = calls
+    merged = [F(1, 3) + F(2, 7), F(3, 23), F(5, 11) + F(1, 13) + F(4, 17)]  # (s,m) (s,t) (m,t)
+    assert kw["b_ub"] == [float(cap) for cap in merged]
+
+
+def fraction_reference(g, demand, epsilon, x):
+    """`max_concurrent_flow`'s lambda, loads and routed flows from solver
+    vector x (arc-major columns), in Fraction arithmetic: the reference for
+    its int accounting."""
+    from spanflow.flow import _source_cover
+    eps = F(epsilon)
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    nv = len(g.vertices)
+    ends = np.array([(vindex[e.u], vindex[e.v]) for e in g.edges],
+                    dtype=np.int64).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    real = np.flatnonzero(lo != hi)
+    keys, slot = np.unique(lo[real] * nv + hi[real], return_inverse=True)
+    slot = slot.ravel()
+    ne = len(keys)
+    caps = [F(0)] * ne
+    for i, m in zip(real.tolist(), slot.tolist()):
+        caps[m] += g.edges[i].capacity
+    a, b = keys // nv, keys % nv
+    tails, heads = np.concatenate([a, b]), np.concatenate([b, a])
+    cover = _source_cover(demand.pairs())
+    x = np.maximum(x, 0.0)
+    flows = x[:-1].reshape(2 * ne, len(cover)).T   # flows[k, arc]
+    per_edge = np.concatenate([flows[:, :ne], flows[:, ne:]]).T.tolist()
+    fill = [sum(map(F, filter(None, row)), F(0)) / cap for row, cap in zip(per_edge, caps)]
+    scale = 1 - eps / 10
+    worst = max(fill) * scale
+    if worst > 1:
+        scale /= worst
+    loads = [F(0)] * len(g.edges)
+    for i, m in zip(real.tolist(), slot.tolist()):
+        loads[i] = fill[m] * scale * g.edges[i].capacity
+    routed = {}
+    for k, (_, sinks) in enumerate(cover):
+        for pair, w, _ in sinks:
+            wi = vindex[g.terminals[w]]
+            inflow = sum(map(F, flows[k, heads == wi].tolist()), F(0))
+            outflow = sum(map(F, flows[k, tails == wi].tolist()), F(0))
+            routed[pair] = (inflow - outflow) * scale
+    return F(x[-1]) * scale, loads, routed
+
+
+def test_int_accounting_matches_the_fraction_reference(monkeypatch, rng):
+    import spanflow.flow as flow
+    results = []
+    real = flow.linprog
+
+    def spy(c, **kwargs):
+        results.append(real(c, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(flow, "linprog", spy)
+    names = ("s", "t", "u", "w")
+    for _ in range(25):
+        base = rand_connected_graph(rng, rng.randint(4, 8), rng.randint(0, 6), names)
+        g = with_copies_and_loops(rng, base)
+        pairs = [(t, u) for i, t in enumerate(names) for u in names[i + 1:]]
+        dem = Demand({p: F(rng.randint(1, 9), rng.randint(1, 4))
+                      for p in rng.sample(pairs, rng.randint(1, len(pairs)))})
+        r = max_concurrent_flow(g, dem, EPS)
+        lam, loads, routed = fraction_reference(g, dem, EPS, results[-1].x)
+        assert (r.lam, r.loads, r.routed) == (lam, loads, routed)
+        assert all(load <= e.capacity for load, e in zip(r.loads, g.edges))
+
+
+def stub_linprog(monkeypatch, pattern, lam=0.5):
+    """Make `flow.linprog` return `pattern` repeated over the flow columns."""
+    import spanflow.flow as flow
+    vectors = []
+
+    def stub(c, **kwargs):
+        x = np.resize(np.array(pattern, dtype=float), len(c))
+        x[-1] = lam
+        vectors.append(x)
+        return SimpleNamespace(success=True, x=x, nit=0, message="")
+
+    monkeypatch.setattr(flow, "linprog", stub)
+    return vectors
+
+
+@pytest.mark.parametrize("pattern", [
+    [0.0, -0.0, 5e-324, 2.0 ** -1000, 1e300, -1e-17, -5e-324, 0.375, 3.0, -2.0 ** -60],
+    [0.0, 0.375, 3.0, -1e-17],   # overflows by less than the capacity scale
+])
+def test_overfull_solver_values_are_rescued_exactly(monkeypatch, pattern):
+    vectors = stub_linprog(monkeypatch, pattern)
+    g = two_hubs(((F(1), F(1)), (F(3, 2), F(2)), (F(1, 4), F(5))))
+    g = TerminalGraph(vertices=g.vertices,
+                      edges=list(g.edges) + [("x", "x", F(7), F(1))],
+                      terminals=dict(g.terminals))
+    dem = Demand(dict(TWO_HUB_DEMAND))
+    r = max_concurrent_flow(g, dem, EPS)
+    lam, loads, routed = fraction_reference(g, dem, EPS, vectors[-1])
+    assert (r.lam, r.loads, r.routed) == (lam, loads, routed)
+    assert all(load <= e.capacity for load, e in zip(r.loads, g.edges))
+    # the rescue scale fills the worst edge exactly, far below the eps/10 shrink
+    assert any(load == e.capacity for load, e in zip(r.loads, g.edges))
+    assert r.lam < F(1, 2) * (1 - EPS / 10)
+    assert r.loads[-1] == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_solver_output_is_a_flow_error(monkeypatch, bad):
+    stub_linprog(monkeypatch, [0.5, bad, 0.25])
+    with pytest.raises(FlowError, match="non-finite"):
+        max_concurrent_flow(two_hubs(), Demand(dict(TWO_HUB_DEMAND)), EPS)
 
 
 def test_lp_size_ignores_edge_multiplicity(monkeypatch):
