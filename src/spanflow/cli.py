@@ -148,33 +148,12 @@ def _cmd_hard6(args) -> int:
         demand = {f"{t},{u}": str(v) for (t, u), v in sorted(inst.ave.demand.entries.items())}
         payload["gamma"] = str(gamma)
         payload["demand"] = demand
-    diagnostics = None
+    dg = None
     if args.snap_grid is not None:
         dg = diagnose(inst, grid_snap(inst, args.snap_grid))
-        rep, dr, pr = dg.losses, dg.directional, dg.planar
-        diagnostics = {
-            "snap_grid": args.snap_grid,
-            "image_size": dg.image_size,
-            "total_loss": str(rep.total),
-            "aggregates": {label: {"lhs": str(l), "rhs": str(r)}
-                           for label, l, r in dr.aggregates},
-            "x_bounds_ok": dr.x_bounds_ok,
-            "step_bound_failures": len(pr.step_bound_failures),
-            "transfer_bound_failures": len(pr.transfer_bound_failures),
-            "planar_bound": {"lhs": str(pr.bound_lhs), "rhs": str(pr.bound_rhs)},
-            "line_table": {f"{jy},{kz}": str(v)
-                           for (jy, kz), v in sorted(pr.table.items())},
-            "path_losses": {p.name: str(p.loss) for p in rep.per_path},
-            "vertex_losses": {
-                vid: {"x": str(pr.l_x.get(vid, 0)), "y": str(pr.l_y.get(vid, 0)),
-                      "z1": str(pr.l_z1.get(vid, 0)), "z2": str(pr.l_z2.get(vid, 0))}
-                for vid in sorted(set(pr.l_x) | set(pr.l_y)
-                                  | set(pr.l_z1) | set(pr.l_z2))
-            },
-        }
         payload["diagnostics"] = {
             "snap_grid": args.snap_grid,
-            "total_loss": str(rep.total),
+            "total_loss": str(dg.losses.total),
             "image_size": dg.image_size,
         }
     if args.out:
@@ -196,7 +175,28 @@ def _cmd_hard6(args) -> int:
         (outdir / "graph.txt").write_text(graph_text)
         (outdir / "instance.json").write_text(
             json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-        if diagnostics is not None:
+        if dg is not None:
+            rep, dr, pr = dg.losses, dg.directional, dg.planar
+            diagnostics = {
+                "snap_grid": args.snap_grid,
+                "image_size": dg.image_size,
+                "total_loss": str(rep.total),
+                "aggregates": {label: {"lhs": str(l), "rhs": str(r)}
+                               for label, l, r in dr.aggregates},
+                "x_bounds_ok": dr.x_bounds_ok,
+                "step_bound_failures": len(pr.step_bound_failures),
+                "transfer_bound_failures": len(pr.transfer_bound_failures),
+                "planar_bound": {"lhs": str(pr.bound_lhs), "rhs": str(pr.bound_rhs)},
+                "line_table": {f"{jy},{kz}": str(v)
+                               for (jy, kz), v in sorted(pr.table.items())},
+                "path_losses": {p.name: str(p.loss) for p in rep.per_path},
+                "vertex_losses": {
+                    vid: {"x": str(pr.l_x.get(vid, 0)), "y": str(pr.l_y.get(vid, 0)),
+                          "z1": str(pr.l_z1.get(vid, 0)), "z2": str(pr.l_z2.get(vid, 0))}
+                    for vid in sorted(set(pr.l_x) | set(pr.l_y)
+                                      | set(pr.l_z1) | set(pr.l_z2))
+                },
+            }
             (outdir / "diagnostics.json").write_text(
                 json.dumps(diagnostics, sort_keys=True, indent=2) + "\n")
         payload["out"] = str(outdir)

@@ -15,9 +15,10 @@ drives both cuts through the fold, each cell's grid anchors come from
 `tightspan.cell_point`); trees (one threshold per segment).  A complex that
 none fits is rejected with a `MetricError` that gives each model's reason.
 
-A `Decomposer` puts the embedded points and its model's vertices, draws,
-cuts and representatives on one int scale (`_build_model`); Fractions appear
-only in what it hands out: template parameters, representatives and costs.
+A `Decomposer` takes the embedding's int points on their own scale and puts
+them and its model's vertices, draws, cuts and representatives on one
+multiple of it (`_build_model`); Fractions appear only in what it hands out:
+template parameters, representatives and costs.
 A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
 ("draw > s", or "draw >= s" across a fold) is the integer test U > t for a t
 fixed at build time.  Each vertex's representative is compiled once into a
@@ -37,14 +38,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import add, mul
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
 from .graphs import (Distances, Edge, EmbeddedGraph, GraphError, TerminalGraph, Vertex,
                      edge_distance_ints)
 from .tightspan import (CellComplex, FractionTable, PointLattice, UnsupportedSizeError,
                         cell_point, enumerate_complex, int_in_span, lattice_ints,
-                        max_cell_dimension, to_lattice)
+                        max_cell_dimension, on_scale, weighted_sum)
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 
@@ -266,7 +267,7 @@ class _ModelBase:
         _, base, by_pair = complex_.constraints
         f = scale // base
         ts = self.metric.terminals
-        self.V = [tuple(x * f for x in v) for v in complex_.int_vertices]
+        self.V = [tuple(x * f for x in v) for v in complex_.ivertices]
         self.vid = {v: i for i, v in enumerate(self.V)}
         self.rows = {t: tuple(by_pair[t, u][2] * f for u in ts) for t in ts}
         self.row_keys = {r: t for t, r in self.rows.items()}
@@ -591,7 +592,7 @@ def _find_chart(cx: CellComplex, two) -> tuple[str, str] | None:
     max(|d x_{t1}|, |d x_{t2}|).  Runs on the complex's constraint scale.
     """
     ts, scale = cx.metric.terminals, cx.constraints[1]
-    firsts = [(c, cx.int_vertices[c.vertex_ids[0]]) for c in two]
+    firsts = [(c, cx.ivertices[c.vertex_ids[0]]) for c in two]
     for i1, i2 in combinations(range(len(ts)), 2):
         if all(cell_point(cx, c, {i1: v[i1], i2: v[i2]}, scale) is not None
                for c, v in firsts):
@@ -662,14 +663,15 @@ def _attach_point(model: _PlanarModel, t: str) -> int | None:
 
 class Decomposer:
     """Reusable sampler for one embedded graph (localization is precomputed);
-    `ipoints` maps each vertex to its point as ints on the model's scale."""
+    `ipoints` maps each vertex to its point as ints on the model's scale.
+    The embedding's scale must carry its metric (else `MetricError`)."""
 
     def __init__(self, embedded: EmbeddedGraph):
-        g, m = embedded.graph, embedded.metric
+        g, m, S = embedded.graph, embedded.metric, embedded.scale
         if len(m.terminals) > 5:
             raise UnsupportedSizeError("decomposition supports at most 5 terminals")
-        d, ipts, S = to_lattice(m, embedded.points.values())
-        at = dict(zip(embedded.points, ipts))
+        d = [tuple(on_scale(x, S) for x in row) for row in m.matrix()]
+        at = embedded.ipoints
         for t, row in zip(m.terminals, d):
             if at[g.terminals[t]] != row:
                 raise MetricError(f"terminal {t} is not embedded at its own row")
@@ -709,10 +711,6 @@ class Decomposer:
     def rep_of(self, rid: int) -> tuple:
         return self.lattice.points[rid]
 
-    def rep_distance(self, i: int, j: int) -> Fraction:
-        """Span distance between the representatives with ids i and j."""
-        return self.lattice.frac[self.lattice.dist(i, j)]
-
     def solution(self, seed: int) -> Solution:
         m = self.embedded.metric
         assign = self.assignment_ids(seed)
@@ -750,9 +748,8 @@ def opt_volume(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None
     `known` holds distance maps already computed on g, such as
     `EmbeddedGraph.distances`; see `graphs.edge_distance_ints`.
     """
-    (caps,), scale = lattice_ints([[e.capacity for e in g.edges]])
-    vol = sum(c * n for c, n in zip(caps, edge_distance_ints(g, known)))
-    return Fraction(vol, scale * g.length_table().scale)
+    return weighted_sum([e.capacity for e in g.edges], edge_distance_ints(g, known),
+                        g.length_table().scale)
 
 
 def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
@@ -761,10 +758,10 @@ def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
     missing = [v for v in g.vertices if v not in sol.by_vertex]
     if missing:
         raise GraphError(f"solution does not cover vertices {missing[:3]}")
-    (caps,), scale = lattice_ints([[e.capacity for e in g.edges]])
     lat, by = sol.lattice, sol.by_vertex
-    vol = sum(c * lat.dist(by[e.u], by[e.v]) for c, e in zip(caps, g.edges))
-    return CostReport.of(Fraction(vol, scale * lat.S), opt_volume(g, embedded.distances))
+    vol = weighted_sum([e.capacity for e in g.edges],
+                       [lat.dist(by[e.u], by[e.v]) for e in g.edges], lat.S)
+    return CostReport.of(vol, opt_volume(g, embedded.distances))
 
 
 def sample_seed(master_seed: int, i: int) -> int:
@@ -851,16 +848,6 @@ def moment_stats(s1: int, s2: int, n: int, scale: int) -> tuple[Fraction, float]
     if n < 2:
         return mean, 0.0
     return mean, _sqrt_float(Fraction(n * s2 - s1 * s1, n * n * (n - 1) * scale * scale))
-
-
-def mean_stderr(values: Iterable[tuple[Fraction, int]]) -> tuple[Fraction, float]:
-    """`moment_stats` of a sample given as (value, count) pairs, the values put
-    on the lcm of their denominators."""
-    values = list(values)
-    (xs,), scale = lattice_ints([[x for x, _ in values]])
-    cs = [c for _, c in values]
-    cx = list(map(mul, cs, xs))
-    return moment_stats(sum(cx), sum(map(mul, cx, xs)), sum(cs), scale)
 
 
 @dataclass

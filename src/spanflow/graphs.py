@@ -3,13 +3,14 @@
 Shortest paths run on ints: a graph's lengths share one scale, the lcm of
 their denominators, and Dijkstra adds and compares the scaled ints.  The
 embedding stays on that lattice (`project_graph` projects the scaled
-distance vectors with `tightspan.int_project`), and distances become
-Fractions only where they leave the module.
+distance vectors with `tightspan.int_project` and keeps the int points), and
+distances and points become Fractions only where they leave the module.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Mapping, NamedTuple
 
@@ -218,13 +219,21 @@ def distance_vectors(g: TerminalGraph) -> dict[Vertex, Vec]:
 class EmbeddedGraph:
     """A graph with every vertex mapped to a point of the terminal tight span.
 
+    `ipoints[v]` is v's point as ints in terminal order on `scale`, and
+    `points[v]` the same point as a Fraction vector, built on first read.
     `distances` maps each terminal vertex to its `shortest_distances` map,
     which `edge_distance_ints` can reuse.
     """
     graph: TerminalGraph
     metric: TerminalMetric
-    points: dict[Vertex, Vec]
+    ipoints: dict[Vertex, tuple[int, ...]]
+    scale: int
     distances: dict[Vertex, Distances] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def points(self) -> dict[Vertex, Vec]:
+        frac, ts = FractionTable(self.scale), self.metric.terminals
+        return {v: dict(zip(ts, map(frac.__getitem__, p))) for v, p in self.ipoints.items()}
 
 
 def project_graph(g: TerminalGraph) -> EmbeddedGraph:
@@ -235,17 +244,13 @@ def project_graph(g: TerminalGraph) -> EmbeddedGraph:
     shortest-path length (projection is non-expanding).  One Dijkstra per
     terminal serves the metric, the distance vectors and, through
     `distances`, the identity cost.  The projection runs on twice the graph's
-    length scale, where `int_project` halves exactly.
+    length scale, where `int_project` halves exactly, and stays there.
     """
     dists = _terminal_distances(g)
     m = _metric_from(g, dists)
-    frac = FractionTable(2 * g.length_table().scale)
-    d = [[2 * n for n in _vector_ints(dists, g.terminals[t])] for t in dists]
-    points = {}
-    for v in g.vertices:
-        p = int_project(d, [2 * n for n in _vector_ints(dists, v)])
-        points[v] = dict(zip(m.terminals, map(frac.__getitem__, p)))
-    for t in g.terminals:
-        points[g.terminals[t]] = m.row(t)
-    return EmbeddedGraph(graph=g, metric=m, points=points,
+    d = [tuple(2 * n for n in _vector_ints(dists, g.terminals[t])) for t in dists]
+    points = {v: tuple(int_project(d, [2 * n for n in _vector_ints(dists, v)]))
+              for v in g.vertices}
+    points.update(zip(g.terminals.values(), d))
+    return EmbeddedGraph(graph=g, metric=m, ipoints=points, scale=2 * g.length_table().scale,
                          distances={g.terminals[t]: dist for t, dist in dists.items()})

@@ -9,10 +9,10 @@ the identity embedding has zero loss; the diagnostics measure how much any
 bounded-image embedding must lose.
 
 Generation and diagnostics compute on integer lattice points (grid vertices
-scaled by L, a candidate's image points by the lcm of their denominators);
-lengths, losses and bounds become exact Fractions only where they are stored.
-Each diagnostic checks the candidate's cover and puts its image on a
-`PointLattice` once; `diagnose` runs all three on one such lattice.
+scaled by L, a candidate's image points on one `tightspan.to_lattice` with the
+metric); lengths, losses and bounds become exact Fractions only where they
+are stored.  Each diagnostic checks the candidate's cover on those ints and
+makes its `PointLattice` of them; `diagnose` runs all three on one lattice.
 """
 from __future__ import annotations
 
@@ -22,11 +22,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .metric import (MetricError, TerminalMetric, Vec, as_fraction, collinear_triples,
-                     pair_key)
+from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
+                     collinear_triples, pair_key)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
-from .tightspan import FractionTable, PointLattice, in_tight_span, lattice_ints
+from .tightspan import (FractionTable, PointLattice, int_in_span, on_scale, to_lattice,
+                        weighted_sum)
 
 TERMS = ("a", "b", "c", "d", "e", "f")
 
@@ -138,12 +139,8 @@ class HardInstance:
     ave: AveData | None = None
 
     def opt(self) -> Fraction:
-        total = sum((p.capacity * self.metric.d(p.source, p.sink)
-                     for p in self.paths), Fraction(0))
-        if self.ave is not None:
-            total += sum((p.capacity * self.metric.d(p.source, p.sink)
-                          for p in self.ave.triple_paths), Fraction(0))
-        return total
+        return sum((p.capacity * self.metric.d(p.source, p.sink)
+                    for p in self.all_paths()), Fraction(0))
 
     def all_paths(self) -> list[PathRecord]:
         if self.ave is None:
@@ -380,12 +377,12 @@ class LossReport:
 
 
 def _check_cover(inst: HardInstance, sol: CandidateSolution
-                 ) -> tuple[dict[str, int], list[tuple]]:
+                 ) -> tuple[dict[str, int], list[list[int]], int]:
     """Check that sol covers inst, fixes the terminals and maps into the span.
 
-    Returns the image-point id of every vertex of sol and the distinct image
-    points as coordinate tuples in TERMS order; span membership is tested
-    once per point.
+    Returns the image-point id of every vertex of sol, the distinct image
+    points as ints in TERMS order on one lattice with the metric, and its
+    scale; span membership is tested once per point, on those ints.
     """
     missing = [v for v in inst.vecs if v not in sol.f]
     if missing:
@@ -395,23 +392,20 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
             raise MetricError(f"terminal {t} must map to itself")
     ids: dict[tuple, int] = {}
     image: dict[str, int] = {}
+    owners, points = [], []   # per image point: its first vertex, its checked vector
     for vid, vec in sol.f.items():
         key = tuple(vec[t] for t in TERMS)
         pid = ids.get(key)
         if pid is None:
-            if not in_tight_span(inst.metric, vec):
-                raise MetricError(f"image of vertex {vid} is outside the span")
             pid = ids[key] = len(ids)
+            owners.append(vid)
+            points.append(check_vector(inst.metric, vec))
         image[vid] = pid
-    return image, list(ids)
-
-
-def _scaled(x: Fraction, scale: int) -> int:
-    """x * scale for a scale that x's denominator divides."""
-    q, r = divmod(scale, x.denominator)
-    if r:
-        raise ArithmeticError(f"{x} is not on the 1/{scale} lattice")
-    return x.numerator * q
+    d, ipts, S = to_lattice(inst.metric, points)
+    for vid, x in zip(owners, ipts):
+        if not int_in_span(d, x):
+            raise MetricError(f"image of vertex {vid} is outside the span")
+    return image, ipts, S
 
 
 class _Lattice(PointLattice):
@@ -423,8 +417,8 @@ class _Lattice(PointLattice):
 
     def __init__(self, inst: HardInstance, sol: CandidateSolution):
         self.inst = inst
-        self.image, points = _check_cover(inst, sol)
-        super().__init__(*lattice_ints(points))
+        self.image, ipts, S = _check_cover(inst, sol)
+        super().__init__(ipts, S)
 
     @cached_property
     def excess(self) -> list[int]:
@@ -439,9 +433,14 @@ class _Lattice(PointLattice):
                 length += dist(image[u], image[v])
             pair = (p.source, p.sink)
             if pair not in term_dist:
-                term_dist[pair] = _scaled(self.inst.metric.d(*pair), self.S)
+                term_dist[pair] = on_scale(self.inst.metric.d(*pair), self.S)
             out.append(length - term_dist[pair])
         return out
+
+    @cached_property
+    def total(self) -> Fraction:
+        """vol - opt: the capacity-weighted sum of the path excesses."""
+        return weighted_sum([p.capacity for p in self.inst.all_paths()], self.excess, self.S)
 
     def assoc(self, planar: bool = False) -> dict[int, AssocVec]:
         """to_assoc of each instance vertex's image point, once per point.
@@ -457,27 +456,17 @@ class _Lattice(PointLattice):
         return out
 
 
-def _weighted(items, frac: FractionTable) -> Fraction:
-    """Sum of capacity * frac[n] over (capacity, n) pairs, one product per capacity."""
-    by_cap: dict[Fraction, int] = {}
-    for cap, n in items:
-        by_cap[cap] = by_cap.get(cap, 0) + n
-    return sum((cap * frac[n] for cap, n in by_cap.items()), Fraction(0))
-
-
 def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
     """Capacity-weighted per-path losses; total equals vol - opt exactly."""
     return _losses(_Lattice(inst, sol))
 
 
 def _losses(lat: _Lattice) -> LossReport:
-    paths = lat.inst.all_paths()
     out = []
-    for p, n in zip(paths, lat.excess):
+    for p, n in zip(lat.inst.all_paths(), lat.excess):
         out.append(PathLoss(name=p.name, group=p.group, capacity=p.capacity,
                             excess=lat.frac[n], loss=p.capacity * lat.frac[n]))
-    total = _weighted(zip((p.capacity for p in paths), lat.excess), lat.frac)
-    return LossReport(per_path=out, total=total)
+    return LossReport(per_path=out, total=lat.total)
 
 
 #: direction -> ((table, anchor) pairs entering that direction's aggregate bound)
@@ -523,7 +512,7 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
 def _directional(lat: _Lattice) -> DirectionalReport:
     inst = lat.inst
     S, frac, image, dist = lat.S, lat.frac, lat.image, lat.dist
-    X = {pid: _scaled(a.x, 2 * S) for pid, a in lat.assoc().items()}
+    X = {pid: on_scale(a.x, 2 * S) for pid, a in lat.assoc().items()}
     # per image point: S-scaled distances to the anchor terminals a..e
     anchors = {t: lat.ipts[image[inst.graph.terminals[t]]] for t in "abcde"}
     near = [{t: lat.sup_dist(q, r) for t, r in anchors.items()} for q in lat.ipts]
@@ -595,7 +584,7 @@ def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
 def _planar(lat: _Lattice) -> PlanarReport:
     inst = lat.inst
     L, T = inst.L, 2 * lat.S
-    proj = {pid: (_scaled(a.x, T), _scaled(a.y, T))
+    proj = {pid: (on_scale(a.x, T), on_scale(a.y, T))
             for pid, a in lat.assoc(planar=True).items()}
     xy = {vid: proj[lat.image[vid]] for vid in inst.vecs}
 
@@ -649,7 +638,6 @@ def _planar(lat: _Lattice) -> PlanarReport:
             table[(jy, kz)] = frac[tot + 3 * edge0 + 3 * edge1]
             ends += 2 * (edge0 + edge1)
 
-    lhs = _weighted(zip((p.capacity for p in inst.all_paths()), lat.excess), lat.frac)
     planar_sum = (sum(l_x.values()) + sum(l_y.values())
                   + sum(l_z1.values()) + sum(l_z2.values()))
     rhs = Fraction(2 * planar_sum + 3 * ends, 3 * T)
@@ -660,7 +648,7 @@ def _planar(lat: _Lattice) -> PlanarReport:
     return PlanarReport(l_x=fracs(l_x), l_y=fracs(l_y), l_z1=fracs(l_z1),
                         l_z2=fracs(l_z2), table=table,
                         step_bound_failures=cx_fail, transfer_bound_failures=tr_fail,
-                        bound_lhs=lhs, bound_rhs=rhs)
+                        bound_lhs=lat.total, bound_rhs=rhs)
 
 
 @dataclass
@@ -803,7 +791,7 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     mid = {pid: index_of[key] for pid, key in enumerate(lat.points) if key in index_of}
     col = {t: n for n, t in enumerate(TERMS)}
     tt_before = tt_after = Fraction(0)   # terminal-terminal edges
-    lens_before, lens_after = [], []     # (capacity, scaled length) of the rest
+    caps, before, after = [], [], []     # the rest: capacity, scaled lengths
     for u, v, cap, _ in inst.graph.edges:
         tu, tv = terminal_of.get(u), terminal_of.get(v)
         if tu is not None and tv is not None:
@@ -812,15 +800,16 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
             tt_after += cap * get_final(tu, tv)
             continue
         pu, pv = lat.image[u], lat.image[v]
-        lens_before.append((cap, lat.dist(pu, pv)))
+        caps.append(cap)
+        before.append(lat.dist(pu, pv))
         if tu is not None:
-            lens_after.append((cap, moved.ipts[mid[pv]][col[tu]]))
+            after.append(moved.ipts[mid[pv]][col[tu]])
         elif tv is not None:
-            lens_after.append((cap, moved.ipts[mid[pu]][col[tv]]))
+            after.append(moved.ipts[mid[pu]][col[tv]])
         else:
-            lens_after.append((cap, moved.dist(mid[pu], mid[pv])))
-    cost_before = tt_before + _weighted(lens_before, lat.frac)
-    cost_after = tt_after + _weighted(lens_after, moved.frac)
+            after.append(moved.dist(mid[pu], mid[pv]))
+    cost_before = tt_before + weighted_sum(caps, before, lat.S)
+    cost_after = tt_after + weighted_sum(caps, after, moved.S)
 
     return AdjustedSolution(
         deltas=final_table, cluster_vectors=remapped, scale=scale,

@@ -15,9 +15,9 @@ scale.  :class:`PointLattice` holds a fixed set of span points as ints on one
 common scale, for code that measures many distances between the same points.
 
 Membership and projection run on ints too: :func:`to_lattice` puts a metric
-and points on the lcm of their denominators, and :func:`int_in_span` and
-:func:`int_project` work there; :func:`in_tight_span` and :func:`project` are
-their Fraction forms.
+and points on the lcm of their denominators (:func:`on_scale` one value on a
+given scale), and :func:`int_in_span` and :func:`int_project` work there;
+:func:`in_tight_span` and :func:`project` are their Fraction forms.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +52,21 @@ def dyadic_ints(x: np.ndarray) -> tuple[list[int], int]:
     low = int(e.min(initial=0))   # <= 0, so S = 2**-low is an int
     return [v << s for v, s in zip((m * 2.0 ** 53).astype(np.int64).tolist(),
                                    (e - low).tolist())], 1 << -low
+
+
+def on_scale(x: Fraction, scale: int) -> int:
+    """x * scale, for a scale that x's denominator divides (else `MetricError`)."""
+    q, r = divmod(scale, x.denominator)
+    if r:
+        raise MetricError(f"{x} is not on the 1/{scale} lattice")
+    return x.numerator * q
+
+
+def weighted_sum(caps: Sequence[Fraction], ints: Iterable[int], scale: int) -> Fraction:
+    """sum(caps[i] * ints[i]) / scale, exactly: the capacities on their common
+    denominator (`lattice_ints`), one int dot product, one Fraction."""
+    (cs,), cscale = lattice_ints([caps])
+    return Fraction(sum(map(mul, cs, ints)), cscale * scale)
 
 
 def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]
@@ -231,9 +246,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellComplex:
+    """Cells, and vertices as ints on the constraint scale `constraints[1]`
+    (`ivertices`) and as Fraction vectors built on first read (`vertices`)."""
     metric: TerminalMetric
-    vertices: tuple[Vec, ...]
+    ivertices: tuple[tuple[int, ...], ...]
     cells: tuple[Cell, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        frac = FractionTable(self.constraints[1])
+        ts = self.metric.terminals
+        return tuple(dict(zip(ts, map(frac.__getitem__, v))) for v in self.ivertices)
 
     @cached_property
     def constraints(self) -> tuple[list[tuple[int, int, int]], int,
@@ -249,16 +272,6 @@ class CellComplex:
         for c in cons:
             by_pair[ts[c[0]], ts[c[1]]] = by_pair[ts[c[1]], ts[c[0]]] = c
         return cons, scale, by_pair
-
-    @cached_property
-    def int_vertices(self) -> list[tuple[int, ...]]:
-        """The vertices as ints on the constraint scale `constraints[1]`, where
-        `enumerate_complex` finds them (ArithmeticError if one is off it)."""
-        _, points, S = to_lattice(self.metric, self.vertices)
-        f, rem = divmod(self.constraints[1], S)
-        if rem:
-            raise ArithmeticError(f"vertices off the 1/{self.constraints[1]} lattice")
-        return [tuple(x * f for x in p) for p in points]
 
     def vertex_id(self, point: Mapping[str, object]) -> int | None:
         p = check_vector(self.metric, point)
@@ -438,7 +451,7 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
     k = len(m.terminals)
     if k > 6:
         raise UnsupportedSizeError("cell enumeration supports at most 6 terminals")
-    cons, scale = _scaled_constraints(m)
+    cons, _ = _scaled_constraints(m)
     masks = [(1 << i) | (1 << j) for i, j, _ in cons]
     full = (1 << k) - 1
     verts = _walk_vertices(cons, k)
@@ -490,10 +503,7 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
                   vertex_ids=mem, adjacent=adj)
              for a, mem, adj in zip(ordered, members, adjacency)]
 
-    vertices = tuple(
-        {t: Fraction(sol[i], scale) for i, t in enumerate(m.terminals)}
-        for sol in vlist)
-    return CellComplex(metric=m, vertices=vertices, cells=tuple(cells))
+    return CellComplex(metric=m, ivertices=tuple(vlist), cells=tuple(cells))
 
 
 def cell_point(complex_: CellComplex, cell: Cell, pins: Mapping[int, int],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,13 +11,13 @@ import pytest
 
 from spanflow import decompose
 from spanflow.decompose import (Decomposer, _build_model, _Cut, _PlanarModel, _TreeModel,
-                                classify, contract, cost, expected_cost, mean_stderr,
+                                classify, contract, cost, expected_cost, moment_stats,
                                 sample_decomposition, sample_seed, sample_volumes,
                                 type1_metric, type2_metric, type3_metric)
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
 from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric, validate_metric
-from spanflow.tightspan import enumerate_complex, ts_distance
+from spanflow.tightspan import enumerate_complex, lattice_ints, ts_distance
 
 from conftest import graph_from_metric, rand_connected_graph, rand_metric
 from test_cli import _sparsify_fixtures
@@ -594,19 +595,30 @@ def test_decomposer_rejects_points_off_the_span_or_off_the_rows(rng):
     m = rand_type2(rng)[-1]
     g = graph_from_metric(m, 5, rng)
     Decomposer(project_graph(g))
-    emb = project_graph(g)
-    p = emb.points["v3"]
-    emb.points["v3"] = {**p, "c": p["c"] + F(1, 7)}  # valid, but c leaves its tight pairs
-    with pytest.raises(MetricError, match="vertex v3 is outside the span"):
-        Decomposer(emb)
-    emb = project_graph(g)
-    emb.points["v3"] = {**p, "c": p["c"] - F(1, 7)}  # breaks a pair inequality
-    with pytest.raises(MetricError, match="vertex v3 is outside the span"):
-        Decomposer(emb)
-    emb = project_graph(g)
-    emb.points["b"] = {**emb.points["b"], "a": emb.points["b"]["a"] + 1}
+
+    def moved(v, t, steps):
+        """g's embedding with coordinate t of v's point moved by `steps` lattice steps."""
+        emb = project_graph(g)
+        p = list(emb.ipoints[v])
+        p[m.index(t)] += steps
+        emb.ipoints[v] = tuple(p)
+        return emb
+
+    # one step up is valid, but c leaves its tight pairs; one step down breaks one
+    for steps in (1, -1):
+        with pytest.raises(MetricError, match="vertex v3 is outside the span"):
+            Decomposer(moved("v3", "c", steps))
     with pytest.raises(MetricError, match="terminal b is not embedded at its own row"):
-        Decomposer(emb)
+        Decomposer(moved("b", "a", 1))
+
+
+def test_decomposer_rejects_a_scale_that_cannot_carry_the_metric(rng):
+    pend = {"a": 1, "b": F(3, 2), "c": 2, "d": F(1, 2), "e": 1}
+    m = type2_metric(7, 6, 2, 1, F(3, 2), pend)   # half-integral distances
+    emb = project_graph(graph_from_metric(m, 5, rng))
+    Decomposer(emb)
+    with pytest.raises(MetricError, match="not on the 1/1 lattice"):
+        Decomposer(dataclasses.replace(emb, scale=1))
 
 
 def test_expected_cost_nonexpansion_small(rng):
@@ -842,17 +854,24 @@ def test_per_edge_moments_exact_at_extreme_scales():
     assert constant and varying
 
 
-def test_mean_stderr_exact():
-    assert mean_stderr([(F(5), 1)]) == (F(5), 0.0)
-    assert mean_stderr([(F(1), 3), (F(1), 2)]) == (F(1), 0.0)
+def test_moment_stats_exact():
+    def stats(counted):
+        """`moment_stats` of (value, count) pairs, the values as ints on their lcm."""
+        (xs,), scale = lattice_ints([[x for x, _ in counted]])
+        cs = [c for _, c in counted]
+        return moment_stats(sum(c * x for c, x in zip(cs, xs)),
+                            sum(c * x * x for c, x in zip(cs, xs)), sum(cs), scale)
+
+    assert stats([(F(5), 1)]) == (F(5), 0.0)
+    assert stats([(F(1), 3), (F(1), 2)]) == (F(1), 0.0)
     values = [F(1, 3), F(2), F(2), F(7, 5)]
-    mean, stderr = mean_stderr([(F(1, 3), 1), (F(2), 2), (F(7, 5), 1)])
+    mean, stderr = stats([(F(1, 3), 1), (F(2), 2), (F(7, 5), 1)])
     emean, var = _mean_and_squared_stderr(values)
     assert mean == emean
     assert _correctly_rounded_sqrt(var, stderr)
     # perfect squares come out exact, tiny and huge scales keep full precision
-    assert mean_stderr([(F(0), 1), (F(2), 1)]) == (F(1), 1.0)
+    assert stats([(F(0), 1), (F(2), 1)]) == (F(1), 1.0)
     for scale in (F(1, 10 ** 40), F(10 ** 40)):
-        _, stderr = mean_stderr([(scale, 1), (2 * scale, 2)])
+        _, stderr = stats([(scale, 1), (2 * scale, 2)])
         _, var = _mean_and_squared_stderr([scale, 2 * scale, 2 * scale])
         assert _correctly_rounded_sqrt(var, stderr)

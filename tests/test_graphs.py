@@ -10,7 +10,7 @@ from spanflow.cli import main
 from spanflow.graphs import (Edge, GraphError, TerminalGraph, distance_vectors, edge_distances,
                              project_graph, shortest_distances, terminal_metric)
 from spanflow.metric import is_valid_vector
-from spanflow.tightspan import in_tight_span, ts_distance
+from spanflow.tightspan import in_tight_span, project, ts_distance
 
 from conftest import rand_connected_graph, rand_metric, graph_from_metric
 
@@ -192,6 +192,25 @@ def test_edge_distances_match_all_pairs():
         assert any(u == v for u, v, _, _ in g.edges)
         assert any(u not in g.terminals and v not in g.terminals and u != v
                    for u, v, _, _ in g.edges)
+
+
+def test_project_graph_matches_the_fraction_projection():
+    # the int embedding against `project` of each distance vector, and its
+    # int points against the Fraction ones on twice the length scale
+    rng = random.Random(2718)
+    graphs = [_rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9)) for _ in range(10)]
+    graphs += [graph_from_metric(rand_metric(rng, k, den=den), 6, rng, den=den)
+               for k in (2, 3, 5) for den in (1000, 6)]
+    for g in graphs:
+        emb = project_graph(g)
+        m, vecs = emb.metric, distance_vectors(g)
+        assert emb.scale == 2 * lcm(*(e.length.denominator for e in g.edges))
+        rows = {v: m.row(t) for t, v in g.terminals.items()}
+        for v in g.vertices:
+            assert emb.points[v] == (rows[v] if v in rows else project(m, vecs[v]))
+            assert all(type(n) is int for n in emb.ipoints[v])
+            assert [F(n, emb.scale) for n in emb.ipoints[v]] == [
+                emb.points[v][t] for t in m.terminals]
 
 
 def _dijkstra_reference(adj, source):

@@ -399,7 +399,7 @@ def brute_force_complex(m):
     """The reference enumeration: a tight system for every k-subset of the
     constraints that touches every coordinate, then the same face closure."""
     k = len(m.terminals)
-    cons, scale = _scaled_constraints(m)
+    cons, _ = _scaled_constraints(m)
     masks = [(1 << i) | (1 << j) for i, j, _ in cons]
     full = (1 << k) - 1
     verts = set()
@@ -443,9 +443,7 @@ def brute_force_complex(m):
              adjacent=tuple(j for j, other in enumerate(members)
                             if j != n and set(mem).intersection(other)))
         for n, (a, mem) in enumerate(zip(ordered, members)))
-    vertices = tuple({t: F(v[i], scale) for i, t in enumerate(m.terminals)}
-                     for v in vlist)
-    return CellComplex(metric=m, vertices=vertices, cells=cells)
+    return CellComplex(metric=m, ivertices=tuple(vlist), cells=cells)
 
 
 def _reference_corpus():
