@@ -696,7 +696,7 @@ class Decomposer:
         return {v: reps[i] for v, i in self.assignment_ids(seed).items()}
 
     def assignment_ids(self, seed: int) -> dict[Hashable, int]:
-        """Each vertex's interned representative id (see `rep_of`) for one sample."""
+        """Each vertex's interned representative id (its `lattice` point) for one sample."""
         rng = random.Random(seed)
         us = [rng.getrandbits(_DRAW_BITS) for _ in self.model.draw_spec]
         out = dict(self._static_ids)
@@ -707,9 +707,6 @@ class Decomposer:
                 raise MetricError("no anchor for a banded region (degenerate shape)")
             out[v] = node
         return out
-
-    def rep_of(self, rid: int) -> tuple:
-        return self.lattice.points[rid]
 
     def solution(self, seed: int) -> Solution:
         m = self.embedded.metric
@@ -735,11 +732,6 @@ class Decomposer:
             for v in groups[rid]:
                 by_vertex[v] = idx
         return Solution(metric=m, clusters=clusters, by_vertex=by_vertex)
-
-
-def sample_decomposition(embedded: EmbeddedGraph, seed: int) -> Solution:
-    """One random bounded-size partition of the embedded graph."""
-    return Decomposer(embedded).solution(seed)
 
 
 def opt_volume(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None) -> Fraction:

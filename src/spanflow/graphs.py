@@ -88,13 +88,16 @@ class TerminalGraph:
     def length_table(self) -> _LengthTable:
         """The int adjacency on the graph's length scale, built on first use."""
         if self._lengths is None:
-            # one int per distinct length, shared by both directions of an edge
-            lengths = list({e.length for e in self.edges})
-            (scaled,), scale = lattice_ints([lengths])
-            ints = dict(zip(lengths, scaled))
-            self._lengths = _LengthTable({u: (tuple([w for w, _ in nbrs]),
-                                              tuple([ints[length] for _, length in nbrs]))
-                                          for u, nbrs in self.adjacency().items()}, scale)
+            (ints,), scale = lattice_ints([[e.length for e in self.edges]])
+            nbrs: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
+            lens: dict[Vertex, list[int]] = {v: [] for v in self.vertices}
+            for (u, v, _, _), n in zip(self.edges, ints):
+                nbrs[u].append(v)
+                lens[u].append(n)
+                nbrs[v].append(u)
+                lens[v].append(n)
+            self._lengths = _LengthTable({u: (tuple(nbrs[u]), tuple(lens[u])) for u in nbrs},
+                                         scale)
         return self._lengths
 
 
@@ -138,11 +141,15 @@ def shortest_distances(g: TerminalGraph, source: Vertex) -> Distances:
 
 def edge_distance_ints(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None
                        ) -> list[int]:
-    """`edge_distances` as ints on g's length scale.
+    """Shortest-path distance between the endpoints of every edge, in edge
+    order, as ints on g's length scale.
 
-    `known` maps source vertices to the `shortest_distances(g, source)` maps
-    a caller already holds; an edge with an endpoint among them reads that
-    map and runs no Dijkstra.
+    An edge reads the distance map of an endpoint that already has one;
+    otherwise it is charged to its endpoint of higher degree (ties go to the
+    earlier vertex), and one exact Dijkstra runs from that endpoint: on a
+    star-shaped graph those are its terminals.  `known` maps source vertices
+    to the `shortest_distances(g, source)` maps a caller already holds; an
+    edge with an endpoint among them reads that map and runs no Dijkstra.
     """
     degree = {v: 0 for v in g.vertices}
     for u, v, _, _ in g.edges:
@@ -160,18 +167,6 @@ def edge_distance_ints(g: TerminalGraph, known: Mapping[Vertex, Distances] | Non
                 dists[src] = shortest_distances(g, src)
         out.append(dists[src].ints[dst])
     return out
-
-
-def edge_distances(g: TerminalGraph) -> list[Fraction]:
-    """Shortest-path distance between the endpoints of every edge, in edge order.
-
-    An edge reads the distance map of an endpoint that already has one;
-    otherwise it is charged to its endpoint of higher degree (ties go to the
-    earlier vertex), and one exact Dijkstra runs from that endpoint: on a
-    star-shaped graph those are its terminals.
-    """
-    frac = FractionTable(g.length_table().scale)
-    return [frac[n] for n in edge_distance_ints(g)]
 
 
 def _terminal_distances(g: TerminalGraph) -> dict[str, Distances]:

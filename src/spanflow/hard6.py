@@ -85,18 +85,6 @@ def to_assoc(p: Mapping[str, object]) -> AssocVec:
     return a
 
 
-def assoc_distance_lower(a: AssocVec, b: AssocVec) -> Fraction:
-    """Lower bound |dx| + |dz| on the span distance (tight along axes 1-4)."""
-    return abs(a.x - b.x) + abs(a.z - b.z)
-
-
-def rect_distance(a: AssocVec, b: AssocVec) -> Fraction:
-    """Exact span distance for two planar (z = 0) points."""
-    if a.z != 0 or b.z != 0:
-        raise MetricError("rect_distance requires z = 0 on both points")
-    return (abs((2 * a.x + a.y) - (2 * b.x + b.y)) + abs(a.y - b.y)) / 2
-
-
 def rect_project(p: Mapping[str, object]) -> Vec:
     """Project a span point onto the planar part: (x, y, z) -> (x, y + z, 0).
 
@@ -133,7 +121,6 @@ class HardInstance:
     graph: TerminalGraph
     metric: TerminalMetric
     paths: list[PathRecord]
-    assoc: dict[str, AssocVec]   # per grid vertex id
     vecs: dict[str, Vec]         # per vertex id (terminals included)
     index: dict[str, tuple[int, int, int]]   # per grid vertex id: (i, j, k)
     ave: AveData | None = None
@@ -146,15 +133,6 @@ class HardInstance:
         if self.ave is None:
             return self.paths
         return self.paths + self.ave.triple_paths
-
-    def neighbor(self, vid: str, direction: int) -> str | None:
-        """Grid vertex one step along a critical direction, if it exists."""
-        if direction not in STEPS:
-            raise ValueError("direction must be 1..4")
-        ijk = self.index.get(vid)
-        if ijk is None:
-            return None
-        return _grid_step(self.L, ijk, STEPS[direction])
 
 
 def _vid(i: int, j: int, k: int) -> str:
@@ -210,7 +188,6 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
     frac = FractionTable(L)
 
     index: dict[str, tuple[int, int, int]] = {}
-    assoc: dict[str, AssocVec] = {}
     vecs: dict[str, Vec] = {}
     ivecs: dict[str, tuple[int, ...]] = {}   # L-scaled distance vectors
 
@@ -224,7 +201,6 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
                   2 * L - i + k, abs(i - L) + L - k, 3 * L - i - 2 * j - k)
             index[vid] = (i, j, k)
             ivecs[vid] = iv
-            assoc[vid] = AssocVec(frac[i], frac[2 * j], frac[k])
             vecs[vid] = dict(zip(TERMS, [frac[n] for n in iv]))
         return vid
 
@@ -310,7 +286,7 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
 
     graph = TerminalGraph(vertices=list(vecs), edges=edges, terminals=terminals)
     return HardInstance(L=L, graph=graph, metric=m, paths=paths,
-                        assoc=assoc, vecs=vecs, index=index, ave=ave_data)
+                        vecs=vecs, index=index, ave=ave_data)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +297,6 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
 class CandidateSolution:
     """A bounded-image embedding: every vertex mapped to a span point."""
     f: dict[str, Vec]
-
-    def image_size(self) -> int:
-        return len({tuple(v[t] for t in TERMS) for v in self.f.values()})
 
 
 def identity_solution(inst: HardInstance) -> CandidateSolution:
@@ -442,18 +415,11 @@ class _Lattice(PointLattice):
         """vol - opt: the capacity-weighted sum of the path excesses."""
         return weighted_sum([p.capacity for p in self.inst.all_paths()], self.excess, self.S)
 
-    def assoc(self, planar: bool = False) -> dict[int, AssocVec]:
-        """to_assoc of each instance vertex's image point, once per point.
-
-        With `planar`, of its rect_project instead.
-        """
-        out: dict[int, AssocVec] = {}
-        for vid in self.inst.vecs:
-            pid = self.image[vid]
-            if pid not in out:
-                vec = dict(zip(TERMS, self.points[pid]))
-                out[pid] = to_assoc(rect_project(vec) if planar else vec)
-        return out
+    @cached_property
+    def xs(self) -> list[int]:
+        """Each point's associated x scaled by 2S: 2S·x = p_b - p_d + S."""
+        S = self.S
+        return [b - d + S for _, b, _, d, _, _ in self.ipts]
 
 
 def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
@@ -480,25 +446,14 @@ AGGREGATE_TERMS = {
 
 @dataclass
 class DirectionalReport:
-    """Telescoping losses per vertex, direction 1..4 and anchor in {b, c, d}."""
-    forward: dict[tuple[str, int, str], Fraction]   # l_i(v, t)
-    backward: dict[tuple[str, int, str], Fraction]  # l'_i(v, t)
+    """The four per-direction aggregate bounds and the per-vertex bound checks."""
     aggregates: list[tuple[str, Fraction, Fraction]]  # (label, lhs, rhs)
     x_bounds_ok: bool
     x_bound_failures: list[str]
 
-    def aggregate_entries(self):
-        """The (key, value) table entries the aggregate bounds sum over."""
-        for (vid, direction, t), val in self.forward.items():
-            if ("fwd", t) in AGGREGATE_TERMS[direction]:
-                yield (vid, direction, t, "fwd"), val
-        for (vid, direction, t), val in self.backward.items():
-            if ("bwd", t) in AGGREGATE_TERMS[direction]:
-                yield (vid, direction, t, "bwd"), val
-
 
 def directional_losses(inst: HardInstance, sol: CandidateSolution) -> DirectionalReport:
-    """Per-vertex direction losses plus the four aggregate lower bounds.
+    """The four aggregate lower bounds and the per-vertex x and anchor bounds.
 
     Each aggregate compares the (unweighted, with the stated coefficients)
     loss of a path family against the summed telescoping terms it dominates.
@@ -511,15 +466,15 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
 
 def _directional(lat: _Lattice) -> DirectionalReport:
     inst = lat.inst
-    S, frac, image, dist = lat.S, lat.frac, lat.image, lat.dist
-    X = {pid: on_scale(a.x, 2 * S) for pid, a in lat.assoc().items()}
+    S, frac, image, dist, X = lat.S, lat.frac, lat.image, lat.dist, lat.xs
     # per image point: S-scaled distances to the anchor terminals a..e
     anchors = {t: lat.ipts[image[inst.graph.terminals[t]]] for t in "abcde"}
     near = [{t: lat.sup_dist(q, r) for t, r in anchors.items()} for q in lat.ipts]
 
-    fwd: dict[tuple[str, int, str], Fraction] = {}
-    bwd: dict[tuple[str, int, str], Fraction] = {}
-    sums: dict[tuple[int, str, str], int] = defaultdict(int)   # (direction, table, anchor)
+    # per (direction, table, anchor): the sum over grid steps v -> w of the
+    # telescoping terms l(v, t) = s + diff ("fwd") and l'(v, t) = s - diff
+    # ("bwd"), s the step's length and diff = d(v, t) - d(w, t)
+    sums: dict[tuple[int, str, str], int] = defaultdict(int)
     failures = []
     for vid, ijk in inst.index.items():
         pv = image[vid]
@@ -529,17 +484,14 @@ def _directional(lat: _Lattice) -> DirectionalReport:
                 continue
             pw = image[w]
             s = dist(pv, pw)
-            lf, lb = {}, {}
             for t in ("b", "c", "d"):
                 diff = near[pv][t] - near[pw][t]
-                lf[t], lb[t] = s + diff, s - diff
-                fwd[(vid, direction, t)] = frac[lf[t]]
-                bwd[(vid, direction, t)] = frac[lb[t]]
-                sums[(direction, "fwd", t)] += lf[t]
-                sums[(direction, "bwd", t)] += lb[t]
+                sums[(direction, "fwd", t)] += s + diff
+                sums[(direction, "bwd", t)] += s - diff
             if direction in (1, 2):
-                both = lf["d"] + lf["b"] if direction == 1 else lb["d"] + lb["b"]
-                if both < abs(X[pv] - X[pw]):
+                # l(v, d) + l(v, b) along direction 1, l'(v, d) + l'(v, b) along 2
+                drop = near[pv]["d"] + near[pv]["b"] - near[pw]["d"] - near[pw]["b"]
+                if 2 * s + (drop if direction == 1 else -drop) < abs(X[pv] - X[pw]):
                     failures.append(f"dir{direction} x-bound at {vid}")
 
     group_excess: dict[str, int] = {}
@@ -558,8 +510,8 @@ def _directional(lat: _Lattice) -> DirectionalReport:
             failures.append(f"ab anchor bound at {vid}")
         if near[pv]["d"] + near[pv]["e"] < 2 * S + max(2 * S - X[pv], 0):
             failures.append(f"de anchor bound at {vid}")
-    return DirectionalReport(forward=fwd, backward=bwd, aggregates=aggregates,
-                             x_bounds_ok=not failures, x_bound_failures=failures)
+    return DirectionalReport(aggregates=aggregates, x_bounds_ok=not failures,
+                             x_bound_failures=failures)
 
 
 @dataclass
@@ -584,8 +536,8 @@ def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
 def _planar(lat: _Lattice) -> PlanarReport:
     inst = lat.inst
     L, T = inst.L, 2 * lat.S
-    proj = {pid: (on_scale(a.x, T), on_scale(a.y, T))
-            for pid, a in lat.assoc(planar=True).items()}
+    # rect_project keeps x and folds z into y: 2S·(y + z) = 2·p_c - 2S·x
+    proj = [(x, 2 * p[2] - x) for x, p in zip(lat.xs, lat.ipts)]
     xy = {vid: proj[lat.image[vid]] for vid in inst.vecs}
 
     l_x: dict[str, int] = {}
@@ -654,7 +606,7 @@ def _planar(lat: _Lattice) -> PlanarReport:
 @dataclass
 class Diagnosis:
     """All three loss diagnostics of one candidate solution."""
-    image_size: int         # distinct image points, as sol.image_size()
+    image_size: int         # distinct image points
     losses: LossReport
     directional: DirectionalReport
     planar: PlanarReport

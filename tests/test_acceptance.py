@@ -17,7 +17,7 @@ from spanflow.decompose import (Cluster, Decomposer, Solution, contract, moment_
                                 type1_metric, type2_metric, type3_metric)
 from spanflow.flow import Demand, dual_value, exact_single_commodity, max_concurrent_flow
 from spanflow.graphs import project_graph, shortest_distances
-from spanflow.hard6 import (adjust_solution, check_good, directional_losses,
+from spanflow.hard6 import (AssocVec, adjust_solution, check_good, directional_losses,
                             from_assoc, generate, grid_snap, identity_solution,
                             losses, metric6, planar_losses, to_assoc)
 from spanflow.metric import TerminalMetric, collinear_triples
@@ -280,7 +280,8 @@ def test_c09_hard_instance_structure(capsys):
             ok = False
         if losses(inst, identity_solution(inst)).total != 0:
             ok = False
-        for vid, a in inst.assoc.items():
+        for vid, (i, j, k) in inst.index.items():
+            a = AssocVec(F(i, L), F(2 * j, L), F(k, L))
             if from_assoc(a) != inst.vecs[vid] or to_assoc(inst.vecs[vid]) != a:
                 ok = False
         detail.append(f"L={L}: opt={opt}<=‎{90 * L * L}".replace("‎", ""))

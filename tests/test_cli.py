@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 from spanflow import decompose
 from spanflow.cli import main
@@ -395,3 +396,19 @@ def test_sparsify_exit_2_when_no_model_fits(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert "fan: no fan here" in err and "planar: no plane here" in err
+
+
+def test_readme_library_example_runs(tmp_path, capsys, monkeypatch):
+    # the README's "Library example" block, run unchanged on a golden fixture
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    g = {name: g for name, g, _ in _sparsify_fixtures()}["fold"]
+    (tmp_path / "graph.txt").write_text(dump_graph(g))
+    monkeypatch.chdir(tmp_path)
+    scope = {"__name__": "readme_example"}
+    exec(compile(code, "README.md", "exec"), scope)
+    dec, sol = scope["dec"], scope["sol"]
+    assert capsys.readouterr().out.split() == [dec.template.tag, str(sol.size()),
+                                              str(scope["cost"](scope["emb"], sol).ratio)]
+    assert len(g.terminals) == 5 and list(scope["h"].terminals) == list(g.terminals)
+    assert sol.size() <= 30

@@ -12,8 +12,8 @@ import pytest
 from spanflow import decompose
 from spanflow.decompose import (Decomposer, _build_model, _Cut, _PlanarModel, _TreeModel,
                                 classify, contract, cost, expected_cost, moment_stats,
-                                sample_decomposition, sample_seed, sample_volumes,
-                                type1_metric, type2_metric, type3_metric)
+                                sample_seed, sample_volumes, type1_metric, type2_metric,
+                                type3_metric)
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
 from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric, validate_metric
@@ -367,7 +367,7 @@ def _assignment_digest(dec: Decomposer, seeds: range) -> str:
     for seed in seeds:
         assign = dec.assignment_ids(seed)
         for v in sorted(assign, key=str):
-            h.update(f"{seed} {v} {' '.join(map(str, dec.rep_of(assign[v])))}\n".encode())
+            h.update(f"{seed} {v} {' '.join(map(str, dec.lattice.points[assign[v]]))}\n".encode())
     return h.hexdigest()
 
 
@@ -565,7 +565,8 @@ def test_assignment_and_solution_follow_assignment_ids(rng):
         dec = Decomposer(project_graph(graph_from_metric(m, 6, rng)))
         for seed in range(15):
             ids = dec.assignment_ids(seed)
-            assert dec.assignment(seed) == {v: dec.rep_of(i) for v, i in ids.items()}
+            reps = dec.lattice.points
+            assert dec.assignment(seed) == {v: reps[i] for v, i in ids.items()}
             groups = {}
             for v, i in ids.items():
                 groups.setdefault(i, set()).add(v)
@@ -574,8 +575,8 @@ def test_assignment_and_solution_follow_assignment_ids(rng):
                 sorted(vs) for vs in groups.values())
             for c in sol.clusters:
                 rid = ids[c.vertices[0]]
-                assert tuple(c.rep[t] for t in m.terminals) == dec.rep_of(rid)
-                assert c.label.startswith("t:") == (dec.rep_of(rid) in {
+                assert tuple(c.rep[t] for t in m.terminals) == reps[rid]
+                assert c.label.startswith("t:") == (reps[rid] in {
                     tuple(m.row(t).values()) for t in m.terminals})
 
 
@@ -662,7 +663,7 @@ def test_cost_terminal_only_ratio_one(rng):
                              for t, u in combinations(m.terminals, 2)],
                       terminals={t: t for t in m.terminals})
     emb = project_graph(g)
-    sol = sample_decomposition(emb, 3)
+    sol = Decomposer(emb).solution(3)
     assert sol.size() == 5
     report = cost(emb, sol)
     assert report.vol == report.opt and report.ratio == 1

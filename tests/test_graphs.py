@@ -7,7 +7,7 @@ import pytest
 
 import spanflow.graphs
 from spanflow.cli import main
-from spanflow.graphs import (Edge, GraphError, TerminalGraph, distance_vectors, edge_distances,
+from spanflow.graphs import (Edge, GraphError, TerminalGraph, distance_vectors, edge_distance_ints,
                              project_graph, shortest_distances, terminal_metric)
 from spanflow.metric import is_valid_vector
 from spanflow.tightspan import in_tight_span, project, ts_distance
@@ -186,9 +186,10 @@ def test_edge_distances_match_all_pairs():
     for _ in range(25):
         g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
         brute = {v: shortest_distances(g, v) for v in g.vertices}
-        got = edge_distances(g)
-        assert got == [brute[u].get(v) for u, v, _, _ in g.edges]
-        assert all(d <= e.length for d, e in zip(got, g.edges))
+        got = edge_distance_ints(g)
+        assert got == [brute[u].ints.get(v) for u, v, _, _ in g.edges]
+        scale = g.length_table().scale
+        assert all(F(d, scale) <= e.length for d, e in zip(got, g.edges))
         assert any(u == v for u, v, _, _ in g.edges)
         assert any(u not in g.terminals and v not in g.terminals and u != v
                    for u, v, _, _ in g.edges)
@@ -238,6 +239,10 @@ def test_int_dijkstra_matches_the_fraction_reference():
         g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
         adj = g.adjacency()
         scale = lcm(*(e.length.denominator for e in g.edges))
+        # the int table: `adjacency()`'s neighbours in its order, lengths on scale
+        assert g.length_table() == (
+            {u: (tuple(w for w, _ in nbrs), tuple(int(x * scale) for _, x in nbrs))
+             for u, nbrs in adj.items()}, scale)
         for v in g.vertices:
             ref = _dijkstra_reference(adj, v)
             got = shortest_distances(g, v)
@@ -259,7 +264,7 @@ def test_edge_distances_star_runs_one_dijkstra_per_terminal(monkeypatch):
         return real(g, source)
 
     monkeypatch.setattr(spanflow.graphs, "shortest_distances", counting)
-    edge_distances(g)
+    edge_distance_ints(g)
     assert sorted(sources) == sorted(g.terminals.values())
 
 

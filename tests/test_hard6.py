@@ -3,14 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from spanflow.hard6 import (AssocVec, CandidateSolution, adjust_solution,
-                            assoc_distance_lower, check_good, diagnose,
-                            directional_losses,
-                            from_assoc, generate, grid_snap, identity_solution,
-                            losses, metric6, planar_losses, rect_distance,
-                            rect_project, to_assoc)
+from spanflow.hard6 import (TERMS, AssocVec, CandidateSolution, _Lattice, adjust_solution,
+                            check_good, diagnose, directional_losses, from_assoc,
+                            generate, grid_snap, identity_solution, losses, metric6,
+                            planar_losses, rect_project, to_assoc)
 from spanflow.metric import MetricError, collinear_triples, restrict, validate_metric
-from spanflow.tightspan import in_tight_span, project, ts_distance
+from spanflow.tightspan import (enumerate_complex, in_tight_span, project, to_lattice,
+                                ts_distance)
 
 
 def exact_deltas():
@@ -44,30 +43,40 @@ def test_assoc_rejects_outside_points():
         from_assoc(AssocVec(F(1, 2), F(2), F(1)))
 
 
-def test_assoc_distances():
+def span_points(rng, per_cell):
+    """Every vertex of the six-terminal span and seeded convex combinations of
+    the vertices of each of its cells."""
+    cx = enumerate_complex(metric6())
+    pts = list(cx.vertices)
+    for cell in cx.cells:
+        corners = [cx.vertices[i] for i in cell.vertex_ids]
+        for _ in range(per_cell):
+            w = [rng.randint(0, 12) for _ in corners]
+            w[rng.randrange(len(w))] += 1
+            pts.append({t: sum((F(n, sum(w)) * c[t] for n, c in zip(w, corners)), F(0))
+                        for t in TERMS})
+    return pts
+
+
+def test_int_assoc_coordinates_match_to_assoc(rng):
+    # the ints the diagnostics read, 2S·x = p_b - p_d + S and the planar
+    # 2S·(y + z) = 2·p_c - 2S·x, against to_assoc and rect_project
     m = metric6()
-    c = to_assoc(m.row("c"))
-    h = AssocVec(F(1), F(0), F(0))
-    assert assoc_distance_lower(c, h) == 1
-    b, d = to_assoc(m.row("b")), to_assoc(m.row("d"))
-    assert rect_distance(b, d) == 3
-    a = to_assoc(m.row("a"))
-    assert assoc_distance_lower(a, d) == 3
-    with pytest.raises(MetricError):
-        rect_distance(a, d)
-
-
-def test_rect_distance_agrees_with_span_distance(rng):
-    for _ in range(50):
-        x1, y1 = F(rng.randint(-4, 8), 4), F(rng.randint(0, 8), 4)
-        x2, y2 = F(rng.randint(-4, 8), 4), F(rng.randint(0, 8), 4)
-        ok = all(0 <= 2 * x + y <= 4 and y <= 2 for x, y in ((x1, y1), (x2, y2)))
-        if not ok:
-            continue
-        p = from_assoc(AssocVec(x1, y1, F(0)))
-        q = from_assoc(AssocVec(x2, y2, F(0)))
-        assert rect_distance(AssocVec(x1, y1, F(0)), AssocVec(x2, y2, F(0))) \
-            == ts_distance(p, q)
+    pts = span_points(rng, 300)
+    _, ipts, S = to_lattice(m, pts)
+    for p, (_, b, c, d, _, _) in zip(pts, ipts):
+        a, r = to_assoc(p), to_assoc(rect_project(p))
+        assert b - d + S == 2 * S * a.x == 2 * S * r.x
+        assert 2 * c - (b - d + S) == 2 * S * r.y and r.z == 0
+    # and `_Lattice.xs` on a candidate mapping the grid onto those points
+    inst = generate(8)
+    term_ids = set(inst.graph.terminals.values())
+    f = {vid: dict(vec if vid in term_ids else pts[n % len(pts)])
+         for n, (vid, vec) in enumerate(inst.vecs.items())}
+    lat = _Lattice(inst, CandidateSolution(f=f))
+    assert len(lat.points) > 300
+    for x, p in zip(lat.xs, lat.points):
+        assert x == 2 * lat.S * to_assoc(dict(zip(TERMS, p))).x
 
 
 def test_rect_project_examples():
@@ -99,7 +108,7 @@ def test_rect_project_is_generic_projection_on_bcdf(rng):
 
 def test_rect_project_nonexpanding(rng):
     inst = generate(4)
-    ids = list(inst.assoc)
+    ids = list(inst.index)
     for _ in range(200):
         u, v = rng.choice(ids), rng.choice(ids)
         pu, pv = inst.vecs[u], inst.vecs[v]
@@ -148,17 +157,6 @@ def test_paths_geodesic_and_grid_small():
             assert ts_distance(inst.vecs[u], inst.vecs[v]) == F(1, inst.L)
 
 
-def test_neighbor_checks_the_direction_of_every_vertex():
-    inst = generate(3)
-    assert inst.neighbor("p0_0_0", 1) == "p0_0_1"
-    assert inst.neighbor("p0_0_0", 2) is None  # off the grid
-    assert inst.neighbor("b", 1) is None  # not a grid vertex
-    for vid in ("p0_0_0", "b"):
-        for bad in (0, 5, 9):
-            with pytest.raises(ValueError, match="direction must be 1..4"):
-                inst.neighbor(vid, bad)
-
-
 def test_span_distance_equals_critical_direction_travel(rng):
     # independent oracle: distance = least total travel along the four
     # step directions (one free parameter; minimum at a breakpoint)
@@ -197,7 +195,7 @@ def test_opt_equals_edge_shortest_path_sum():
 def test_vertex_formulas_and_membership():
     inst = generate(4)
     m = inst.metric
-    for vid, a in inst.assoc.items():
+    for vid, a in ref_assoc(inst).items():
         assert from_assoc(a) == inst.vecs[vid]
         assert to_assoc(inst.vecs[vid]) == a
     for vid in ("b", "d"):
@@ -242,7 +240,7 @@ def test_grid_snap_properties():
     inst = generate(6)
     for g in (1, 2, 3):
         sol = grid_snap(inst, g)
-        assert sol.image_size() <= (g + 1) ** 3 + 6
+        assert diagnose(inst, sol).image_size <= (g + 1) ** 3 + 6
         assert losses(inst, sol).total > 0
     assert losses(inst, grid_snap(inst, 6)).total == 0
     assert losses(inst, grid_snap(inst, 12)).total == 0
@@ -268,10 +266,15 @@ def test_snap_loss_total_matches_two_route(rng):
 
 def test_directional_losses_identity_zero():
     inst = generate(4)
-    dr = directional_losses(inst, identity_solution(inst))
+    sol = identity_solution(inst)
+    dr = directional_losses(inst, sol)
     # geodesic telescoping: every aggregate-bound term vanishes exactly
-    assert all(v == 0 for _, v in dr.aggregate_entries())
+    fwd, bwd, aggregates, _ = ref_directional(inst, sol)
+    tables = {"fwd": fwd, "bwd": bwd}
+    assert all(tables[tbl][(vid, d, t)] == 0 for vid, d, _ in fwd
+               for tbl, t in REF_TERMS[d])
     assert all(lhs == rhs == 0 for _, lhs, rhs in dr.aggregates)
+    assert dr.aggregates == aggregates
     assert dr.x_bounds_ok
 
 
@@ -279,8 +282,9 @@ def test_directional_losses_nonnegative_and_aggregates(rng):
     inst = generate(4)
     sol = grid_snap(inst, 1)
     dr = directional_losses(inst, sol)
-    assert all(v >= 0 for v in dr.forward.values())
-    assert all(v >= 0 for v in dr.backward.values())
+    fwd, bwd, _, _ = ref_directional(inst, sol)
+    assert all(v >= 0 for v in fwd.values())
+    assert all(v >= 0 for v in bwd.values())
     for label, lhs, rhs in dr.aggregates:
         assert lhs >= rhs
     assert dr.x_bounds_ok
@@ -381,10 +385,22 @@ def test_adjust_solution_rejects_bad_input():
 #: critical steps on (x, y, z), in units of 1/L
 REF_STEPS = {1: (0, 0, 1), 2: (0, 2, -1), 3: (1, 0, 0), 4: (-1, 2, 0)}
 
+#: direction -> the (table, anchor) terms its aggregate bound sums
+REF_TERMS = {1: (("fwd", "d"), ("fwd", "b")), 2: (("bwd", "d"), ("bwd", "b")),
+             3: (("bwd", "d"), ("fwd", "b"), ("fwd", "c"), ("fwd", "c")),
+             4: (("fwd", "d"), ("bwd", "b"), ("fwd", "c"), ("fwd", "c"))}
+
+
+def ref_assoc(inst):
+    """Associated coordinates of each grid vertex: (i, j, k) sits at (i, 2j, k) / L."""
+    L = inst.L
+    return {vid: AssocVec(F(i, L), F(2 * j, L), F(k, L)) for vid, (i, j, k) in inst.index.items()}
+
 
 def _ref_shift(inst, at, vid, dx, dy, dz):
-    a, L = inst.assoc[vid], inst.L
-    return at.get(AssocVec(a.x + F(dx, L), a.y + F(dy, L), a.z + F(dz, L)))
+    i, j, k = inst.index[vid]
+    L = inst.L
+    return at.get(AssocVec(F(i + dx, L), F(2 * j + dy, L), F(k + dz, L)))
 
 
 def _ref_excess(inst, sol, paths):
@@ -399,10 +415,10 @@ def _ref_pos(v):
 
 def ref_directional(inst, sol):
     f, m = sol.f, inst.metric
-    at = {a: vid for vid, a in inst.assoc.items()}
+    at = {a: vid for vid, a in ref_assoc(inst).items()}
     fwd, bwd, nbrs, fails = {}, {}, {}, []
     x = {vid: to_assoc(f[vid]).x for vid in inst.vecs}
-    for vid in inst.assoc:
+    for vid in inst.index:
         for d, step in REF_STEPS.items():
             w = _ref_shift(inst, at, vid, *step)
             if w is None:
@@ -420,17 +436,17 @@ def ref_directional(inst, sol):
     for p, e in zip(inst.paths, _ref_excess(inst, sol, inst.paths)):
         excess[p.group] = excess.get(p.group, F(0)) + e
 
-    def rhs(d, terms):
-        return sum((tbl[(vid, d, t)] for (vid, d2) in nbrs if d2 == d
-                    for tbl, t in terms), F(0))
+    tables = {"fwd": fwd, "bwd": bwd}
+
+    def rhs(d):
+        return sum((tables[tbl][(vid, d, t)] for (vid, d2) in nbrs if d2 == d
+                    for tbl, t in REF_TERMS[d]), F(0))
 
     aggregates = [
-        ("dir1", excess["ad1"] + excess["be1"], rhs(1, [(fwd, "d"), (fwd, "b")])),
-        ("dir2", excess["ad2"] + excess["be2"], rhs(2, [(bwd, "d"), (bwd, "b")])),
-        ("dir3", excess["ad3"] + excess["be3"] + 2 * excess["cf3"],
-         rhs(3, [(bwd, "d"), (fwd, "b"), (fwd, "c"), (fwd, "c")])),
-        ("dir4", excess["ad4"] + excess["be4"] + 2 * excess["cf4"],
-         rhs(4, [(fwd, "d"), (bwd, "b"), (fwd, "c"), (fwd, "c")])),
+        ("dir1", excess["ad1"] + excess["be1"], rhs(1)),
+        ("dir2", excess["ad2"] + excess["be2"], rhs(2)),
+        ("dir3", excess["ad3"] + excess["be3"] + 2 * excess["cf3"], rhs(3)),
+        ("dir4", excess["ad4"] + excess["be4"] + 2 * excess["cf4"], rhs(4)),
     ]
     for vid in inst.vecs:
         if (ts_distance(f[vid], m.row("a")) + ts_distance(f[vid], m.row("b"))
@@ -444,10 +460,10 @@ def ref_directional(inst, sol):
 
 def ref_planar(inst, sol):
     L = inst.L
-    at = {a: vid for vid, a in inst.assoc.items()}
+    at = {a: vid for vid, a in ref_assoc(inst).items()}
     p = {vid: to_assoc(rect_project(sol.f[vid])) for vid in inst.vecs}
     lx, ly, lz1, lz2, cx, tr = {}, {}, {}, {}, [], []
-    for vid in inst.assoc:
+    for vid in inst.index:
         a = p[vid]
         w3, w4 = _ref_shift(inst, at, vid, 1, 0, 0), _ref_shift(inst, at, vid, -1, 2, 0)
         w34, w234 = _ref_shift(inst, at, vid, 0, 2, 0), _ref_shift(inst, at, vid, 1, 2, 0)
@@ -462,7 +478,7 @@ def ref_planar(inst, sol):
             lz1[vid] = abs(2 * a.x + a.y - 2 * p[w4].x - p[w4].y)
         if w234 is not None:
             lz2[vid] = abs(2 * a.x - a.y - 2 * p[w234].x + p[w234].y)
-    for vid in inst.assoc:
+    for vid in inst.index:
         w3, w34 = _ref_shift(inst, at, vid, 1, 0, 0), _ref_shift(inst, at, vid, 0, 2, 0)
         if (vid in lz2 and vid in lx and w34 in lx and vid in ly and w3 in ly
                 and w3 in lz1 and lz2[vid] > lx[vid] + lx[w34] + ly[vid] + ly[w3] + lz1[w3]):
@@ -489,9 +505,7 @@ def assert_matches_reference(inst, sol):
         == [(p.name, e, p.capacity * e) for p, e in zip(paths, excess)]
     assert rep.total == sum((p.capacity * e for p, e in zip(paths, excess)), F(0))
     dr = directional_losses(inst, sol)
-    fwd, bwd, aggregates, fails = ref_directional(inst, sol)
-    assert dr.forward == fwd and list(dr.forward) == list(fwd)
-    assert dr.backward == bwd and list(dr.backward) == list(bwd)
+    _, _, aggregates, fails = ref_directional(inst, sol)
     assert dr.aggregates == aggregates
     assert dr.x_bound_failures == fails and dr.x_bounds_ok == (not fails)
     pr = planar_losses(inst, sol)
@@ -507,14 +521,14 @@ def test_generated_lengths_are_span_distances():
         for u, v, _, length in inst.graph.edges:
             assert length == ts_distance(inst.vecs[u], inst.vecs[v])
         for vid, (i, j, k) in inst.index.items():
-            assert inst.assoc[vid] == (F(i, L), F(2 * j, L), F(k, L))
-            assert inst.vecs[vid] == from_assoc(inst.assoc[vid])
-        assert set(inst.index) == set(inst.assoc)
+            assert inst.vecs[vid] == from_assoc(AssocVec(F(i, L), F(2 * j, L), F(k, L)))
 
 
 def test_lattice_diagnostics_match_reference():
     for L in (3, 4, 5):
         inst = generate(L)
+        # the identity maps every grid point to an image point of its own
+        assert_matches_reference(inst, identity_solution(inst))
         for g in (1, 2, 3, 5):
             assert_matches_reference(inst, grid_snap(inst, g))
 
@@ -576,7 +590,7 @@ def test_lattice_adjust_costs_match_reference(rng):
 def test_lattice_diagnostics_keep_checks():
     inst = generate(3)
     outside = identity_solution(inst)
-    outside.f[next(iter(inst.assoc.keys() - set(inst.graph.terminals.values())))] = \
+    outside.f[next(iter(inst.index.keys() - set(inst.graph.terminals.values())))] = \
         {t: F(3) for t in "abcdef"}    # valid but not tight: off the span
     loose = identity_solution(inst)
     loose.f[inst.graph.terminals["b"]] = dict(inst.vecs[inst.graph.terminals["c"]])
@@ -617,7 +631,7 @@ def test_diagnose_equals_the_standalone_reports(monkeypatch):
         checks.clear()
         dg = diagnose(inst, sol)
         assert checks == [sol]
-        assert dg.image_size == sol.image_size()
+        assert dg.image_size == len({tuple(v[t] for t in TERMS) for v in sol.f.values()})
         for got, standalone in ((dg.losses, losses), (dg.directional, directional_losses),
                                 (dg.planar, planar_losses)):
             want = standalone(inst, sol)
