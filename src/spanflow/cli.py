@@ -10,7 +10,9 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from .decompose import CostReport, Decomposer, contract, opt_volume, sample_seed, sample_volumes
@@ -28,6 +30,35 @@ EXIT_INPUT = 2
 
 _INPUT_ERRORS = (TextFormatError, MetricError, GraphError, FlowError, OSError,
                  UnsupportedSizeError, ValueError)
+
+
+def _str_each(values: list) -> list[str]:
+    """str() of every value, formatting each distinct object once."""
+    text = {key: str(x) for key, x in dict(zip(map(id, values), values)).items()}
+    return list(map(text.__getitem__, map(id, values)))
+
+
+def canonical_json(obj, nl: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for str keys.
+
+    With `indent`, `json.dumps` runs its pure-Python encoder; this writer
+    joins each container's items at C speed, `nl` being its line break.
+    """
+    if type(obj) is str:
+        return _quote(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj)   # other scalars, empty containers
+    inner = nl + "  "
+    keys = sorted(obj) if isinstance(obj, dict) else None
+    items = obj if keys is None else list(map(obj.__getitem__, keys))
+    texts = (map(_quote, items) if set(map(type, items)) == {str}
+             else map(canonical_json, items, repeat(inner)))
+    if keys is None:
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    texts = map("{}: {}".format, map(_quote, keys), texts)
+    return "{" + inner + ("," + inner).join(texts) + nl + "}"
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -159,24 +190,24 @@ def _cmd_hard6(args) -> int:
     if args.out:
         outdir = Path(args.out)
         graph_text = dump_graph(inst.graph)
+        paths = inst.all_paths()
         sidecar = {
             "L": args.L,
             "gamma": str(gamma) if args.ave else None,
             "demand": demand,
             "paths": [{
                 "name": p.name, "group": p.group, "i": p.i, "j": p.j,
-                "source": p.source, "sink": p.sink,
-                "capacity": str(p.capacity),
-                "direction": p.direction,
-                "vertices": list(p.vertex_ids),
-            } for p in inst.all_paths()],
+                "source": p.source, "sink": p.sink, "capacity": cap,
+                "direction": p.direction, "vertices": p.vertex_ids,
+            } for p, cap in zip(paths, _str_each([p.capacity for p in paths]))],
         }
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "graph.txt").write_text(graph_text)
-        (outdir / "instance.json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        (outdir / "instance.json").write_text(canonical_json(sidecar) + "\n")
         if dg is not None:
             rep, dr, pr = dg.losses, dg.directional, dg.planar
+            planar = (pr.l_x, pr.l_y, pr.l_z1, pr.l_z2)
+            vids = sorted(set().union(*planar))
             diagnostics = {
                 "snap_grid": args.snap_grid,
                 "image_size": dg.image_size,
@@ -189,16 +220,15 @@ def _cmd_hard6(args) -> int:
                 "planar_bound": {"lhs": str(pr.bound_lhs), "rhs": str(pr.bound_rhs)},
                 "line_table": {f"{jy},{kz}": str(v)
                                for (jy, kz), v in sorted(pr.table.items())},
-                "path_losses": {p.name: str(p.loss) for p in rep.per_path},
+                "path_losses": dict(zip([p.name for p in rep.per_path],
+                                        _str_each([p.loss for p in rep.per_path]))),
                 "vertex_losses": {
-                    vid: {"x": str(pr.l_x.get(vid, 0)), "y": str(pr.l_y.get(vid, 0)),
-                          "z1": str(pr.l_z1.get(vid, 0)), "z2": str(pr.l_z2.get(vid, 0))}
-                    for vid in sorted(set(pr.l_x) | set(pr.l_y)
-                                      | set(pr.l_z1) | set(pr.l_z2))
+                    vid: {"x": x, "y": y, "z1": z1, "z2": z2}
+                    for vid, x, y, z1, z2 in zip(vids, *(_str_each([ls.get(v, 0) for v in vids])
+                                                         for ls in planar))
                 },
             }
-            (outdir / "diagnostics.json").write_text(
-                json.dumps(diagnostics, sort_keys=True, indent=2) + "\n")
+            (outdir / "diagnostics.json").write_text(canonical_json(diagnostics) + "\n")
         payload["out"] = str(outdir)
     _emit(payload, args.format)
     if not args.ave and opt > bound:

@@ -11,23 +11,27 @@ bounded-image embedding must lose.
 Generation and diagnostics compute on integer lattice points (grid vertices
 scaled by L, a candidate's image points on one `tightspan.to_lattice` with the
 metric); lengths, losses and bounds become exact Fractions only where they
-are stored.  Each diagnostic checks the candidate's cover on those ints and
-makes its `PointLattice` of them; `diagnose` runs all three on one lattice.
+are stored.  A grid edge is one critical step, 1/L long by construction;
+only edges to terminals take `sup_dist`.  Each diagnostic checks the
+candidate's cover on those ints, makes its `PointLattice` of them and steps
+on the grid index through `HardInstance.steps`, a neighbour table built once
+per instance; `diagnose` runs all three on one lattice.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import add
 from typing import Mapping, NamedTuple
 
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
                      collinear_triples, pair_key)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
-from .tightspan import (FractionTable, PointLattice, int_in_span, on_scale, to_lattice,
-                        weighted_sum)
+from .tightspan import (FractionTable, PointLattice, int_in_span, lattice_ints, on_scale,
+                        to_lattice, weighted_sum)
 
 TERMS = ("a", "b", "c", "d", "e", "f")
 
@@ -126,13 +130,27 @@ class HardInstance:
     ave: AveData | None = None
 
     def opt(self) -> Fraction:
-        return sum((p.capacity * self.metric.d(p.source, p.sink)
-                    for p in self.all_paths()), Fraction(0))
+        paths = self.all_paths()
+        (ds,), scale = lattice_ints([[self.metric.d(p.source, p.sink) for p in paths]])
+        return weighted_sum([p.capacity for p in paths], ds, scale)
 
     def all_paths(self) -> list[PathRecord]:
         if self.ave is None:
             return self.paths
         return self.paths + self.ave.triple_paths
+
+    @cached_property
+    def steps(self) -> dict[tuple[int, int, int], tuple[list[int], list[int]]]:
+        """The grid's neighbour table: per step of `STEPS`, (0, 1, 0) and (1, 1, 0),
+        the rows vs (ascending) and ws of all grid vertex pairs with ws[n] =
+        vs[n] + step, a vertex's row being its position in `index`."""
+        row = {ijk: n for n, ijk in enumerate(self.index.values())}
+        out = {}
+        for di, dj, dk in (*STEPS.values(), (0, 1, 0), (1, 1, 0)):
+            pairs = [(n, m) for n, (i, j, k) in enumerate(self.index.values())
+                     if (m := row.get((i + di, j + dj, k + dk))) is not None]
+            out[di, dj, dk] = ([n for n, _ in pairs], [m for _, m in pairs])
+        return out
 
 
 def _vid(i: int, j: int, k: int) -> str:
@@ -141,14 +159,6 @@ def _vid(i: int, j: int, k: int) -> str:
 
 #: grid index step (di, dj, dk) of each critical direction
 STEPS = {1: (0, 0, 1), 2: (0, 1, -1), 3: (1, 0, 0), 4: (-1, 1, 0)}
-
-
-def _grid_step(L: int, ijk: tuple[int, int, int], step) -> str | None:
-    """Id of the grid vertex at index ijk + step, or None off the grid."""
-    i, j, k = ijk[0] + step[0], ijk[1] + step[1], ijk[2] + step[2]
-    if i < 0 or i > L or j < 0 or k < 0 or j + k > L:
-        return None
-    return _vid(i, j, k)
 
 
 def _admissible(L: int, i: int, j: int, k: int) -> bool:
@@ -178,8 +188,11 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
     between a and e.
 
     Grid vertex (i, j, k) sits at (x, y, z) = (i, 2j, k) / L, so every
-    distance vector is an int 6-vector scaled by L; lengths are computed on
-    those ints and become Fractions only when stored.
+    distance vector is an int 6-vector scaled by L.  Consecutive grid points
+    of a path are one critical step apart, which moves every coordinate of
+    that vector by exactly 1: such an edge has length 1/L by construction.
+    Only the edges joining a path to its terminals take the int sup-distance
+    of their endpoints.
     """
     if L < 2:
         raise MetricError("resolution L must be at least 2")
@@ -187,18 +200,20 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
     gamma = as_fraction(gamma)
     frac = FractionTable(L)
 
+    vid_of: dict[tuple[int, int, int], str] = {}
     index: dict[str, tuple[int, int, int]] = {}
     vecs: dict[str, Vec] = {}
     ivecs: dict[str, tuple[int, ...]] = {}   # L-scaled distance vectors
 
     def grid(i: int, j: int, k: int) -> str:
-        vid = _vid(i, j, k)
-        if vid not in index:
+        vid = vid_of.get((i, j, k))
+        if vid is None:
             if not _admissible(L, i, j, k):
                 raise MetricError(f"grid point {(i, j, k)} outside the admissible region")
             # from_assoc at (i, 2j, k) / L, scaled by L
             iv = (abs(i) + L - k, i + L + k, i + 2 * j + k,
                   2 * L - i + k, abs(i - L) + L - k, 3 * L - i - 2 * j - k)
+            vid = vid_of[i, j, k] = _vid(i, j, k)
             index[vid] = (i, j, k)
             ivecs[vid] = iv
             vecs[vid] = dict(zip(TERMS, [frac[n] for n in iv]))
@@ -214,20 +229,27 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
 
     caps = {group: Fraction(c) for group, c in _GROUP_CAPS.items()}
     paths: list[PathRecord] = []
+    edges: list[Edge] = []
+
+    def length(u: str, v: str) -> Fraction:   # of an edge to a terminal
+        return frac[PointLattice.sup_dist(ivecs[u], ivecs[v])]
 
     def walk(group, i, j, src, snk, start, nsteps, direction):
         di, dj, dk = STEPS[direction] if direction is not None else (0, 0, 0)
-        ids = [terminals[src]]
         ii, jj, kk = start
-        for n in range(nsteps + 1):
-            vid = grid(ii + n * di, jj + n * dj, kk + n * dk)
-            if vid != ids[-1]:
-                ids.append(vid)
-        if terminals[snk] != ids[-1]:
+        ids = [grid(ii + n * di, jj + n * dj, kk + n * dk) for n in range(nsteps + 1)]
+        lens = [frac[1]] * nsteps   # grid steps
+        if ids[0] != terminals[src]:
+            lens.insert(0, length(terminals[src], ids[0]))
+            ids.insert(0, terminals[src])
+        if ids[-1] != terminals[snk]:
+            lens.append(length(ids[-1], terminals[snk]))
             ids.append(terminals[snk])
+        cap = caps[group]
+        edges.extend(map(Edge, ids, ids[1:], repeat(cap), lens))
         paths.append(PathRecord(
             name=f"{group}[{i},{j}]", group=group, i=i, j=j, source=src, sink=snk,
-            vertex_ids=tuple(ids), capacity=caps[group], direction=direction))
+            vertex_ids=tuple(ids), capacity=cap, direction=direction))
 
     rng_all = [(i, j) for i in range(L + 1) for j in range(L + 1)]
     rng_tri = [(i, j) for i in range(L + 1) for j in range(L + 1) if i + j <= L]
@@ -252,17 +274,6 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
         for i in range(L + 1, 2 * L + 1):
             for j in range(0, min(L, 2 * L - i) + 1):
                 walk(grp, i, j, src, snk, (L, i - L, j), 2 * L - i - j, 4)
-
-    # parallel paths repeat vertex pairs: one length per pair
-    lengths: dict[tuple[str, str], Fraction] = {}
-    edges: list[Edge] = []
-    for p in paths:
-        ids = p.vertex_ids
-        for uv in zip(ids, ids[1:]):
-            length = lengths.get(uv)
-            if length is None:
-                length = lengths[uv] = frac[PointLattice.sup_dist(ivecs[uv[0]], ivecs[uv[1]])]
-            edges.append(Edge(uv[0], uv[1], p.capacity, length))
 
     ave_data = None
     if ave:
@@ -308,34 +319,31 @@ def grid_snap(inst: HardInstance, g: int) -> CandidateSolution:
 
     x and z round to multiples of 1/g, y to multiples of 2/g; z is then
     reduced onto the grid until the point is admissible again.  Terminals stay
-    fixed, so the image has at most (g+1)^3 + 6 points.
+    fixed, so the image has at most (g+1)^3 + 6 points; the vertices snapped
+    to one point share its dict.
     """
     if g < 1:
         raise MetricError("snap grid must be at least 1")
     terminal_ids = set(inst.graph.terminals.values())
-    L2 = 2 * inst.L
+    # round half up: floor(i/L * g + 1/2) = (2ig + L) // 2L, likewise j, k
+    snap = [min(max((2 * n * g + inst.L) // (2 * inst.L), 0), g) for n in range(inst.L + 1)]
     snapped: dict[tuple[int, int, int], Vec] = {}
     f: dict[str, Vec] = {}
     for vid, vec in inst.vecs.items():
         if vid in terminal_ids:
             f[vid] = dict(vec)
             continue
-        # round half up: floor(i/L * g + 1/2) = (2ig + L) // 2L, likewise j, k
         i, j, k = inst.index[vid]
-        xi = min(max((2 * i * g + inst.L) // L2, 0), g)
-        yi = min(max((2 * j * g + inst.L) // L2, 0), g)
-        zi = min(max((2 * k * g + inst.L) // L2, 0), g)
-        key = (xi, yi, min(zi, g - yi))
+        key = (snap[i], snap[j], min(snap[k], g - snap[j]))
         point = snapped.get(key)
         if point is None:
             point = snapped[key] = from_assoc(AssocVec(
                 Fraction(key[0], g), Fraction(2 * key[1], g), Fraction(key[2], g)))
-        f[vid] = dict(point)
+        f[vid] = point
     return CandidateSolution(f=f)
 
 
-@dataclass
-class PathLoss:
+class PathLoss(NamedTuple):
     name: str
     group: str
     capacity: Fraction
@@ -355,7 +363,8 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
 
     Returns the image-point id of every vertex of sol, the distinct image
     points as ints in TERMS order on one lattice with the metric, and its
-    scale; span membership is tested once per point, on those ints.
+    scale; span membership is tested once per point, on those ints.  Vertices
+    sharing one vector object share its id without comparing values.
     """
     missing = [v for v in inst.vecs if v not in sol.f]
     if missing:
@@ -364,15 +373,19 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
         if sol.f[vid] != inst.metric.row(t):
             raise MetricError(f"terminal {t} must map to itself")
     ids: dict[tuple, int] = {}
+    by_object: dict[int, int] = {}   # id(vector) -> image-point id
     image: dict[str, int] = {}
     owners, points = [], []   # per image point: its first vertex, its checked vector
     for vid, vec in sol.f.items():
-        key = tuple(vec[t] for t in TERMS)
-        pid = ids.get(key)
+        pid = by_object.get(id(vec))
         if pid is None:
-            pid = ids[key] = len(ids)
-            owners.append(vid)
-            points.append(check_vector(inst.metric, vec))
+            key = tuple(vec[t] for t in TERMS)
+            pid = ids.get(key)
+            if pid is None:
+                pid = ids[key] = len(ids)
+                owners.append(vid)
+                points.append(check_vector(inst.metric, vec))
+            by_object[id(vec)] = pid
         image[vid] = pid
     d, ipts, S = to_lattice(inst.metric, points)
     for vid, x in zip(owners, ipts):
@@ -384,7 +397,8 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
 class _Lattice(PointLattice):
     """A checked candidate solution: its distinct image points on one lattice.
 
-    `image[vid]` is a vertex's point id; the points, their S-scaled ints and
+    `image[vid]` is a vertex's point id and `rows[n]` that of the grid vertex
+    in row n (`HardInstance.steps`); the points, their S-scaled ints and
     distances are the `PointLattice` ones.
     """
 
@@ -392,22 +406,24 @@ class _Lattice(PointLattice):
         self.inst = inst
         self.image, ipts, S = _check_cover(inst, sol)
         super().__init__(ipts, S)
+        self.rows = list(map(self.image.__getitem__, inst.index))
+
+    def steps(self, step: tuple[int, int, int]) -> tuple[list[int], list[int]]:
+        """The point ids of both ends of every grid step `step`, in row order."""
+        return tuple(list(map(self.rows.__getitem__, ns)) for ns in self.inst.steps[step])
 
     @cached_property
     def excess(self) -> list[int]:
         """S-scaled embedded length minus terminal distance, per `inst.all_paths()` path."""
-        image, dist = self.image, self.dist
+        image = self.image.__getitem__
         term_dist: dict[tuple[str, str], int] = {}
         out = []
         for p in self.inst.all_paths():
-            ids = p.vertex_ids
-            length = 0
-            for u, v in zip(ids, ids[1:]):
-                length += dist(image[u], image[v])
+            ps = list(map(image, p.vertex_ids))
             pair = (p.source, p.sink)
             if pair not in term_dist:
                 term_dist[pair] = on_scale(self.inst.metric.d(*pair), self.S)
-            out.append(length - term_dist[pair])
+            out.append(sum(self.dists(ps, ps[1:])) - term_dist[pair])
         return out
 
     @cached_property
@@ -428,10 +444,11 @@ def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
 
 
 def _losses(lat: _Lattice) -> LossReport:
-    out = []
-    for p, n in zip(lat.inst.all_paths(), lat.excess):
-        out.append(PathLoss(name=p.name, group=p.group, capacity=p.capacity,
-                            excess=lat.frac[n], loss=p.capacity * lat.frac[n]))
+    paths = lat.inst.all_paths()
+    (cs,), scale = lattice_ints([[p.capacity for p in paths]])
+    loss = FractionTable(scale * lat.S)   # c * n -> capacity * excess, one object per value
+    out = [PathLoss(p.name, p.group, p.capacity, lat.frac[n], loss[c * n])
+           for p, c, n in zip(paths, cs, lat.excess)]
     return LossReport(per_path=out, total=lat.total)
 
 
@@ -466,33 +483,31 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
 
 def _directional(lat: _Lattice) -> DirectionalReport:
     inst = lat.inst
-    S, frac, image, dist, X = lat.S, lat.frac, lat.image, lat.dist, lat.xs
-    # per image point: S-scaled distances to the anchor terminals a..e
-    anchors = {t: lat.ipts[image[inst.graph.terminals[t]]] for t in "abcde"}
-    near = [{t: lat.sup_dist(q, r) for t, r in anchors.items()} for q in lat.ipts]
+    S, frac, X = lat.S, lat.frac, lat.xs
+    # per anchor terminal: the S-scaled distance of every image point to it
+    near = {t: [lat.sup_dist(q, lat.ipts[lat.image[inst.graph.terminals[t]]]) for q in lat.ipts]
+            for t in "abcde"}
+    db = list(map(add, near["d"], near["b"]))
 
-    # per (direction, table, anchor): the sum over grid steps v -> w of the
+    # per direction and anchor: the sums over grid steps v -> w of the
     # telescoping terms l(v, t) = s + diff ("fwd") and l'(v, t) = s - diff
     # ("bwd"), s the step's length and diff = d(v, t) - d(w, t)
-    sums: dict[tuple[int, str, str], int] = defaultdict(int)
-    failures = []
-    for vid, ijk in inst.index.items():
-        pv = image[vid]
-        for direction, step in STEPS.items():
-            w = _grid_step(inst.L, ijk, step)
-            if w is None:
-                continue
-            pw = image[w]
-            s = dist(pv, pw)
-            for t in ("b", "c", "d"):
-                diff = near[pv][t] - near[pw][t]
-                sums[(direction, "fwd", t)] += s + diff
-                sums[(direction, "bwd", t)] += s - diff
-            if direction in (1, 2):
-                # l(v, d) + l(v, b) along direction 1, l'(v, d) + l'(v, b) along 2
-                drop = near[pv]["d"] + near[pv]["b"] - near[pw]["d"] - near[pw]["b"]
-                if 2 * s + (drop if direction == 1 else -drop) < abs(X[pv] - X[pw]):
-                    failures.append(f"dir{direction} x-bound at {vid}")
+    sums = {}
+    failed = []   # (row, direction) of each failed x bound
+    for direction, step in STEPS.items():
+        pv, pw = lat.steps(step)
+        ss = list(lat.dists(pv, pw))
+        for t in "bcd":
+            diff = sum(map(near[t].__getitem__, pv)) - sum(map(near[t].__getitem__, pw))
+            sums[direction, "fwd", t], sums[direction, "bwd", t] = sum(ss) + diff, sum(ss) - diff
+        if direction in (1, 2):
+            # l(v, d) + l(v, b) along direction 1, l'(v, d) + l'(v, b) along 2
+            sign = 1 if direction == 1 else -1
+            for n, p, q, s in zip(inst.steps[step][0], pv, pw, ss):
+                if 2 * s + sign * (db[p] - db[q]) < abs(X[p] - X[q]):
+                    failed.append((n, direction))
+    vids = list(inst.index)
+    failures = [f"dir{direction} x-bound at {vids[n]}" for n, direction in sorted(failed)]
 
     group_excess: dict[str, int] = {}
     for p, n in zip(inst.paths, lat.excess):   # all_paths() starts with inst.paths
@@ -505,10 +520,10 @@ def _directional(lat: _Lattice) -> DirectionalReport:
         aggregates.append((f"dir{direction}", frac[lhs], frac[rhs]))
 
     for vid in inst.vecs:
-        pv = image[vid]
-        if near[pv]["a"] + near[pv]["b"] < 2 * S + max(X[pv], 0):
+        pv = lat.image[vid]
+        if near["a"][pv] + near["b"][pv] < 2 * S + max(X[pv], 0):
             failures.append(f"ab anchor bound at {vid}")
-        if near[pv]["d"] + near[pv]["e"] < 2 * S + max(2 * S - X[pv], 0):
+        if near["d"][pv] + near["e"][pv] < 2 * S + max(2 * S - X[pv], 0):
             failures.append(f"de anchor bound at {vid}")
     return DirectionalReport(aggregates=aggregates, x_bounds_ok=not failures,
                              x_bound_failures=failures)
@@ -535,70 +550,50 @@ def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
 
 def _planar(lat: _Lattice) -> PlanarReport:
     inst = lat.inst
-    L, T = inst.L, 2 * lat.S
-    # rect_project keeps x and folds z into y: 2S·(y + z) = 2·p_c - 2S·x
-    proj = [(x, 2 * p[2] - x) for x, p in zip(lat.xs, lat.ipts)]
-    xy = {vid: proj[lat.image[vid]] for vid in inst.vecs}
+    L, T, steps = inst.L, 2 * lat.S, inst.steps
+    # rect_project keeps x and folds z into y: 2S·(y + z) = 2·p_c - 2S·x;
+    # per image point x, y, u = 2x + y and w = 2x - y
+    X = lat.xs
+    Y = [2 * p[2] - x for x, p in zip(X, lat.ipts)]
+    U = [2 * x + y for x, y in zip(X, Y)]
+    W = [2 * x - y for x, y in zip(X, Y)]
 
-    l_x: dict[str, int] = {}
-    l_y: dict[str, int] = {}
-    l_z1: dict[str, int] = {}
-    l_z2: dict[str, int] = {}
-    cx_fail = []
-    for vid, ijk in inst.index.items():
-        x0, y0 = xy[vid]
-        w3 = _grid_step(L, ijk, STEPS[3])
-        w4 = _grid_step(L, ijk, STEPS[4])
-        w34 = _grid_step(L, ijk, (0, 1, 0))
-        w234 = _grid_step(L, ijk, (1, 1, 0))
-        if w3 is not None:
-            x3, y3 = xy[w3]
-            l_x[vid] = abs(y0 - y3) + 2 * max((2 * x0 + y0) - (2 * x3 + y3), 0)
-            if l_x[vid] < 2 * max(x0 - x3, 0):
-                cx_fail.append(vid)
-        if w34 is not None:
-            l_y[vid] = 2 * abs(x0 - xy[w34][0])
-        if w4 is not None:
-            x4, y4 = xy[w4]
-            l_z1[vid] = abs((2 * x0 + y0) - (2 * x4 + y4))
-        if w234 is not None:
-            x5, y5 = xy[w234]
-            l_z2[vid] = abs((2 * x0 - y0) - (2 * x5 - y5))
+    def along(step, loss) -> dict[int, int]:   # row -> loss(p, q) of its image points
+        return dict(zip(steps[step][0], map(loss, *lat.steps(step))))
 
-    tr_fail = []
-    for vid, ijk in inst.index.items():
-        w3 = _grid_step(L, ijk, STEPS[3])
-        w34 = _grid_step(L, ijk, (0, 1, 0))
-        if (vid in l_z2 and vid in l_x and w34 in l_x and vid in l_y
-                and w3 in l_y and w3 in l_z1):
-            rhs = l_x[vid] + l_x[w34] + l_y[vid] + l_y[w3] + l_z1[w3]
-            if l_z2[vid] > rhs:
-                tr_fail.append(vid)
+    l_x = along(STEPS[3], lambda p, q: abs(Y[p] - Y[q]) + 2 * max(U[p] - U[q], 0))
+    l_y = along((0, 1, 0), lambda p, q: 2 * abs(X[p] - X[q]))
+    l_z1 = along(STEPS[4], lambda p, q: abs(U[p] - U[q]))
+    l_z2 = along((1, 1, 0), lambda p, q: abs(W[p] - W[q]))
+    vids = list(inst.index)
+    cx_fail = [vids[n] for n, p, q in zip(steps[STEPS[3]][0], *lat.steps(STEPS[3]))
+               if l_x[n] < 2 * max(X[p] - X[q], 0)]
 
+    w3, w34 = dict(zip(*steps[STEPS[3]])), dict(zip(*steps[(0, 1, 0)]))
+    tr_fail = [vids[n] for n, z2 in l_z2.items()
+               if n in l_x and w34.get(n) in l_x and n in l_y and w3.get(n) in l_y
+               and w3.get(n) in l_z1
+               and z2 > l_x[n] + l_x[w34[n]] + l_y[n] + l_y[w3[n]] + l_z1[w3[n]]]
+
+    # per grid line (jy, kz): the losses of its vertices plus 3 times its
+    # boundary terms max(x, 0) at i = 0 and max(1 - x, 0) at i = L; the
+    # bound's right side takes the boundary terms twice (`ends`)
+    line = {(jy, kz): 0 for jy in range(L + 1) for kz in range(L + 1 - jy)}
+    ends = 0
+    for n, (i, j, k) in enumerate(inst.index.values()):
+        end = max(X[lat.rows[n]], 0) if i == 0 else max(T - X[lat.rows[n]], 0) if i == L else 0
+        line[j, k] += (l_x.get(n, 0) + l_y.get(n, 0) + l_z1.get(n, 0) + l_z2.get(n, 0)
+                       + 3 * end)
+        ends += 2 * end
     frac = FractionTable(T)
-    table: dict[tuple[int, int], Fraction] = {}
-    ends = 0   # boundary sums: 2 max(x, 0) at i = 0 plus 2 max(1 - x, 0) at i = L
-    for jy in range(L + 1):
-        for kz in range(L + 1 - jy):
-            tot = 0
-            for q in range(L + 1):
-                vid = _vid(q, jy, kz)
-                tot += (l_x.get(vid, 0) + l_y.get(vid, 0)
-                        + l_z1.get(vid, 0) + l_z2.get(vid, 0))
-            edge0 = max(xy[_vid(0, jy, kz)][0], 0)
-            edge1 = max(T - xy[_vid(L, jy, kz)][0], 0)
-            table[(jy, kz)] = frac[tot + 3 * edge0 + 3 * edge1]
-            ends += 2 * (edge0 + edge1)
-
-    planar_sum = (sum(l_x.values()) + sum(l_y.values())
-                  + sum(l_z1.values()) + sum(l_z2.values()))
+    planar_sum = sum(l_x.values()) + sum(l_y.values()) + sum(l_z1.values()) + sum(l_z2.values())
     rhs = Fraction(2 * planar_sum + 3 * ends, 3 * T)
 
-    def fracs(ls: dict[str, int]) -> dict[str, Fraction]:
-        return {vid: frac[n] for vid, n in ls.items()}
+    def fracs(ls: dict[int, int]) -> dict[str, Fraction]:
+        return {vids[n]: frac[v] for n, v in ls.items()}
 
     return PlanarReport(l_x=fracs(l_x), l_y=fracs(l_y), l_z1=fracs(l_z1),
-                        l_z2=fracs(l_z2), table=table,
+                        l_z2=fracs(l_z2), table={key: frac[v] for key, v in line.items()},
                         step_bound_failures=cx_fail, transfer_bound_failures=tr_fail,
                         bound_lhs=lat.total, bound_rhs=rhs)
 

@@ -108,7 +108,10 @@ def load_graph(text: str) -> TerminalGraph:
 
 def dump_graph(g: TerminalGraph) -> str:
     lines = [f"terminal {name} {v}" for name, v in g.terminals.items()]
-    lines += [f"edge {e.u} {e.v} {e.capacity} {e.length}" for e in g.edges]
+    # equal capacities and lengths are often one shared object: format each once
+    objs = {id(x): x for e in g.edges for x in e[2:]}
+    text = {key: str(x) for key, x in objs.items()}
+    lines += [f"edge {u} {v} {text[id(c)]} {text[id(x)]}" for u, v, c, x in g.edges]
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -198,14 +198,15 @@ class PointLattice:
 
     `ipts[i]` is point i's coordinates as ints on the scale S, `points[i]` the
     same as Fractions (built on first read) and `frac[n]` is Fraction(n, S),
-    so `frac[dist(i, j)]` equals `ts_distance` of points i and j.
+    so `frac[dist(i, j)]` equals `ts_distance` of points i and j; with n
+    points, `pair_dist[i * n + j]` is the memo `dist(i, j)` reads.
     """
 
     def __init__(self, ipts: Iterable[Sequence[int]], S: int):
         self.S = S
         self.ipts = [tuple(p) for p in ipts]
         self.frac = FractionTable(S)
-        self._dist: dict[tuple[int, int], int] = {}
+        self.pair_dist = _PairDistances(self.ipts)
 
     @classmethod
     def of(cls, points: Sequence[Sequence[Fraction]]) -> "PointLattice":
@@ -223,10 +224,23 @@ class PointLattice:
 
     def dist(self, i: int, j: int) -> int:
         """S-scaled span distance between points i and j, memoized."""
-        key = (i, j)
-        d = self._dist.get(key)
-        if d is None:
-            d = self._dist[key] = self.sup_dist(self.ipts[i], self.ipts[j])
+        return self.pair_dist[i * self.pair_dist.n + j]
+
+    def dists(self, ps: Sequence[int], qs: Sequence[int]) -> Iterable[int]:
+        """`dist(ps[n], qs[n])` for each n, read with C-level `map`."""
+        return map(self.pair_dist.__getitem__, map(add, map(self.pair_dist.n.__mul__, ps), qs))
+
+
+class _PairDistances(dict):
+    """i * n + j -> S-scaled distance of points i and j of n, computed on first read."""
+
+    def __init__(self, ipts: list[tuple[int, ...]]):
+        super().__init__()
+        self.ipts, self.n = ipts, len(ipts)
+
+    def __missing__(self, key: int) -> int:
+        i, j = divmod(key, self.n)
+        d = self[key] = PointLattice.sup_dist(self.ipts[i], self.ipts[j])
         return d
 
 

@@ -7,8 +7,10 @@ from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
+
 from spanflow import decompose
-from spanflow.cli import main
+from spanflow.cli import canonical_json, main
 from spanflow.decompose import Decomposer, type1_metric, type2_metric, type3_metric
 from spanflow.graphs import TerminalGraph, project_graph
 from spanflow.hard6 import metric6
@@ -206,6 +208,19 @@ HARD6_GOLDEN = {
         "graph.txt": "cbc13fda532681ce6c0167f3b5e6bf6783efd6c0f844e48539a79a4074ddabf1",
         "instance.json": "7b53aabb44b257ea8836cc43552807c47106dafe6c63a50f0705f5aef849199d",
     },
+    # the bench ladder sizes, recorded before the grid-index diagnostics
+    ("--L", "8", "--snap-grid", "2"): {
+        "stdout": "3606e570a18a5e4063122eda3d6fdd0308a509aa9e3463da20ec25d36a64258f",
+        "diagnostics.json": "46b874a9df4bacd809362bf9bb6e03a1b1a3329e80e673bdb653164165af0d00",
+        "graph.txt": "dac00c9ec2cfdb420231e6637ca99982c28be172ca9660df1c38d0cf873ec69d",
+        "instance.json": "137458db3a6eceed25734e254ca7813455b9d9988b7ab2498470f8f6bdc81d4a",
+    },
+    ("--L", "7", "--snap-grid", "3"): {
+        "stdout": "1500b047ef45d73b9eb639164fc67441b120ff40019b653106a4926d317fde16",
+        "diagnostics.json": "bb6662b53f185b34388530984b0c12f78c220e4d1124623d381a30f5896405fe",
+        "graph.txt": "c6749d08e9f8e2299e72bbca7577baabdb1d5b5f12c911edac77a6850b1179f8",
+        "instance.json": "33a229f0f1857922eceeb92a24d999b41fc061a27e3d0f14952ab412938ac5c5",
+    },
 }
 
 
@@ -220,6 +235,33 @@ def test_hard6_golden_bytes(tmp_path):
         got = {"stdout": sha(r.stdout.replace(str(out), "OUTDIR").encode())}
         got.update((f.name, sha(f.read_bytes())) for f in out.iterdir())
         assert got == golden, args
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text(), kids)),
+    max_leaves=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "b": {}, "a": [(), {"\u00e9\n\"\\\t": ["\x00", "\U0001f600", "/"]}],
+          "c": [None, True, False, 0, -7, 2 ** 80], "\u2028": "caf\u00e9"})
+def test_canonical_json_is_json_dumps(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_canonical_json_writes_the_hard6_payloads(tmp_path, capsys):
+    for n, args in enumerate(HARD6_GOLDEN):
+        out = tmp_path / f"out{n}"
+        payloads = [json.loads(_in_process(capsys, "hard6", *args, "--out", str(out)))]
+        for name in ("instance.json", "diagnostics.json"):
+            text = (out / name).read_text()
+            payloads.append(json.loads(text))
+            assert canonical_json(payloads[-1]) + "\n" == text, (args, name)
+        for obj in payloads:
+            assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_hard6_l1_exit_2():

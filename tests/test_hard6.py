@@ -516,10 +516,16 @@ def assert_matches_reference(inst, sol):
 
 
 def test_generated_lengths_are_span_distances():
-    for L in (2, 3, 5):
-        inst = generate(L)
+    # generate gives an edge between two non-terminals 1/L without measuring it
+    for inst in [generate(L) for L in (2, 3, 5, 6, 8)] + [generate(4, ave=True)]:
+        L, term_ids = inst.L, set(inst.graph.terminals.values())
+        steps = 0
         for u, v, _, length in inst.graph.edges:
             assert length == ts_distance(inst.vecs[u], inst.vecs[v])
+            if u not in term_ids and v not in term_ids:
+                assert length == F(1, L)
+                steps += 1
+        assert steps > 0
         for vid, (i, j, k) in inst.index.items():
             assert inst.vecs[vid] == from_assoc(AssocVec(F(i, L), F(2 * j, L), F(k, L)))
 
@@ -530,6 +536,11 @@ def test_lattice_diagnostics_match_reference():
         # the identity maps every grid point to an image point of its own
         assert_matches_reference(inst, identity_solution(inst))
         for g in (1, 2, 3, 5):
+            assert_matches_reference(inst, grid_snap(inst, g))
+    # the bench ladder sizes
+    for L, gs in ((6, (1, 2, 3)), (7, (2,))):
+        inst = generate(L)
+        for g in gs:
             assert_matches_reference(inst, grid_snap(inst, g))
 
 
