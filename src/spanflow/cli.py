@@ -7,6 +7,7 @@ assertion failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -237,6 +238,7 @@ def _cmd_hard6(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # built once per process; each parse_args fills a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spanflow")
     ap.add_argument("--format", choices=("json", "text"), default="json")

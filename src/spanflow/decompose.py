@@ -752,7 +752,7 @@ def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
         raise GraphError(f"solution does not cover vertices {missing[:3]}")
     lat, by = sol.lattice, sol.by_vertex
     vol = weighted_sum([e.capacity for e in g.edges],
-                       [lat.dist(by[e.u], by[e.v]) for e in g.edges], lat.S)
+                       lat.dists([by[e.u] for e in g.edges], [by[e.v] for e in g.edges]), lat.S)
     return CostReport.of(vol, opt_volume(g, embedded.distances))
 
 
@@ -896,11 +896,9 @@ def contract(g: TerminalGraph, sol: Solution) -> TerminalGraph:
     if missing:
         raise GraphError(f"solution does not cover vertices {missing[:3]}")
     labels = [c.label for c in sol.clusters]
-    edges = []
-    for u, v, cap, _ in g.edges:
-        cu, cv = sol.cluster_of(u), sol.cluster_of(v)
-        if cu == cv:
-            continue
-        edges.append(Edge(labels[cu], labels[cv], cap, sol.delta(cu, cv)))
-    terminals = {t: labels[sol.cluster_of(g.terminals[t])] for t in g.terminals}
+    lat, by = sol.lattice, sol.by_vertex
+    kept = [(by[e.u], by[e.v], e.capacity) for e in g.edges if by[e.u] != by[e.v]]
+    lengths = map(lat.frac.__getitem__, lat.dists([k[0] for k in kept], [k[1] for k in kept]))
+    edges = [Edge(labels[cu], labels[cv], cap, x) for (cu, cv, cap), x in zip(kept, lengths)]
+    terminals = {t: labels[by[g.terminals[t]]] for t in g.terminals}
     return TerminalGraph(vertices=list(labels), edges=edges, terminals=terminals)

@@ -1,11 +1,13 @@
 """Multicommodity-flow congestion machinery.
 
 The concurrent-flow solver maximizes the fraction lambda of a demand that can
-be routed within capacities.  It solves an edge-flow LP in floating point
-(HiGHS via scipy): parallel edges merged into one arc pair of their summed
-capacity, self-loops dropped, one commodity per source of a greedy cover of
-the demand pairs, and the columns arc-major (commodity k on arc a is column
-a * nk + k, lambda last).  What it reports is exact where stated:
+be routed within capacities.  It solves an edge-flow LP in floating point,
+by one direct HiGHS call through scipy's bundled bindings (`linprog`, with the
+options `scipy.optimize.linprog(method="highs")` sets): parallel edges merged
+into one arc pair of their summed capacity, self-loops dropped, one commodity
+per source of a greedy cover of the demand pairs, and the columns arc-major
+(commodity k on arc a is column a * nk + k, lambda last).  What it reports is
+exact where stated:
 
 * every edge's load is at most its capacity, exactly: the clipped float flow
   is read as ints on one power-of-two scale and the capacities as ints on
@@ -28,11 +30,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import coo_matrix, csc_array, vstack
 
 from .graphs import TerminalGraph, shortest_distances
 from .metric import as_fraction, pair_key
@@ -76,6 +78,62 @@ class FlowResult:
     routed: dict[tuple[str, str], Fraction]   # per demand pair, net inflow at its sink
     epsilon: Fraction
     iterations: int
+
+
+class LPResult(NamedTuple):
+    x: np.ndarray | None   # None unless success
+    success: bool
+    message: str
+    nit: int
+
+
+# the options `scipy.optimize.linprog(method="highs")` sets, built once
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.highs_debug_level = 0   # kHighsDebugLevelNone
+_OPTIONS.log_to_console = False
+_OPTIONS.output_flag = False
+_OPTIONS.simplex_strategy = 1    # kSimplexStrategyDual
+
+
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
+    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
+    bounds = (lower, upper or None) on every x, by one HiGHS run.
+
+    The part of `scipy.optimize.linprog(..., method="highs")` that
+    `max_concurrent_flow` uses: the same stacked CSC matrix, row and column
+    bounds and options (presolve, dual simplex, no output), so the same x and
+    iteration count; it builds no marginals and makes no residual check.
+    """
+    if method != "highs":
+        raise ValueError(f"unsupported method {method!r}")
+    a = csc_array(vstack((A_ub, A_eq)))
+    lower, upper = bounds
+    nrow, ncol = a.shape
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ncol
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = c
+    lp.col_lower_ = np.full(ncol, float(lower))
+    lp.col_upper_ = np.full(ncol, highs.kHighsInf if upper is None else float(upper))
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -highs.kHighsInf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    info = solver.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    text = solver.modelStatusToString(status)
+    if status != highs.HighsModelStatus.kOptimal:
+        primal = solver.solutionStatusToString(info.primal_solution_status)
+        return LPResult(None, False, f"model_status is {text}; primal_status is {primal}", nit)
+    return LPResult(np.array(solver.getSolution().col_value), True, text, nit)
 
 
 def _reachable(adj, src) -> set:

@@ -69,16 +69,26 @@ def dump_metric(m: TerminalMetric) -> str:
 
 
 def load_graph(text: str) -> TerminalGraph:
-    """Parse `edge <u> <v> <capacity> <length>` and `terminal <name> <vertex>`."""
+    """Parse `edge <u> <v> <capacity> <length>` and `terminal <name> <vertex>`.
+
+    Equal capacity or length tokens share one Fraction object.
+    """
     edges = []
     terminals: dict[str, str] = {}
     vertices: list[str] = []
     seen: set[str] = set()
+    parsed: dict[str, Fraction] = {}   # each distinct token parsed once
 
     def add_vertex(v: str):
         if v not in seen:
             seen.add(v)
             vertices.append(v)
+
+    def rational(lineno: int, token: str) -> Fraction:
+        value = parsed.get(token)
+        if value is None:
+            value = parsed[token] = _rational(lineno, token)
+        return value
 
     for lineno, fields in _records(text):
         if fields[0] == "edge":
@@ -87,7 +97,7 @@ def load_graph(text: str) -> TerminalGraph:
             _, u, v, cap, length = fields
             add_vertex(u)
             add_vertex(v)
-            edges.append((u, v, _rational(lineno, cap), _rational(lineno, length)))
+            edges.append((u, v, rational(lineno, cap), rational(lineno, length)))
         elif fields[0] == "terminal":
             if len(fields) != 3:
                 raise TextFormatError(lineno, "expected 'terminal <name> <vertex>'")

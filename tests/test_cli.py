@@ -7,10 +7,11 @@ from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spanflow import decompose
-from spanflow.cli import canonical_json, main
+from spanflow.cli import build_parser, canonical_json, main
 from spanflow.decompose import Decomposer, type1_metric, type2_metric, type3_metric
 from spanflow.graphs import TerminalGraph, project_graph
 from spanflow.hard6 import metric6
@@ -129,6 +130,29 @@ def test_quality_negative_random_demands_exit_2(tmp_path, capsys):
     assert out == ""
     assert "--random-demands must be nonnegative, got -1" in err
     assert "no demands given" not in err
+
+
+def test_main_twice_keeps_no_demands_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()   # one parser per process
+    g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+    g.write_text(STAR)
+    h.write_text(STAR.replace("edge a o 1 2", "edge a o 3 2").replace("edge b o 1 5", "edge b o 3 5"))
+    files = {}
+    for name, pair in (("ac", "a c"), ("bc", "b c"), ("ab", "a b")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(f"demand {pair} 1\n")
+
+    def ratios(*demands):
+        argv = ["quality", str(g), str(h)]
+        for name in demands:
+            argv += ["--demands", str(files[name])]
+        assert main(argv) == 0
+        return [float(F(r)) for r in json.loads(capsys.readouterr().out)["ratios"]]
+
+    # the (a, b) demand routes 3 times more in h; the others hit c's unit edge
+    assert ratios("ac", "bc") == pytest.approx([1, 1])
+    assert ratios("ab") == pytest.approx([3])
+    assert ratios("bc") == pytest.approx([1])
 
 
 def test_quality_of_contracted_sparsifier(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spanflow.flow import (Demand, FlowError, dual_value, exact_single_commodity,
-                           max_concurrent_flow, quality_ratio)
+                           linprog, max_concurrent_flow, quality_ratio)
 from spanflow.graphs import TerminalGraph, shortest_distances
 
 from conftest import rand_connected_graph
@@ -474,3 +474,45 @@ def test_lp_size_ignores_edge_multiplicity(monkeypatch):
     sizes = {(len(c), kw["A_eq"].shape, kw["A_eq"].nnz, kw["A_ub"].nnz) for c, kw in calls}
     assert len(calls) == 3 and len(sizes) == 1
     assert len(calls[0][0]) == 2 * 2 + 1
+
+
+def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
+    """`flow.linprog` gives `scipy.optimize.linprog(method="highs")`'s x bit
+    for bit, and its iteration count, on every LP `max_concurrent_flow` builds."""
+    from scipy.optimize import linprog as scipy_linprog
+    from spanflow.hard6 import generate
+    calls = capture_linprog(monkeypatch)
+    names = ("s", "t", "u", "w")
+    pairs = [(t, u) for i, t in enumerate(names) for u in names[i + 1:]]
+    for _ in range(12):
+        base = rand_connected_graph(rng, rng.randint(4, 8), rng.randint(0, 6), names)
+        dem = Demand({p: F(rng.randint(1, 9), rng.randint(1, 4))
+                      for p in rng.sample(pairs, rng.randint(1, len(pairs)))})
+        max_concurrent_flow(with_copies_and_loops(rng, base), dem, EPS)
+    for gamma in (F(1, 10 ** 15), F(1, 1000)):
+        inst = generate(3, ave=True, gamma=gamma)
+        max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
+    assert len(calls) == 14
+    for c, kw in calls:
+        ours, ref = linprog(c, **kw), scipy_linprog(c, **kw)
+        assert ours.success and ref.success
+        assert ours.nit == ref.nit
+        assert np.array_equal(ours.x, ref.x)
+
+
+def test_infeasible_lp_reports_the_highs_status(monkeypatch):
+    import spanflow.flow as flow
+    from scipy.optimize import linprog as scipy_linprog
+    from scipy.sparse import coo_matrix
+    # x0 <= -1 against x >= 0
+    c = np.array([1.0, 0.0])
+    kw = dict(A_ub=coo_matrix(np.array([[1.0, 0.0]])), b_ub=[-1.0],
+              A_eq=coo_matrix(np.array([[0.0, 1.0]])), b_eq=np.zeros(1),
+              bounds=(0, None), method="highs")
+    res, ref = linprog(c, **kw), scipy_linprog(c, **kw)
+    assert not res.success and not ref.success and res.x is None
+    assert "model_status is Infeasible" in res.message
+    assert res.message in ref.message
+    monkeypatch.setattr(flow, "linprog", lambda c, **kwargs: res)
+    with pytest.raises(FlowError, match="LP solver failed: model_status is Infeasible"):
+        max_concurrent_flow(single_edge(), Demand({("s", "t"): F(1)}), EPS)
