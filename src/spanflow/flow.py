@@ -23,18 +23,21 @@ exact where stated:
 A NaN or infinite value in the solver's output raises `FlowError`.  The
 single-commodity oracle and the dual checker are exact and independent of
 that code path.
+
+scipy's HiGHS bindings and `scipy.sparse` load on the first LP, not at
+import: importing `scipy.optimize` costs more than the rest of the package,
+and the geometry, decomposition and hard-instance code never solves an LP.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse import coo_matrix, csc_array, vstack
 
 from .graphs import TerminalGraph, shortest_distances
 from .metric import as_fraction, pair_key
@@ -72,12 +75,22 @@ class Demand:
 
 @dataclass
 class FlowResult:
+    """lambda, its congestion, the routed flows and, built on first read, the
+    per-edge loads: edge i carries load_nums[i] / (load_dens[i] * load_scale),
+    exactly at most its capacity (0 on a self-loop)."""
     lam: Fraction
     congestion: Fraction
-    loads: list[Fraction]        # per edge, each exactly <= its capacity
     routed: dict[tuple[str, str], Fraction]   # per demand pair, net inflow at its sink
     epsilon: Fraction
     iterations: int
+    load_nums: list[int]
+    load_dens: list[int]
+    load_scale: int
+
+    @cached_property
+    def loads(self) -> list[Fraction]:
+        d = self.load_scale
+        return [Fraction(n, c * d) for n, c in zip(self.load_nums, self.load_dens)]
 
 
 class LPResult(NamedTuple):
@@ -87,13 +100,18 @@ class LPResult(NamedTuple):
     nit: int
 
 
-# the options `scipy.optimize.linprog(method="highs")` sets, built once
-_OPTIONS = highs.HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.highs_debug_level = 0   # kHighsDebugLevelNone
-_OPTIONS.log_to_console = False
-_OPTIONS.output_flag = False
-_OPTIONS.simplex_strategy = 1    # kSimplexStrategyDual
+@cache
+def _highs():
+    """scipy's HiGHS bindings and the options `scipy.optimize.linprog(method="highs")`
+    sets, imported and built on the first LP, once per process."""
+    from scipy.optimize._highspy import _core as highs
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = 0   # kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = 1    # kSimplexStrategyDual
+    return highs, options
 
 
 def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
@@ -104,10 +122,17 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
     `max_concurrent_flow` uses: the same stacked CSC matrix, row and column
     bounds and options (presolve, dual simplex, no output), so the same x and
     iteration count; it builds no marginals and makes no residual check.
+    `A_ub` and `A_eq` are COO matrices with the same number of columns.
     """
+    from scipy.sparse import csc_array
     if method != "highs":
         raise ValueError(f"unsupported method {method!r}")
-    a = csc_array(vstack((A_ub, A_eq)))
+    highs, options = _highs()
+    # the stacked matrix in one step: A_eq's rows follow A_ub's
+    a = csc_array((np.concatenate([A_ub.data, A_eq.data]),
+                   (np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]]),
+                    np.concatenate([A_ub.col, A_eq.col]))),
+                  shape=(A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1]))
     lower, upper = bounds
     nrow, ncol = a.shape
     lp = highs.HighsLp()
@@ -123,7 +148,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
     lp.row_lower_ = np.concatenate([np.full(len(b_ub), -highs.kHighsInf), b_eq])
     lp.row_upper_ = np.concatenate([b_ub, b_eq])
     solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
+    solver.passOptions(options)
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -183,6 +208,7 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     (int accounting of the solver's floats); conservation holds only to float
     accuracy.  A non-finite solver value raises `FlowError`.
     """
+    from scipy.sparse import coo_matrix
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
         raise FlowError("epsilon must lie in (0, 1/2]")
@@ -269,9 +295,9 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
         scale /= max(Fraction(u * cs, c * xs) for u, c in zip(used, caps)) * scale
     lam = Fraction(x[-1]) * scale
     sn, sd = scale.numerator, scale.denominator
-    loads = [Fraction(0)] * len(g.edges)
+    load_nums, load_dens = [0] * len(g.edges), [1] * len(g.edges)
     for i, m, ci in zip(real.tolist(), slot.tolist(), cint):
-        loads[i] = Fraction(used[m] * ci * sn, caps[m] * xs * sd)
+        load_nums[i], load_dens[i] = used[m] * ci * sn, caps[m]
     routed = {}
     for k, (_, sinks) in enumerate(cover):
         for pair, w, _ in sinks:
@@ -281,8 +307,9 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
             routed[pair] = Fraction(net * sn, xs * sd)
     iterations = int(getattr(res, "nit", 0))
     congestion = Fraction(1) / lam if lam > 0 else Fraction(0)
-    return FlowResult(lam=lam, congestion=congestion, loads=loads,
-                      routed=routed, epsilon=eps, iterations=iterations)
+    return FlowResult(lam=lam, congestion=congestion, routed=routed, epsilon=eps,
+                      iterations=iterations, load_nums=load_nums, load_dens=load_dens,
+                      load_scale=xs * sd)
 
 
 def exact_single_commodity(g: TerminalGraph, s_name: str, t_name: str) -> Fraction:

@@ -182,6 +182,56 @@ def test_quality_of_contracted_sparsifier(tmp_path):
     assert float(Fraction(data["min_ratio"])) >= 1 / (1 + 2 / 100)
 
 
+# argv[1] is "cold" or "warm" (scipy imported before spanflow), argv[2] a JSON
+# list of CLI argvs; prints one JSON line after the import and one per command
+SCIPY_PROBE = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+if sys.argv[1] == "warm":
+    import scipy.optimize, scipy.sparse
+import spanflow, spanflow.cli
+
+def scipy_loaded():
+    return [m for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse") if m in sys.modules]
+
+print(json.dumps({"scipy": scipy_loaded()}))
+for argv in json.loads(sys.argv[2]):
+    with redirect_stdout(io.StringIO()) as out:
+        rc = spanflow.cli.main(argv)
+    print(json.dumps({"rc": rc, "out": out.getvalue(), "scipy": scipy_loaded()}))
+"""
+
+
+def test_scipy_loads_on_the_first_lp(tmp_path):
+    """Importing spanflow and running the commands that solve no LP leave
+    scipy.optimize, scipy.sparse and scipy.linalg unloaded (this process holds
+    them already, so a child checks); `quality` loads them, and prints what it
+    prints when scipy was imported first."""
+    m, g, h = tmp_path / "m.txt", tmp_path / "g.txt", tmp_path / "h.txt"
+    m.write_text(METRIC_EX1)
+    g.write_text(STAR)
+    h.write_text(STAR.replace("edge a o 1 2", "edge a o 3 2"))
+    no_lp = [["tightspan", str(m)], ["project", str(m), "3,6,4"],
+             ["sparsify", str(g), "--seed", "5", "--samples", "10"],
+             ["hard6", "--L", "3", "--snap-grid", "2"], ["hard6", "--L", "2", "--ave"]]
+    quality = ["quality", str(g), str(h), "--random-demands", "3", "--seed", "2"]
+
+    def probe(first, argvs):
+        r = subprocess.run([sys.executable, "-c", SCIPY_PROBE, first, json.dumps(argvs)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        steps = [json.loads(line) for line in r.stdout.splitlines()]
+        assert [s["rc"] for s in steps[1:]] == [0] * len(argvs)
+        return steps
+
+    scipy = ["scipy.linalg", "scipy.optimize", "scipy.sparse"]
+    cold = probe("cold", no_lp + [quality])
+    assert [s["scipy"] for s in cold] == [[]] * (1 + len(no_lp)) + [scipy]
+    warm = probe("warm", [quality])
+    assert warm[0]["scipy"] == scipy
+    assert cold[-1]["out"] == warm[-1]["out"] and json.loads(cold[-1]["out"])["ratios"]
+
+
 def test_hard6_summary_and_files(tmp_path):
     out = tmp_path / "inst"
     r = run("hard6", "--L", "4", "--snap-grid", "1", "--out", str(out))
