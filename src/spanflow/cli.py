@@ -17,26 +17,20 @@ from itertools import repeat
 from pathlib import Path
 
 from .decompose import CostReport, Decomposer, contract, opt_volume, sample_seed, sample_volumes
-from .flow import Demand, FlowError, quality_ratio
-from .graphs import GraphError, project_graph
+from .flow import Demand, quality_ratio
+from .graphs import project_graph
 from .hard6 import diagnose, generate, grid_snap
 from .metric import MetricError, as_fraction
-from .textio import (TextFormatError, dump_graph, load_demand, load_graph,
-                     load_metric)
-from .tightspan import UnsupportedSizeError, enumerate_complex, project
+from .textio import dump_graph, load_demand, load_graph, load_metric, str_each
+from .tightspan import enumerate_complex, project
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (TextFormatError, MetricError, GraphError, FlowError, OSError,
-                 UnsupportedSizeError, ValueError)
-
-
-def _str_each(values: list) -> list[str]:
-    """str() of every value, formatting each distinct object once."""
-    text = {key: str(x) for key, x in dict(zip(map(id, values), values)).items()}
-    return list(map(text.__getitem__, map(id, values)))
+# the package's own input errors (TextFormatError, MetricError, GraphError,
+# FlowError, UnsupportedSizeError) are all ValueErrors
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def canonical_json(obj, nl: str = "\n") -> str:
@@ -64,7 +58,7 @@ def canonical_json(obj, nl: str = "\n") -> str:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(canonical_json(payload) + "\n")
         return
     def render(obj, indent=0):
         pad = "  " * indent
@@ -200,7 +194,7 @@ def _cmd_hard6(args) -> int:
                 "name": p.name, "group": p.group, "i": p.i, "j": p.j,
                 "source": p.source, "sink": p.sink, "capacity": cap,
                 "direction": p.direction, "vertices": p.vertex_ids,
-            } for p, cap in zip(paths, _str_each([p.capacity for p in paths]))],
+            } for p, cap in zip(paths, str_each([p.capacity for p in paths]))],
         }
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "graph.txt").write_text(graph_text)
@@ -222,10 +216,10 @@ def _cmd_hard6(args) -> int:
                 "line_table": {f"{jy},{kz}": str(v)
                                for (jy, kz), v in sorted(pr.table.items())},
                 "path_losses": dict(zip([p.name for p in rep.per_path],
-                                        _str_each([p.loss for p in rep.per_path]))),
+                                        str_each([p.loss for p in rep.per_path]))),
                 "vertex_losses": {
                     vid: {"x": x, "y": y, "z1": z1, "z2": z2}
-                    for vid, x, y, z1, z2 in zip(vids, *(_str_each([ls.get(v, 0) for v in vids])
+                    for vid, x, y, z1, z2 in zip(vids, *(str_each([ls.get(v, 0) for v in vids])
                                                          for ls in planar))
                 },
             }

@@ -744,13 +744,18 @@ def opt_volume(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None
                         g.length_table().scale)
 
 
-def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
-    """The solution's volume (int capacities times int distances on its lattice) and opt."""
-    g = embedded.graph
+def _covering(g: TerminalGraph, sol: Solution) -> tuple[PointLattice, dict[Hashable, int]]:
+    """The solution's lattice and vertex map, once it is checked to cover g."""
     missing = [v for v in g.vertices if v not in sol.by_vertex]
     if missing:
         raise GraphError(f"solution does not cover vertices {missing[:3]}")
-    lat, by = sol.lattice, sol.by_vertex
+    return sol.lattice, sol.by_vertex
+
+
+def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
+    """The solution's volume (int capacities times int distances on its lattice) and opt."""
+    g = embedded.graph
+    lat, by = _covering(g, sol)
     vol = weighted_sum([e.capacity for e in g.edges],
                        lat.dists([by[e.u] for e in g.edges], [by[e.v] for e in g.edges]), lat.S)
     return CostReport.of(vol, opt_volume(g, embedded.distances))
@@ -892,11 +897,8 @@ def contract(g: TerminalGraph, sol: Solution) -> TerminalGraph:
     cluster semi-metric as length, so dual evaluations on the sparsifier see
     the solution's distances.
     """
-    missing = [v for v in g.vertices if v not in sol.by_vertex]
-    if missing:
-        raise GraphError(f"solution does not cover vertices {missing[:3]}")
     labels = [c.label for c in sol.clusters]
-    lat, by = sol.lattice, sol.by_vertex
+    lat, by = _covering(g, sol)
     kept = [(by[e.u], by[e.v], e.capacity) for e in g.edges if by[e.u] != by[e.v]]
     lengths = map(lat.frac.__getitem__, lat.dists([k[0] for k in kept], [k[1] for k in kept]))
     edges = [Edge(labels[cu], labels[cv], cap, x) for (cu, cv, cap), x in zip(kept, lengths)]

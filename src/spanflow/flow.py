@@ -24,9 +24,9 @@ A NaN or infinite value in the solver's output raises `FlowError`.  The
 single-commodity oracle and the dual checker are exact and independent of
 that code path.
 
-scipy's HiGHS bindings and `scipy.sparse` load on the first LP, not at
-import: importing `scipy.optimize` costs more than the rest of the package,
-and the geometry, decomposition and hard-instance code never solves an LP.
+numpy, scipy's HiGHS bindings and `scipy.sparse` load on the first LP, not
+at import: importing them costs more than the rest of the package, and the
+geometry, decomposition and hard-instance code never solves an LP.
 """
 from __future__ import annotations
 
@@ -35,13 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .graphs import TerminalGraph, shortest_distances
 from .metric import as_fraction, pair_key
-from .tightspan import dyadic_ints, lattice_ints
+from .tightspan import lattice_ints
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FlowError(ValueError):
@@ -93,6 +94,16 @@ class FlowResult:
         return [Fraction(n, c * d) for n, c in zip(self.load_nums, self.load_dens)]
 
 
+def dyadic_ints(x: np.ndarray) -> tuple[list[int], int]:
+    """Finite floats as ints on one power-of-two scale S: x[i] = ints[i] / S exactly."""
+    import numpy as np
+    m, e = np.frexp(x)   # x = m * 2**e with m * 2**53 an int
+    e = e.astype(np.int64) - 53
+    low = int(e.min(initial=0))   # <= 0, so S = 2**-low is an int
+    return [v << s for v, s in zip((m * 2.0 ** 53).astype(np.int64).tolist(),
+                                   (e - low).tolist())], 1 << -low
+
+
 class LPResult(NamedTuple):
     x: np.ndarray | None   # None unless success
     success: bool
@@ -124,6 +135,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
     iteration count; it builds no marginals and makes no residual check.
     `A_ub` and `A_eq` are COO matrices with the same number of columns.
     """
+    import numpy as np
     from scipy.sparse import csc_array
     if method != "highs":
         raise ValueError(f"unsupported method {method!r}")
@@ -166,7 +178,7 @@ def _reachable(adj, src) -> set:
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for w, _ in adj[u]:
+        for w in adj[u][0]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -208,6 +220,7 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     (int accounting of the solver's floats); conservation holds only to float
     accuracy.  A non-finite solver value raises `FlowError`.
     """
+    import numpy as np
     from scipy.sparse import coo_matrix
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
@@ -215,7 +228,7 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     pairs = demand.pairs()
     if not pairs:
         raise FlowError("demand is empty")
-    adj = g.adjacency()
+    adj = g.length_table().adj
     reach: dict = {}   # source vertex -> vertices reachable from it
     for t, u, _ in pairs:
         if t not in g.terminals or u not in g.terminals:
@@ -305,10 +318,9 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
             net = (sum(X[j * nk + k] for j in np.flatnonzero(heads == wi).tolist())
                    - sum(X[j * nk + k] for j in np.flatnonzero(tails == wi).tolist()))
             routed[pair] = Fraction(net * sn, xs * sd)
-    iterations = int(getattr(res, "nit", 0))
     congestion = Fraction(1) / lam if lam > 0 else Fraction(0)
     return FlowResult(lam=lam, congestion=congestion, routed=routed, epsilon=eps,
-                      iterations=iterations, load_nums=load_nums, load_dens=load_dens,
+                      iterations=res.nit, load_nums=load_nums, load_dens=load_dens,
                       load_scale=xs * sd)
 
 

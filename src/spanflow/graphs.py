@@ -78,13 +78,6 @@ class TerminalGraph:
             if v not in vset:
                 raise GraphError(f"terminal {name} assigned to unknown vertex {v}")
 
-    def adjacency(self) -> dict[Vertex, list[tuple[Vertex, Fraction]]]:
-        adj: dict[Vertex, list[tuple[Vertex, Fraction]]] = {v: [] for v in self.vertices}
-        for u, v, _, length in self.edges:
-            adj[u].append((v, length))
-            adj[v].append((u, length))
-        return adj
-
     def length_table(self) -> _LengthTable:
         """The int adjacency on the graph's length scale, built on first use."""
         if self._lengths is None:
@@ -151,11 +144,8 @@ def edge_distance_ints(g: TerminalGraph, known: Mapping[Vertex, Distances] | Non
     to the `shortest_distances(g, source)` maps a caller already holds; an
     edge with an endpoint among them reads that map and runs no Dijkstra.
     """
-    degree = {v: 0 for v in g.vertices}
-    for u, v, _, _ in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    rank = {v: (-degree[v], i) for i, v in enumerate(g.vertices)}
+    adj = g.length_table().adj
+    rank = {v: (-len(adj[v][0]), i) for i, v in enumerate(g.vertices)}
     dists = dict(known or {})
     out = []
     for u, v, _, _ in g.edges:

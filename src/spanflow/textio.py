@@ -116,12 +116,18 @@ def load_graph(text: str) -> TerminalGraph:
         raise TextFormatError(1, str(exc)) from None
 
 
+def str_each(values: list) -> list[str]:
+    """str() of every value, formatting each distinct object once: equal
+    Fractions are often one shared object."""
+    ids = list(map(id, values))
+    text = {key: str(x) for key, x in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
+
+
 def dump_graph(g: TerminalGraph) -> str:
     lines = [f"terminal {name} {v}" for name, v in g.terminals.items()]
-    # equal capacities and lengths are often one shared object: format each once
-    objs = {id(x): x for e in g.edges for x in e[2:]}
-    text = {key: str(x) for key, x in objs.items()}
-    lines += [f"edge {u} {v} {text[id(c)]} {text[id(x)]}" for u, v, c, x in g.edges]
+    text = iter(str_each([x for e in g.edges for x in e[2:]]))   # capacity, length, ...
+    lines += [f"edge {u} {v} {c} {x}" for (u, v, _, _), c, x in zip(g.edges, text, text)]
     return "\n".join(lines) + "\n"
 
 

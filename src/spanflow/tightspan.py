@@ -29,8 +29,6 @@ from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
                      validate_metric)
 
@@ -43,15 +41,6 @@ def lattice_ints(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
     """The rows as ints on S, the lcm of all their denominators, and S."""
     S = lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (S // x.denominator) for x in row] for row in rows], S
-
-
-def dyadic_ints(x: np.ndarray) -> tuple[list[int], int]:
-    """Finite floats as ints on one power-of-two scale S: x[i] = ints[i] / S exactly."""
-    m, e = np.frexp(x)   # x = m * 2**e with m * 2**53 an int
-    e = e.astype(np.int64) - 53
-    low = int(e.min(initial=0))   # <= 0, so S = 2**-low is an int
-    return [v << s for v, s in zip((m * 2.0 ** 53).astype(np.int64).tolist(),
-                                   (e - low).tolist())], 1 << -low
 
 
 def on_scale(x: Fraction, scale: int) -> int:
@@ -326,15 +315,9 @@ def max_cell_dimension(complex_: CellComplex) -> int:
 
 def _scaled_constraints(m: TerminalMetric) -> tuple[list[tuple[int, int, int]], int]:
     k = len(m.terminals)
-    den = lcm(*(x.denominator for row in m.matrix() for x in row), 1)
-    scale = 4 * den
-    cons = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            cons.append((i, j, int(m.matrix()[i][j] * scale)))
-    for i in range(k):
-        cons.append((i, i, 0))
-    return cons, scale
+    ints, den = lattice_ints(m.matrix())
+    cons = [(i, j, 4 * ints[i][j]) for i in range(k) for j in range(i + 1, k)]
+    return cons + [(i, i, 0) for i in range(k)], 4 * den
 
 
 def _tight_system(cons: Sequence[tuple[int, int, int]], k: int

@@ -13,11 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 from spanflow import decompose
 from spanflow.cli import build_parser, canonical_json, main
 from spanflow.decompose import Decomposer, type1_metric, type2_metric, type3_metric
-from spanflow.graphs import TerminalGraph, project_graph
+from spanflow.flow import FlowError
+from spanflow.graphs import GraphError, TerminalGraph, project_graph
 from spanflow.hard6 import metric6
 from spanflow.metric import MetricError, TerminalMetric
-from spanflow.textio import dump_graph, dump_metric
-from spanflow.tightspan import enumerate_complex
+from spanflow.textio import TextFormatError, dump_graph, dump_metric
+from spanflow.tightspan import UnsupportedSizeError, enumerate_complex
 
 from conftest import rand_metric, tie_metric
 
@@ -192,7 +193,8 @@ if sys.argv[1] == "warm":
 import spanflow, spanflow.cli
 
 def scipy_loaded():
-    return [m for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse") if m in sys.modules]
+    return [m for m in ("numpy", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+            if m in sys.modules]
 
 print(json.dumps({"scipy": scipy_loaded()}))
 for argv in json.loads(sys.argv[2]):
@@ -204,9 +206,9 @@ for argv in json.loads(sys.argv[2]):
 
 def test_scipy_loads_on_the_first_lp(tmp_path):
     """Importing spanflow and running the commands that solve no LP leave
-    scipy.optimize, scipy.sparse and scipy.linalg unloaded (this process holds
-    them already, so a child checks); `quality` loads them, and prints what it
-    prints when scipy was imported first."""
+    numpy, scipy.optimize, scipy.sparse and scipy.linalg unloaded (this process
+    holds them already, so a child checks); `quality` loads them, and prints
+    what it prints when scipy was imported first."""
     m, g, h = tmp_path / "m.txt", tmp_path / "g.txt", tmp_path / "h.txt"
     m.write_text(METRIC_EX1)
     g.write_text(STAR)
@@ -224,7 +226,7 @@ def test_scipy_loads_on_the_first_lp(tmp_path):
         assert [s["rc"] for s in steps[1:]] == [0] * len(argvs)
         return steps
 
-    scipy = ["scipy.linalg", "scipy.optimize", "scipy.sparse"]
+    scipy = ["numpy", "scipy.linalg", "scipy.optimize", "scipy.sparse"]
     cold = probe("cold", no_lp + [quality])
     assert [s["scipy"] for s in cold] == [[]] * (1 + len(no_lp)) + [scipy]
     warm = probe("warm", [quality])
@@ -336,6 +338,67 @@ def test_canonical_json_writes_the_hard6_payloads(tmp_path, capsys):
             assert canonical_json(payloads[-1]) + "\n" == text, (args, name)
         for obj in payloads:
             assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# terminal and vertex names outside ASCII, so the JSON escapes them
+METRIC_UNICODE = "dist \u03b1 \u00e9t\u00e9 7\ndist \u03b1 \u732b 5\ndist \u00e9t\u00e9 \u732b 8\n"
+STAR_UNICODE = ("terminal \u03b1 \u00e1\nterminal \u00e9t\u00e9 b\nterminal \u732b \u0441\n"
+                "edge \u00e1 \u00f8 1 2\nedge b \u00f8 1 5\nedge \u0441 \u00f8 1 3\n")
+
+#: sha256 of each command's `--format text` stdout, recorded while `_emit`
+#: still wrote its JSON with `json.dumps`; not `quality`, whose ratios come
+#: from float LP optima that may move with the HiGHS version
+TEXT_GOLDEN = {
+    "tightspan": "883f00a2b4f266507f3c1620dc765e23ae9e65fc1942f931c5202ba142aa444a",
+    "project": "c83b8ffab16fdc5b7ba622d56d1cb681baaa1868dbaadc7e8b57bda9c59c58de",
+    "sparsify": "6e3d89823efa201ec6e5aa78d5c0ca0a5588993c442561fa8b49cd2e9e22affa",
+    "hard6": "384f54fcc4b2cd3b2b761f8d9f79527eab297384d60c8ee38ba2ca8a38cea2d0",
+    "hard6 --ave": "97cbef9be84085d7bba4fdeadc8231726bbe4789ec7d96901efb6628247df44d",
+    "hard6 --snap-grid": "fb711a09ac4b4efafe784c4a411f012cb67445079927e7f79aecde87cb0636f1",
+}
+
+
+def _every_command(tmp_path) -> dict[str, list[str]]:
+    m, g, h = tmp_path / "m.txt", tmp_path / "g.txt", tmp_path / "h.txt"
+    m.write_text(METRIC_UNICODE, encoding="utf-8")
+    g.write_text(STAR_UNICODE, encoding="utf-8")
+    h.write_text(STAR_UNICODE.replace("1 2", "3 2"), encoding="utf-8")
+    return {
+        "tightspan": ["tightspan", str(m)],
+        "project": ["project", str(m), "3,6,4"],
+        "sparsify": ["sparsify", str(g), "--seed", "5", "--samples", "10"],
+        "quality": ["quality", str(g), str(h), "--random-demands", "3", "--seed", "2"],
+        "hard6": ["hard6", "--L", "3"],
+        "hard6 --ave": ["hard6", "--L", "2", "--ave"],
+        "hard6 --snap-grid": ["hard6", "--L", "3", "--snap-grid", "2"],
+    }
+
+
+def test_every_command_prints_json_dumps_bytes(tmp_path, capsys):
+    outs = {name: _in_process(capsys, *argv) for name, argv in _every_command(tmp_path).items()}
+    for name, out in outs.items():
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", name
+    assert json.loads(outs["project"])["terminals"] == ["\u03b1", "\u00e9t\u00e9", "\u732b"]
+
+
+def test_every_command_text_format_is_unchanged(tmp_path, capsys):
+    got = {name: _sha(_in_process(capsys, "--format", "text", *argv))
+           for name, argv in _every_command(tmp_path).items() if name != "quality"}
+    assert got == TEXT_GOLDEN
+
+
+def test_package_errors_are_value_errors():
+    # the CLI reports every ValueError as an input error (exit 2)
+    for cls in (TextFormatError, MetricError, GraphError, FlowError, UnsupportedSizeError):
+        assert issubclass(cls, ValueError), cls
+
+
+def test_sparsify_disconnected_terminals_exit_2(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(STAR + "terminal d d\nedge d e 1 1\n")
+    assert main(["sparsify", str(f), "--seed", "3", "--samples", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "disconnected" in err
 
 
 def test_hard6_l1_exit_2():

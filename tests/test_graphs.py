@@ -237,9 +237,12 @@ def test_int_dijkstra_matches_the_fraction_reference():
     rng = random.Random(90210)
     for _ in range(15):
         g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
-        adj = g.adjacency()
+        adj = {v: [] for v in g.vertices}
+        for u, v, _, length in g.edges:
+            adj[u].append((v, length))
+            adj[v].append((u, length))
         scale = lcm(*(e.length.denominator for e in g.edges))
-        # the int table: `adjacency()`'s neighbours in its order, lengths on scale
+        # the int table: each edge's neighbours in edge order, lengths on scale
         assert g.length_table() == (
             {u: (tuple(w for w, _ in nbrs), tuple(int(x * scale) for _, x in nbrs))
              for u, nbrs in adj.items()}, scale)
