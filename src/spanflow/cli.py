@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
-from .decompose import CostReport, Decomposer, contract, opt_volume, sample_seed, sample_volumes
+from .decompose import Decomposer, contract, cost, sample_seed, sample_volumes
 from .flow import Demand, quality_ratio
 from .graphs import project_graph
 from .hard6 import diagnose, generate, grid_snap
@@ -106,7 +106,7 @@ def _cmd_sparsify(args) -> int:
     run = sample_volumes(dec, args.samples, args.seed)
     best = min(range(args.samples), key=run.ivols.__getitem__)  # first cheapest
     sol = dec.solution(sample_seed(args.seed, best))
-    report = CostReport.of(Fraction(run.ivols[best], run.scale), opt_volume(g, emb.distances))
+    report = cost(emb, sol)
     mean, stderr = run.volume_stats()
     sparsifier = contract(g, sol)
     payload = {
@@ -146,6 +146,8 @@ def _cmd_quality(args) -> int:
             raise MetricError("--random-demands requires --seed")
         rng = random.Random(args.seed)
         names = sorted(g.terminals)
+        if len(names) < 2:
+            raise MetricError("--random-demands needs at least two terminals")
         demands += [_random_demand(names, rng) for _ in range(args.random_demands)]
     if not demands:
         raise MetricError("no demands given (use --demands or --random-demands)")

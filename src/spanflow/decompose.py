@@ -41,8 +41,7 @@ from operator import add, mul
 from typing import Hashable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
-from .graphs import (Distances, Edge, EmbeddedGraph, GraphError, TerminalGraph, Vertex,
-                     edge_distance_ints)
+from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distance_ints
 from .tightspan import (CellComplex, FractionTable, PointLattice, UnsupportedSizeError,
                         cell_point, enumerate_complex, int_in_span, lattice_ints,
                         max_cell_dimension, on_scale, weighted_sum)
@@ -107,10 +106,6 @@ class CostReport:
     vol: Fraction
     opt: Fraction
     ratio: Fraction
-
-    @classmethod
-    def of(cls, vol: Fraction, opt: Fraction) -> "CostReport":
-        return cls(vol=vol, opt=opt, ratio=vol / opt if opt else Fraction(1))
 
     def to_json_dict(self) -> dict:
         return {"vol": str(self.vol), "opt": str(self.opt), "ratio": str(self.ratio)}
@@ -734,14 +729,15 @@ class Decomposer:
         return Solution(metric=m, clusters=clusters, by_vertex=by_vertex)
 
 
-def opt_volume(g: TerminalGraph, known: Mapping[Vertex, Distances] | None = None) -> Fraction:
+def opt_volume(embedded: EmbeddedGraph) -> Fraction:
     """Cost of the identity: sum of capacity times endpoint shortest-path distance.
 
-    `known` holds distance maps already computed on g, such as
-    `EmbeddedGraph.distances`; see `graphs.edge_distance_ints`.
+    The edges read the embedding's distance maps where they can; see
+    `graphs.edge_distance_ints`.
     """
-    return weighted_sum([e.capacity for e in g.edges], edge_distance_ints(g, known),
-                        g.length_table().scale)
+    g = embedded.graph
+    return weighted_sum([e.capacity for e in g.edges],
+                        edge_distance_ints(g, embedded.distances), g.length_table().scale)
 
 
 def _covering(g: TerminalGraph, sol: Solution) -> tuple[PointLattice, dict[Hashable, int]]:
@@ -758,7 +754,8 @@ def cost(embedded: EmbeddedGraph, sol: Solution) -> CostReport:
     lat, by = _covering(g, sol)
     vol = weighted_sum([e.capacity for e in g.edges],
                        lat.dists([by[e.u] for e in g.edges], [by[e.v] for e in g.edges]), lat.S)
-    return CostReport.of(vol, opt_volume(g, embedded.distances))
+    opt = opt_volume(embedded)
+    return CostReport(vol=vol, opt=opt, ratio=vol / opt if opt else Fraction(1))
 
 
 def sample_seed(master_seed: int, i: int) -> int:
@@ -886,7 +883,7 @@ def expected_cost(embedded: EmbeddedGraph, n_samples: int, master_seed: int,
                           embed_dist=lat.frac[_dist(at[e.u], at[e.v])])
                  for e, s1, s2 in zip(embedded.graph.edges, run.delta_sums, run.delta_squares)]
     return ExpectedCost(mean_vol=mean, stderr=stderr,
-                        opt=opt_volume(embedded.graph, embedded.distances),
+                        opt=opt_volume(embedded),
                         samples=n_samples, per_edge=stats)
 
 

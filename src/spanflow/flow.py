@@ -38,7 +38,7 @@ from operator import add
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .graphs import TerminalGraph, shortest_distances
-from .metric import as_fraction, pair_key
+from .metric import as_fraction, pair_key, pair_table
 from .tightspan import lattice_ints
 
 if TYPE_CHECKING:
@@ -125,27 +125,24 @@ def _highs():
     return highs, options
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
-    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
-    bounds = (lower, upper or None) on every x, by one HiGHS run.
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
+    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and x >= 0, by one
+    HiGHS run.
 
-    The part of `scipy.optimize.linprog(..., method="highs")` that
-    `max_concurrent_flow` uses: the same stacked CSC matrix, row and column
+    The part of `scipy.optimize.linprog(..., bounds=(0, None), method="highs")`
+    that `max_concurrent_flow` uses: the same stacked CSC matrix, row and column
     bounds and options (presolve, dual simplex, no output), so the same x and
     iteration count; it builds no marginals and makes no residual check.
     `A_ub` and `A_eq` are COO matrices with the same number of columns.
     """
     import numpy as np
     from scipy.sparse import csc_array
-    if method != "highs":
-        raise ValueError(f"unsupported method {method!r}")
     highs, options = _highs()
     # the stacked matrix in one step: A_eq's rows follow A_ub's
     a = csc_array((np.concatenate([A_ub.data, A_eq.data]),
                    (np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]]),
                     np.concatenate([A_ub.col, A_eq.col]))),
                   shape=(A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1]))
-    lower, upper = bounds
     nrow, ncol = a.shape
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
@@ -155,8 +152,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
     lp.a_matrix_.index_ = a.indices
     lp.a_matrix_.value_ = a.data
     lp.col_cost_ = c
-    lp.col_lower_ = np.full(ncol, float(lower))
-    lp.col_upper_ = np.full(ncol, highs.kHighsInf if upper is None else float(upper))
+    lp.col_lower_ = np.zeros(ncol)
+    lp.col_upper_ = np.full(ncol, highs.kHighsInf)
     lp.row_lower_ = np.concatenate([np.full(len(b_ub), -highs.kHighsInf), b_eq])
     lp.row_upper_ = np.concatenate([b_ub, b_eq])
     solver = highs._Highs()
@@ -171,18 +168,6 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method) -> LPResult:
         primal = solver.solutionStatusToString(info.primal_solution_status)
         return LPResult(None, False, f"model_status is {text}; primal_status is {primal}", nit)
     return LPResult(np.array(solver.getSolution().col_value), True, text, nit)
-
-
-def _reachable(adj, src) -> set:
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u][0]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def _source_cover(pairs) -> list[tuple[str, list[tuple[tuple[str, str], str, Fraction]]]]:
@@ -222,23 +207,13 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     """
     import numpy as np
     from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
         raise FlowError("epsilon must lie in (0, 1/2]")
     pairs = demand.pairs()
     if not pairs:
         raise FlowError("demand is empty")
-    adj = g.length_table().adj
-    reach: dict = {}   # source vertex -> vertices reachable from it
-    for t, u, _ in pairs:
-        if t not in g.terminals or u not in g.terminals:
-            raise FlowError(f"demand names unknown terminal in ({t}, {u})")
-        src = g.terminals[t]
-        if src not in reach:
-            reach[src] = _reachable(adj, src)
-        if g.terminals[u] not in reach[src]:
-            raise FlowError(f"terminals {t} and {u} are disconnected")
-
     vindex = {v: i for i, v in enumerate(g.vertices)}
     nv = len(g.vertices)
     ends = np.array([(vindex[e.u], vindex[e.v]) for e in g.edges],
@@ -248,13 +223,21 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     keys, slot = np.unique(lo[real] * nv + hi[real], return_inverse=True)
     slot = slot.ravel()
     ne = len(keys)
+    # merged edge j joins a[j] and b[j]; a demand pair is connected when its
+    # terminals share a (weak) component of the merged edges
+    a, b = keys // nv, keys % nv
+    _, comp = connected_components(coo_matrix((np.ones(ne), (a, b)), shape=(nv, nv)))
+    for t, u, _ in pairs:
+        if t not in g.terminals or u not in g.terminals:
+            raise FlowError(f"demand names unknown terminal in ({t}, {u})")
+        if comp[vindex[g.terminals[t]]] != comp[vindex[g.terminals[u]]]:
+            raise FlowError(f"terminals {t} and {u} are disconnected")
     # capacities as ints on their common denominator cs, merged per edge
     (cint,), cs = lattice_ints([[g.edges[i].capacity for i in real.tolist()]])
     caps = [0] * ne
     for m, ci in zip(slot.tolist(), cint):
         caps[m] += ci
     # arc j < ne runs a -> b on merged edge j, arc ne + j runs back
-    a, b = keys // nv, keys % nv
     tails, heads = np.concatenate([a, b]), np.concatenate([b, a])
     narc = 2 * ne
 
@@ -287,8 +270,7 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
 
     c = np.zeros(nvar)
     c[lam_col] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
-                  bounds=(0, None), method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]))
     if not res.success:
         raise FlowError(f"LP solver failed: {res.message}")
     if not np.isfinite(res.x).all():
@@ -394,7 +376,7 @@ def dual_value(g: TerminalGraph, lengths: Sequence, deltas: Mapping[tuple[str, s
         vertices=list(g.vertices),
         edges=[(e.u, e.v, e.capacity, l) for e, l in zip(g.edges, lens)],
         terminals=dict(g.terminals))
-    norm = {pair_key(t, u): as_fraction(v) for (t, u), v in deltas.items()}
+    norm = pair_table(deltas)
     violations = []
     by_source: dict[str, dict] = {}
     for (t, u), target in sorted(norm.items()):

@@ -27,7 +27,7 @@ from operator import add
 from typing import Mapping, NamedTuple
 
 from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
-                     collinear_triples, pair_key)
+                     collinear_triples, pair_key, pair_table)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
 from .tightspan import (FractionTable, PointLattice, int_in_span, lattice_ints, on_scale,
@@ -623,7 +623,7 @@ def diagnose(inst: HardInstance, sol: CandidateSolution) -> Diagnosis:
 
 def _delta_lookup(deltas: Mapping[tuple[str, str], object]):
     """The lookup (t, u) -> delta of a table keyed by pairs in either order."""
-    norm = {pair_key(t, u): as_fraction(v) for (t, u), v in deltas.items()}
+    norm = pair_table(deltas)
     for t, u in _D6:
         if (t, u) not in norm:
             raise MetricError(f"missing delta for pair ({t}, {u})")

@@ -24,6 +24,17 @@ def pair_key(t: str, u: str) -> tuple[str, str]:
     return (t, u) if t <= u else (u, t)
 
 
+def pair_table(pairs: Mapping[tuple[str, str], object]) -> dict[tuple[str, str], Fraction]:
+    """The values keyed by `pair_key`, each coerced once; a pair given in both
+    orders with different values raises `MetricError`."""
+    table: dict[tuple[str, str], Fraction] = {}
+    for (t, u), v in pairs.items():
+        key, val = pair_key(t, u), as_fraction(v)
+        if table.setdefault(key, val) != val:
+            raise MetricError(f"conflicting values {table[key]} and {val} for pair ({t}, {u})")
+    return table
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and strings like '3/4', '7' or '2.5' exactly."""
     if isinstance(value, Fraction):
@@ -76,13 +87,13 @@ class TerminalMetric:
         idx = {t: i for i, t in enumerate(terminals)}
         k = len(terminals)
         dist = [[Fraction(0)] * k for _ in range(k)]
-        for (a, b), v in pairs.items():
+        table = pair_table(pairs)
+        for a, b in pairs:
             if a not in idx or b not in idx:
                 raise MetricError(f"unknown terminal in pair ({a}, {b})")
-            dist[idx[a]][idx[b]] = as_fraction(v)
-            dist[idx[b]][idx[a]] = as_fraction(v)
+            dist[idx[a]][idx[b]] = dist[idx[b]][idx[a]] = table[pair_key(a, b)]
         for a, b in combinations(terminals, 2):
-            if (a, b) not in pairs and (b, a) not in pairs:
+            if pair_key(a, b) not in table:
                 raise MetricError(f"missing distance for pair ({a}, {b})")
         return cls(terminals, dist)
 

@@ -63,17 +63,11 @@ def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]
     """The metric and the points as ints on one scale S, and S.
 
     S is the lcm of the denominators of the metric and of every coordinate;
-    each point becomes its S-scaled coordinates in terminal order.  A point
-    whose keys are not exactly the terminals raises `MetricError`.
+    each point becomes its S-scaled coordinates in terminal order.  Every
+    point must be over exactly m's terminals, as `check_vector` returns it.
     """
     ts = m.terminals
-    names = set(ts)
-    rows = []
-    for p in points:
-        if p.keys() != names:
-            raise MetricError(f"point over {sorted(p)} is not over the terminals {list(ts)}")
-        rows.append([p[t] for t in ts])
-    ints, scale = lattice_ints([*m.matrix(), *rows])
+    ints, scale = lattice_ints([*m.matrix(), *([p[t] for t in ts] for p in points)])
     return ints[:len(ts)], ints[len(ts):], scale
 
 

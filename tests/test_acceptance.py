@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v` (the lines print regardless of
 capture).  Sizes and tolerances are fixed here; nothing is calibrated at run
 time.
 """
+import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -21,6 +23,7 @@ from spanflow.hard6 import (AssocVec, adjust_solution, check_good, directional_l
                             from_assoc, generate, grid_snap, identity_solution,
                             losses, metric6, planar_losses, to_assoc)
 from spanflow.metric import TerminalMetric, collinear_triples
+from spanflow.textio import dump_graph
 from spanflow.tightspan import (enumerate_complex, in_tight_span,
                                 max_cell_dimension, project, ts_distance)
 
@@ -337,18 +340,31 @@ def test_c11_ave_adjustment(capsys):
 def test_c12_cli_determinism(capsys, tmp_path):
     star = ("terminal a a\nterminal b b\nterminal c c\n"
             "edge a o 1 2\nedge b o 1 5\nedge c o 1 3\n")
-    f = tmp_path / "g.txt"
-    f.write_text(star)
+    (tmp_path / "g.txt").write_text(star)
+    # five terminals, so a span model (here the fan) assigns the vertices
+    fan = type1_metric({t: F(i + 2, 2) for i, t in enumerate("abcde")},
+                       {("a", "b"): 2, ("b", "c"): 1, ("c", "d"): 3,
+                        ("d", "e"): F(5, 2), ("e", "a"): 1})
+    (tmp_path / "fan.txt").write_text(dump_graph(graph_from_metric(fan, 6, random.Random(12))))
     cli = [sys.executable, "-m", "spanflow.cli"]
+    out = tmp_path / "out"
 
-    def run(*args):
-        return subprocess.run(cli + list(args), capture_output=True, cwd=tmp_path)
+    def run(hash_seed, args):
+        r = subprocess.run(cli + list(args), capture_output=True, cwd=tmp_path,
+                           env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        files = [(out / name).read_bytes() for name in
+                 ("graph.txt", "instance.json", "diagnostics.json")] if out.exists() else []
+        shutil.rmtree(out, ignore_errors=True)
+        return r.returncode, r.stdout, files
 
     ok = True
-    for args in (("sparsify", str(f), "--seed", "9", "--samples", "30"),
-                 ("quality", str(f), str(f), "--random-demands", "2", "--seed", "4"),
-                 ("hard6", "--L", "4", "--snap-grid", "2")):
-        r1, r2 = run(*args), run(*args)
-        if r1.returncode != 0 or r1.stdout != r2.stdout:
+    for args in (("sparsify", "g.txt", "--seed", "9", "--samples", "30"),
+                 ("sparsify", "fan.txt", "--seed", "9", "--samples", "30"),
+                 ("quality", "g.txt", "g.txt", "--random-demands", "2", "--seed", "4"),
+                 ("hard6", "--L", "4", "--snap-grid", "2"),
+                 ("hard6", "--L", "6", "--snap-grid", "2", "--out", "out")):
+        r1, r2 = run("0", args), run("1", args)
+        if r1[0] != 0 or r1 != r2 or bool(r1[2]) != ("--out" in args):
             ok = False
-    report(capsys, 12, "repeated CLI runs with identical seeds are byte-identical", ok)
+    report(capsys, 12, "CLI runs with identical seeds are byte-identical, stdout and "
+                       "--out files, across processes with different hash seeds", ok)

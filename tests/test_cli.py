@@ -133,6 +133,15 @@ def test_quality_negative_random_demands_exit_2(tmp_path, capsys):
     assert "no demands given" not in err
 
 
+def test_quality_random_demands_need_two_terminals(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("terminal a a\nedge a o 1 2\n")
+    assert main(["quality", str(f), str(f), "--random-demands", "1", "--seed", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --random-demands needs at least two terminals\n"
+
+
 def test_main_twice_keeps_no_demands_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()   # one parser per process
     g, h = tmp_path / "g.txt", tmp_path / "h.txt"

@@ -8,6 +8,7 @@ import pytest
 from spanflow.flow import (Demand, FlowError, dual_value, exact_single_commodity,
                            linprog, max_concurrent_flow, quality_ratio)
 from spanflow.graphs import TerminalGraph, shortest_distances
+from spanflow.metric import MetricError
 
 from conftest import rand_connected_graph
 
@@ -66,19 +67,16 @@ def test_disconnected_demand_is_error():
         max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
 
 
-def test_connectivity_one_search_per_source(monkeypatch):
-    import spanflow.flow as flow
-    searches = []
-    real = flow._reachable
-    monkeypatch.setattr(flow, "_reachable",
-                        lambda adj, src: searches.append(src) or real(adj, src))
+def test_connectivity_reads_the_merged_edges_not_the_lengths():
     g = TerminalGraph(vertices=["s", "t", "u", "w"],
                       edges=[("s", "t", F(1), F(1)), ("t", "u", F(1), F(1))],
                       terminals={"s": "s", "t": "t", "u": "u", "w": "w"})
     max_concurrent_flow(g, Demand({("s", "t"): F(1), ("s", "u"): F(1)}), EPS)
-    assert searches == ["s"]
+    assert g._lengths is None   # no length table was built
     with pytest.raises(FlowError, match="terminals s and w are disconnected"):
         max_concurrent_flow(g, Demand({("s", "t"): F(1), ("s", "w"): F(1)}), EPS)
+    with pytest.raises(FlowError, match="unknown terminal"):
+        max_concurrent_flow(g, Demand({("s", "t"): F(1), ("t", "z"): F(1)}), EPS)
 
 
 def test_oracle_agreement_random(rng):
@@ -124,6 +122,14 @@ def test_dual_normalization_check():
     assert not rep.feasible  # 1/2 * 1 < 1
     rep2 = dual_value(g, [F(2)], {("s", "t"): F(2)}, demand=dem)
     assert rep2.feasible
+
+
+def test_dual_value_rejects_a_pair_given_two_values():
+    g = single_edge()
+    with pytest.raises(MetricError, match="conflicting values"):
+        dual_value(g, [F(1)], {("s", "t"): F(1), ("t", "s"): F(2)})
+    rep = dual_value(g, [F(1)], {("s", "t"): F(1), ("t", "s"): "1"})
+    assert rep.feasible and rep.value == 1
 
 
 def test_weak_duality(rng):
@@ -477,8 +483,9 @@ def test_lp_size_ignores_edge_multiplicity(monkeypatch):
 
 
 def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
-    """`flow.linprog` gives `scipy.optimize.linprog(method="highs")`'s x bit
-    for bit, and its iteration count, on every LP `max_concurrent_flow` builds."""
+    """`flow.linprog` gives `scipy.optimize.linprog(bounds=(0, None),
+    method="highs")`'s x bit for bit, and its iteration count, on every LP
+    `max_concurrent_flow` builds."""
     from scipy.optimize import linprog as scipy_linprog
     from spanflow.hard6 import generate
     calls = capture_linprog(monkeypatch)
@@ -494,7 +501,7 @@ def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
         max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
     assert len(calls) == 14
     for c, kw in calls:
-        ours, ref = linprog(c, **kw), scipy_linprog(c, **kw)
+        ours, ref = linprog(c, **kw), scipy_linprog(c, **kw, bounds=(0, None), method="highs")
         assert ours.success and ref.success
         assert ours.nit == ref.nit
         assert np.array_equal(ours.x, ref.x)
@@ -507,9 +514,8 @@ def test_infeasible_lp_reports_the_highs_status(monkeypatch):
     # x0 <= -1 against x >= 0
     c = np.array([1.0, 0.0])
     kw = dict(A_ub=coo_matrix(np.array([[1.0, 0.0]])), b_ub=[-1.0],
-              A_eq=coo_matrix(np.array([[0.0, 1.0]])), b_eq=np.zeros(1),
-              bounds=(0, None), method="highs")
-    res, ref = linprog(c, **kw), scipy_linprog(c, **kw)
+              A_eq=coo_matrix(np.array([[0.0, 1.0]])), b_eq=np.zeros(1))
+    res, ref = linprog(c, **kw), scipy_linprog(c, **kw, bounds=(0, None), method="highs")
     assert not res.success and not ref.success and res.x is None
     assert "model_status is Infeasible" in res.message
     assert res.message in ref.message

@@ -335,6 +335,10 @@ def test_check_good():
     rep = check_good(inst, raised, eta)
     assert not rep.good
     assert any("(a, e," in v or "e," in v for v in rep.violations)
+    # a pair given in both orders must carry one value
+    with pytest.raises(MetricError, match=r"conflicting values .* for pair \(b, a\)"):
+        check_good(inst, {**deltas, ("b", "a"): deltas[("a", "b")] + 1}, eta)
+    assert check_good(inst, {**deltas, ("b", "a"): deltas[("a", "b")]}, eta).good
 
 
 def test_adjust_solution_exact_input():

@@ -123,3 +123,15 @@ def test_fraction_parsing():
     assert m.d("a", "c") == F(3, 2)
     with pytest.raises(MetricError):
         TerminalMetric.from_pairs({("a", "b"): "x/y", ("a", "c"): 1, ("b", "c"): 1})
+
+
+def test_from_pairs_rejects_a_pair_given_two_values():
+    pairs = {("a", "b"): 1, ("b", "a"): 5, ("a", "c"): 1, ("b", "c"): 1}
+    with pytest.raises(MetricError, match="conflicting values 1 and 5 for pair"):
+        TerminalMetric.from_pairs(pairs)
+    pairs[("b", "a")] = "1"   # an equal repeat, written another way
+    assert TerminalMetric.from_pairs(pairs).d("a", "b") == 1
+    with pytest.raises(MetricError, match=r"^unknown terminal in pair \(z, a\)$"):
+        TerminalMetric.from_pairs({("a", "b"): 1, ("z", "a"): 1}, terminals="ab")
+    with pytest.raises(MetricError, match=r"^missing distance for pair \(a, c\)$"):
+        TerminalMetric.from_pairs({("a", "b"): 1, ("c", "b"): 1}, terminals="abc")
