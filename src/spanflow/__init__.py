@@ -13,9 +13,8 @@ from .flow import (Demand, DualReport, FlowError, FlowResult, QualityReport,
                    dual_value, exact_single_commodity, max_concurrent_flow,
                    quality_ratio)
 from .hard6 import (AssocVec, CandidateSolution, HardInstance, PathRecord,
-                    adjust_solution, check_good, diagnose, directional_losses,
-                    from_assoc, generate, grid_snap, identity_solution, losses,
-                    metric6, planar_losses, rect_project, to_assoc)
+                    adjust_solution, check_good, diagnose, from_assoc, generate,
+                    grid_snap, identity_solution, metric6, rect_project, to_assoc)
 from .textio import (TextFormatError, dump_demand, dump_graph, dump_metric,
                      load_demand, load_graph, load_metric)
 

@@ -21,7 +21,7 @@ from .flow import Demand, quality_ratio
 from .graphs import project_graph
 from .hard6 import diagnose, generate, grid_snap
 from .metric import MetricError, as_fraction
-from .textio import dump_graph, load_demand, load_graph, load_metric, str_each
+from .textio import dump_graph, load_demand, load_graph, load_metric
 from .tightspan import enumerate_complex, project
 
 EXIT_OK = 0
@@ -158,8 +158,7 @@ def _cmd_quality(args) -> int:
 
 
 def _cmd_hard6(args) -> int:
-    gamma = as_fraction(args.gamma)
-    inst = generate(args.L, ave=args.ave, gamma=gamma)
+    inst = generate(args.L, ave=args.ave, gamma=as_fraction(args.gamma))
     opt = inst.opt()
     bound = 90 * args.L * args.L
     payload = {
@@ -171,60 +170,20 @@ def _cmd_hard6(args) -> int:
         "opt_bound": str(bound) if not args.ave else None,
         "ave": args.ave,
     }
-    demand = None
     if args.ave:
-        demand = {f"{t},{u}": str(v) for (t, u), v in sorted(inst.ave.demand.entries.items())}
-        payload["gamma"] = str(gamma)
-        payload["demand"] = demand
+        payload.update(inst.ave.to_json_dict())
     dg = None
     if args.snap_grid is not None:
         dg = diagnose(inst, grid_snap(inst, args.snap_grid))
-        payload["diagnostics"] = {
-            "snap_grid": args.snap_grid,
-            "total_loss": str(dg.losses.total),
-            "image_size": dg.image_size,
-        }
+        payload["diagnostics"] = {"snap_grid": args.snap_grid, "image_size": dg.image_size,
+                                  "total_loss": str(dg.total_loss)}
     if args.out:
         outdir = Path(args.out)
-        graph_text = dump_graph(inst.graph)
-        paths = inst.all_paths()
-        sidecar = {
-            "L": args.L,
-            "gamma": str(gamma) if args.ave else None,
-            "demand": demand,
-            "paths": [{
-                "name": p.name, "group": p.group, "i": p.i, "j": p.j,
-                "source": p.source, "sink": p.sink, "capacity": cap,
-                "direction": p.direction, "vertices": p.vertex_ids,
-            } for p, cap in zip(paths, str_each([p.capacity for p in paths]))],
-        }
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "graph.txt").write_text(graph_text)
-        (outdir / "instance.json").write_text(canonical_json(sidecar) + "\n")
+        (outdir / "graph.txt").write_text(dump_graph(inst.graph))
+        (outdir / "instance.json").write_text(canonical_json(inst.to_json_dict()) + "\n")
         if dg is not None:
-            rep, dr, pr = dg.losses, dg.directional, dg.planar
-            planar = (pr.l_x, pr.l_y, pr.l_z1, pr.l_z2)
-            vids = sorted(set().union(*planar))
-            diagnostics = {
-                "snap_grid": args.snap_grid,
-                "image_size": dg.image_size,
-                "total_loss": str(rep.total),
-                "aggregates": {label: {"lhs": str(l), "rhs": str(r)}
-                               for label, l, r in dr.aggregates},
-                "x_bounds_ok": dr.x_bounds_ok,
-                "step_bound_failures": len(pr.step_bound_failures),
-                "transfer_bound_failures": len(pr.transfer_bound_failures),
-                "planar_bound": {"lhs": str(pr.bound_lhs), "rhs": str(pr.bound_rhs)},
-                "line_table": {f"{jy},{kz}": str(v)
-                               for (jy, kz), v in sorted(pr.table.items())},
-                "path_losses": dict(zip([p.name for p in rep.per_path],
-                                        str_each([p.loss for p in rep.per_path]))),
-                "vertex_losses": {
-                    vid: {"x": x, "y": y, "z1": z1, "z2": z2}
-                    for vid, x, y, z1, z2 in zip(vids, *(str_each([ls.get(v, 0) for v in vids])
-                                                         for ls in planar))
-                },
-            }
+            diagnostics = {"snap_grid": args.snap_grid, **dg.to_json_dict()}
             (outdir / "diagnostics.json").write_text(canonical_json(diagnostics) + "\n")
         payload["out"] = str(outdir)
     _emit(payload, args.format)

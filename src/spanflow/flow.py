@@ -206,7 +206,7 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     accuracy.  A non-finite solver value raises `FlowError`.
     """
     import numpy as np
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import coo_matrix, csr_matrix
     from scipy.sparse.csgraph import connected_components
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
@@ -224,9 +224,11 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     slot = slot.ravel()
     ne = len(keys)
     # merged edge j joins a[j] and b[j]; a demand pair is connected when its
-    # terminals share a (weak) component of the merged edges
+    # terminals share a (weak) component of the merged edges, whose CSR rows
+    # the sorted keys give directly
     a, b = keys // nv, keys % nv
-    _, comp = connected_components(coo_matrix((np.ones(ne), (a, b)), shape=(nv, nv)))
+    csr = csr_matrix((np.ones(ne), b, np.searchsorted(a, np.arange(nv + 1))), shape=(nv, nv))
+    _, comp = connected_components(csr)
     for t, u, _ in pairs:
         if t not in g.terminals or u not in g.terminals:
             raise FlowError(f"demand names unknown terminal in ({t}, {u})")
@@ -364,19 +366,27 @@ def dual_value(g: TerminalGraph, lengths: Sequence, deltas: Mapping[tuple[str, s
     `lengths` assigns a nonnegative rational to each edge (in edge order);
     feasibility requires every terminal pair's shortest path under those
     lengths to be at least its delta, plus the normalization
-    sum(delta * demand) >= 1 when a demand is supplied.
+    sum(delta * demand) >= 1 when a demand is supplied.  A delta on an
+    unknown terminal, or a demand pair without a delta, raises `FlowError`.
     """
     lens = [as_fraction(x) for x in lengths]
     if len(lens) != len(g.edges):
         raise FlowError(f"expected {len(g.edges)} lengths, got {len(lens)}")
     if any(x < 0 for x in lens):
         raise FlowError("negative edge length")
+    norm = pair_table(deltas)
+    for t, u in norm:
+        if t not in g.terminals or u not in g.terminals:
+            raise FlowError(f"delta names unknown terminal in ({t}, {u})")
+    if demand is not None:
+        for t, u in demand.entries:
+            if (t, u) not in norm:
+                raise FlowError(f"demand pair ({t}, {u}) has no delta")
     value = sum((e.capacity * l for e, l in zip(g.edges, lens)), Fraction(0))
     reweighted = TerminalGraph(
         vertices=list(g.vertices),
         edges=[(e.u, e.v, e.capacity, l) for e, l in zip(g.edges, lens)],
         terminals=dict(g.terminals))
-    norm = pair_table(deltas)
     violations = []
     by_source: dict[str, dict] = {}
     for (t, u), target in sorted(norm.items()):

@@ -8,14 +8,14 @@ the 1/L grid along four critical step directions.  Every path is geodesic, so
 the identity embedding has zero loss; the diagnostics measure how much any
 bounded-image embedding must lose.
 
-Generation and diagnostics compute on integer lattice points (grid vertices
-scaled by L, a candidate's image points on one `tightspan.to_lattice` with the
-metric); lengths, losses and bounds become exact Fractions only where they
-are stored.  A grid edge is one critical step, 1/L long by construction;
-only edges to terminals take `sup_dist`.  Each diagnostic checks the
-candidate's cover on those ints, makes its `PointLattice` of them and steps
-on the grid index through `HardInstance.steps`, a neighbour table built once
-per instance; `diagnose` runs all three on one lattice.
+Generation and diagnostics compute on integer lattice points (distance
+vectors scaled by L in `HardInstance.ivecs`, a candidate's image points on one
+`tightspan.to_lattice` with the metric); lengths, losses and bounds become
+exact Fractions only where they are stored.  A grid edge is one critical step,
+1/L long by construction; only edges to terminals take `sup_dist`.
+`diagnose` checks the candidate's cover on those ints once, makes one
+`PointLattice` of them and runs all three reports on it, stepping on the grid
+index through `HardInstance.steps`, a neighbour table built once per instance.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector
                      collinear_triples, pair_key, pair_table)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
+from .textio import str_each
 from .tightspan import (FractionTable, PointLattice, int_in_span, lattice_ints, on_scale,
                         to_lattice, weighted_sum)
 
@@ -118,6 +119,10 @@ class AveData:
     demand: Demand
     gamma: Fraction
 
+    def to_json_dict(self) -> dict:
+        return {"gamma": str(self.gamma),
+                "demand": {f"{t},{u}": str(v) for (t, u), v in sorted(self.demand.entries.items())}}
+
 
 @dataclass
 class HardInstance:
@@ -125,9 +130,15 @@ class HardInstance:
     graph: TerminalGraph
     metric: TerminalMetric
     paths: list[PathRecord]
-    vecs: dict[str, Vec]         # per vertex id (terminals included)
+    # per vertex id (terminals included): its distance vector times L, in TERMS order
+    ivecs: dict[str, tuple[int, ...]]
     index: dict[str, tuple[int, int, int]]   # per grid vertex id: (i, j, k)
     ave: AveData | None = None
+
+    @cached_property
+    def vecs(self) -> dict[str, Vec]:   # `ivecs` as Fraction vectors, built on first read
+        frac = FractionTable(self.L)
+        return {vid: dict(zip(TERMS, map(frac.__getitem__, iv))) for vid, iv in self.ivecs.items()}
 
     def opt(self) -> Fraction:
         paths = self.all_paths()
@@ -151,6 +162,19 @@ class HardInstance:
                      if (m := row.get((i + di, j + dj, k + dk))) is not None]
             out[di, dj, dk] = ([n for n, _ in pairs], [m for _, m in pairs])
         return out
+
+    def to_json_dict(self) -> dict:
+        """L, the ave data (None without) and every path, its vertex ids included."""
+        paths = self.all_paths()
+        return {
+            "L": self.L, "gamma": None, "demand": None,
+            **(self.ave.to_json_dict() if self.ave is not None else {}),
+            "paths": [{
+                "name": p.name, "group": p.group, "i": p.i, "j": p.j,
+                "source": p.source, "sink": p.sink, "capacity": cap,
+                "direction": p.direction, "vertices": p.vertex_ids,
+            } for p, cap in zip(paths, str_each([p.capacity for p in paths]))],
+        }
 
 
 def _vid(i: int, j: int, k: int) -> str:
@@ -202,7 +226,6 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
 
     vid_of: dict[tuple[int, int, int], str] = {}
     index: dict[str, tuple[int, int, int]] = {}
-    vecs: dict[str, Vec] = {}
     ivecs: dict[str, tuple[int, ...]] = {}   # L-scaled distance vectors
 
     def grid(i: int, j: int, k: int) -> str:
@@ -216,7 +239,6 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
             vid = vid_of[i, j, k] = _vid(i, j, k)
             index[vid] = (i, j, k)
             ivecs[vid] = iv
-            vecs[vid] = dict(zip(TERMS, [frac[n] for n in iv]))
         return vid
 
     terminals = {
@@ -224,8 +246,7 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
         "f": grid(L, L, 0), "b": "b", "d": "d",
     }
     for t in ("b", "d"):
-        vecs[t] = m.row(t)
-        ivecs[t] = tuple(int(L * vecs[t][u]) for u in TERMS)   # integral rows
+        ivecs[t] = tuple(on_scale(m.d(t, u), L) for u in TERMS)
 
     caps = {group: Fraction(c) for group, c in _GROUP_CAPS.items()}
     paths: list[PathRecord] = []
@@ -295,9 +316,9 @@ def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInst
         entries[("a", "e")] = entries.get(("a", "e"), Fraction(0)) + gamma * weight
         ave_data = AveData(triple_paths=tri_paths, demand=Demand(entries), gamma=gamma)
 
-    graph = TerminalGraph(vertices=list(vecs), edges=edges, terminals=terminals)
+    graph = TerminalGraph(vertices=list(ivecs), edges=edges, terminals=terminals)
     return HardInstance(L=L, graph=graph, metric=m, paths=paths,
-                        vecs=vecs, index=index, ave=ave_data)
+                        ivecs=ivecs, index=index, ave=ave_data)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +345,14 @@ def grid_snap(inst: HardInstance, g: int) -> CandidateSolution:
     """
     if g < 1:
         raise MetricError("snap grid must be at least 1")
-    terminal_ids = set(inst.graph.terminals.values())
+    terminal_of = {vid: t for t, vid in inst.graph.terminals.items()}
     # round half up: floor(i/L * g + 1/2) = (2ig + L) // 2L, likewise j, k
     snap = [min(max((2 * n * g + inst.L) // (2 * inst.L), 0), g) for n in range(inst.L + 1)]
     snapped: dict[tuple[int, int, int], Vec] = {}
     f: dict[str, Vec] = {}
-    for vid, vec in inst.vecs.items():
-        if vid in terminal_ids:
-            f[vid] = dict(vec)
+    for vid in inst.graph.vertices:
+        if vid in terminal_of:
+            f[vid] = inst.metric.row(terminal_of[vid])
             continue
         i, j, k = inst.index[vid]
         key = (snap[i], snap[j], min(snap[k], g - snap[j]))
@@ -363,10 +384,11 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
 
     Returns the image-point id of every vertex of sol, the distinct image
     points as ints in TERMS order on one lattice with the metric, and its
-    scale; span membership is tested once per point, on those ints.  Vertices
-    sharing one vector object share its id without comparing values.
+    scale; span membership is tested once per point, on those ints.  Each
+    vector object is checked (`check_vector`) once and keyed by its exact
+    coordinates; vertices sharing one object share its id without comparing.
     """
-    missing = [v for v in inst.vecs if v not in sol.f]
+    missing = [v for v in inst.graph.vertices if v not in sol.f]
     if missing:
         raise MetricError(f"solution misses vertices {missing[:3]}")
     for t, vid in inst.graph.terminals.items():
@@ -379,12 +401,13 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
     for vid, vec in sol.f.items():
         pid = by_object.get(id(vec))
         if pid is None:
-            key = tuple(vec[t] for t in TERMS)
+            point = check_vector(inst.metric, vec)
+            key = tuple(point.values())   # in TERMS order
             pid = ids.get(key)
             if pid is None:
                 pid = ids[key] = len(ids)
                 owners.append(vid)
-                points.append(check_vector(inst.metric, vec))
+                points.append(point)
             by_object[id(vec)] = pid
         image[vid] = pid
     d, ipts, S = to_lattice(inst.metric, points)
@@ -438,12 +461,8 @@ class _Lattice(PointLattice):
         return [b - d + S for _, b, _, d, _, _ in self.ipts]
 
 
-def losses(inst: HardInstance, sol: CandidateSolution) -> LossReport:
-    """Capacity-weighted per-path losses; total equals vol - opt exactly."""
-    return _losses(_Lattice(inst, sol))
-
-
 def _losses(lat: _Lattice) -> LossReport:
+    """Capacity-weighted per-path losses; total equals vol - opt exactly."""
     paths = lat.inst.all_paths()
     (cs,), scale = lattice_ints([[p.capacity for p in paths]])
     loss = FractionTable(scale * lat.S)   # c * n -> capacity * excess, one object per value
@@ -469,7 +488,7 @@ class DirectionalReport:
     x_bound_failures: list[str]
 
 
-def directional_losses(inst: HardInstance, sol: CandidateSolution) -> DirectionalReport:
+def _directional(lat: _Lattice) -> DirectionalReport:
     """The four aggregate lower bounds and the per-vertex x and anchor bounds.
 
     Each aggregate compares the (unweighted, with the stated coefficients)
@@ -478,10 +497,6 @@ def directional_losses(inst: HardInstance, sol: CandidateSolution) -> Directiona
     l + l' >= 2|dx| reads l + l' >= |dX| and the anchor bound
     d(v, s) + d(v, t) >= 2 + 2 max(x, 0) reads D >= 2S + max(X, 0).
     """
-    return _directional(_Lattice(inst, sol))
-
-
-def _directional(lat: _Lattice) -> DirectionalReport:
     inst = lat.inst
     S, frac, X = lat.S, lat.frac, lat.xs
     # per anchor terminal: the S-scaled distance of every image point to it
@@ -519,7 +534,7 @@ def _directional(lat: _Lattice) -> DirectionalReport:
         rhs = sum(sums[(direction,) + term] for term in terms)
         aggregates.append((f"dir{direction}", frac[lhs], frac[rhs]))
 
-    for vid in inst.vecs:
+    for vid in inst.graph.vertices:
         pv = lat.image[vid]
         if near["a"][pv] + near["b"][pv] < 2 * S + max(X[pv], 0):
             failures.append(f"ab anchor bound at {vid}")
@@ -543,12 +558,8 @@ class PlanarReport:
     bound_rhs: Fraction     # 2/3 sum of planar losses + boundary sums
 
 
-def planar_losses(inst: HardInstance, sol: CandidateSolution) -> PlanarReport:
-    """Losses of the projected points, all computed at scale T = 2S."""
-    return _planar(_Lattice(inst, sol))
-
-
 def _planar(lat: _Lattice) -> PlanarReport:
+    """Losses of the projected points, all computed at scale T = 2S."""
     inst = lat.inst
     L, T, steps = inst.L, 2 * lat.S, inst.steps
     # rect_project keeps x and folds z into y: 2S·(y + z) = 2·p_c - 2S·x;
@@ -606,14 +617,42 @@ class Diagnosis:
     directional: DirectionalReport
     planar: PlanarReport
 
+    @property
+    def total_loss(self) -> Fraction:
+        """vol - opt, the capacity-weighted sum of the path losses."""
+        return self.losses.total
+
+    def to_json_dict(self) -> dict:
+        """The reports' figures, path losses and planar vertex losses, as strings."""
+        dr, pr, per_path = self.directional, self.planar, self.losses.per_path
+        planar = (pr.l_x, pr.l_y, pr.l_z1, pr.l_z2)
+        vids = sorted(set().union(*planar))
+        return {
+            "image_size": self.image_size,
+            "total_loss": str(self.total_loss),
+            "aggregates": {label: {"lhs": str(l), "rhs": str(r)} for label, l, r in dr.aggregates},
+            "x_bounds_ok": dr.x_bounds_ok,
+            "step_bound_failures": len(pr.step_bound_failures),
+            "transfer_bound_failures": len(pr.transfer_bound_failures),
+            "planar_bound": {"lhs": str(pr.bound_lhs), "rhs": str(pr.bound_rhs)},
+            "line_table": {f"{jy},{kz}": str(v) for (jy, kz), v in sorted(pr.table.items())},
+            "path_losses": dict(zip([p.name for p in per_path],
+                                    str_each([p.loss for p in per_path]))),
+            "vertex_losses": {
+                vid: {"x": x, "y": y, "z1": z1, "z2": z2}
+                for vid, x, y, z1, z2 in zip(vids, *(str_each([ls.get(v, 0) for v in vids])
+                                                     for ls in planar))
+            },
+        }
+
 
 def diagnose(inst: HardInstance, sol: CandidateSolution) -> Diagnosis:
-    """`losses`, `directional_losses` and `planar_losses` on one checked lattice.
+    """The loss, directional and planar reports of sol on one checked lattice.
 
     The cover is checked and the image put on its lattice once for all three.
     """
     lat = _Lattice(inst, sol)
-    return Diagnosis(image_size=len(lat.points), losses=_losses(lat),
+    return Diagnosis(image_size=len(lat.ipts), losses=_losses(lat),
                      directional=_directional(lat), planar=_planar(lat))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .flow import Demand
-from .graphs import TerminalGraph
+from .graphs import Edge, TerminalGraph
 from .metric import MetricError, TerminalMetric, as_fraction, pair_key
 
 
@@ -97,7 +97,7 @@ def load_graph(text: str) -> TerminalGraph:
             _, u, v, cap, length = fields
             add_vertex(u)
             add_vertex(v)
-            edges.append((u, v, rational(lineno, cap), rational(lineno, length)))
+            edges.append(Edge(u, v, rational(lineno, cap), rational(lineno, length)))
         elif fields[0] == "terminal":
             if len(fields) != 3:
                 raise TextFormatError(lineno, "expected 'terminal <name> <vertex>'")

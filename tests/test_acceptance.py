@@ -19,9 +19,8 @@ from spanflow.decompose import (Cluster, Decomposer, Solution, contract, moment_
                                 type1_metric, type2_metric, type3_metric)
 from spanflow.flow import Demand, dual_value, exact_single_commodity, max_concurrent_flow
 from spanflow.graphs import project_graph, shortest_distances
-from spanflow.hard6 import (AssocVec, adjust_solution, check_good, directional_losses,
-                            from_assoc, generate, grid_snap, identity_solution,
-                            losses, metric6, planar_losses, to_assoc)
+from spanflow.hard6 import (AssocVec, adjust_solution, check_good, diagnose, from_assoc,
+                            generate, grid_snap, identity_solution, metric6, to_assoc)
 from spanflow.metric import TerminalMetric, collinear_triples
 from spanflow.textio import dump_graph
 from spanflow.tightspan import (enumerate_complex, in_tight_span,
@@ -281,7 +280,7 @@ def test_c09_hard_instance_structure(capsys):
         opt = inst.opt()
         if opt > 90 * L * L:
             ok = False
-        if losses(inst, identity_solution(inst)).total != 0:
+        if diagnose(inst, identity_solution(inst)).losses.total != 0:
             ok = False
         for vid, (i, j, k) in inst.index.items():
             a = AssocVec(F(i, L), F(2 * j, L), F(k, L))
@@ -297,15 +296,15 @@ def test_c10_diagnostic_soundness(capsys):
     inst = generate(12)
     ok = True
     for g in (1, 2, 3):
-        sol = grid_snap(inst, g)
-        if losses(inst, sol).total <= 0:
+        dg = diagnose(inst, grid_snap(inst, g))
+        if dg.losses.total <= 0:
             ok = False
-        dr = directional_losses(inst, sol)
+        dr = dg.directional
         if not all(lhs >= rhs for _, lhs, rhs in dr.aggregates):
             ok = False
         if not dr.x_bounds_ok:
             ok = False
-        pr = planar_losses(inst, sol)
+        pr = dg.planar
         if pr.step_bound_failures or pr.transfer_bound_failures:
             ok = False
         if pr.bound_lhs < pr.bound_rhs:

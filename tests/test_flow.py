@@ -79,6 +79,44 @@ def test_connectivity_reads_the_merged_edges_not_the_lengths():
         max_concurrent_flow(g, Demand({("s", "t"): F(1), ("t", "z"): F(1)}), EPS)
 
 
+def test_connectivity_matches_a_bfs_oracle(rng):
+    # random multigraphs, often disconnected, with parallel edges, self-loops
+    # and isolated vertices: the first disconnected demand pair is the one raised
+    seen = set()
+    for _ in range(40):
+        vs = [f"v{i}" for i in range(rng.randint(2, 9))]
+        edges = []
+        for _ in range(rng.randint(0, len(vs) + 2)):
+            u, v = rng.choice(vs), rng.choice(vs)   # u == v: a self-loop
+            edges += [(u, v, F(rng.randint(1, 4)), F(1))] * rng.randint(1, 2)
+        names = [f"t{i}" for i in range(rng.randint(2, min(len(vs), 5)))]
+        terminals = dict(zip(names, rng.sample(vs, len(names))))
+        g = TerminalGraph(vertices=vs, edges=edges, terminals=terminals)
+        adj = {v: set() for v in vs}
+        for u, v, _, _ in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+
+        def reach(s):
+            seen_v, todo = {s}, [s]
+            while todo:
+                for w in adj[todo.pop()] - seen_v:
+                    seen_v.add(w)
+                    todo.append(w)
+            return seen_v
+        pairs = [pair for pair in combinations(names, 2) if rng.random() < 0.7] or [tuple(names[:2])]
+        demand = Demand({pair: F(1) for pair in pairs})
+        bad = next(((t, u) for t, u, _ in demand.pairs()
+                    if terminals[u] not in reach(terminals[t])), None)
+        seen.add(bad is None)
+        if bad is None:
+            assert max_concurrent_flow(g, demand, EPS).lam > 0
+        else:
+            with pytest.raises(FlowError, match=f"terminals {bad[0]} and {bad[1]} are disconnected$"):
+                max_concurrent_flow(g, demand, EPS)
+    assert seen == {True, False}
+
+
 def test_oracle_agreement_random(rng):
     for _ in range(15):
         g = rand_connected_graph(rng, rng.randint(4, 7), rng.randint(2, 6))
@@ -130,6 +168,16 @@ def test_dual_value_rejects_a_pair_given_two_values():
         dual_value(g, [F(1)], {("s", "t"): F(1), ("t", "s"): F(2)})
     rep = dual_value(g, [F(1)], {("s", "t"): F(1), ("t", "s"): "1"})
     assert rep.feasible and rep.value == 1
+
+
+def test_dual_value_rejects_unknown_terminals_and_uncovered_demand():
+    g = single_edge()
+    for deltas in ({("s", "t"): F(1), ("x", "s"): F(1)}, {("s", "t"): F(1), ("t", "x"): F(1)}):
+        with pytest.raises(FlowError, match=r"delta names unknown terminal in \(\w, x\)"):
+            dual_value(g, [F(1)], deltas)
+    dem = Demand({("s", "t"): F(1), ("q", "s"): F(1)})
+    with pytest.raises(FlowError, match=r"demand pair \(q, s\) has no delta"):
+        dual_value(g, [F(1)], {("s", "t"): F(1)}, demand=dem)
 
 
 def test_weak_duality(rng):

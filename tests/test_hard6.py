@@ -1,12 +1,10 @@
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
 from spanflow.hard6 import (TERMS, AssocVec, CandidateSolution, _Lattice, adjust_solution,
-                            check_good, diagnose, directional_losses, from_assoc,
-                            generate, grid_snap, identity_solution, losses, metric6,
-                            planar_losses, rect_project, to_assoc)
+                            check_good, diagnose, from_assoc, generate, grid_snap,
+                            identity_solution, metric6, rect_project, to_assoc)
 from spanflow.metric import MetricError, collinear_triples, restrict, validate_metric
 from spanflow.tightspan import (enumerate_complex, in_tight_span, project, to_lattice,
                                 ts_distance)
@@ -212,7 +210,7 @@ def test_opt_bound():
 
 def test_identity_solution_zero_loss():
     inst = generate(4)
-    rep = losses(inst, identity_solution(inst))
+    rep = diagnose(inst, identity_solution(inst)).losses
     assert rep.total == 0
     assert all(p.excess == 0 for p in rep.per_path)
 
@@ -223,7 +221,7 @@ def test_all_to_c_solution_positive_loss():
     term_ids = set(inst.graph.terminals.values())
     f = {vid: (dict(vec) if vid in term_ids else m.row("c"))
          for vid, vec in inst.vecs.items()}
-    rep = losses(inst, CandidateSolution(f=f))
+    rep = diagnose(inst, CandidateSolution(f=f)).losses
     assert rep.total > 0
     assert all(p.loss >= 0 for p in rep.per_path)
 
@@ -233,32 +231,33 @@ def test_losses_requires_cover():
     sol = identity_solution(inst)
     del sol.f["b"]
     with pytest.raises(MetricError):
-        losses(inst, sol)
+        diagnose(inst, sol)
 
 
 def test_grid_snap_properties():
     inst = generate(6)
     for g in (1, 2, 3):
         sol = grid_snap(inst, g)
-        assert diagnose(inst, sol).image_size <= (g + 1) ** 3 + 6
-        assert losses(inst, sol).total > 0
-    assert losses(inst, grid_snap(inst, 6)).total == 0
-    assert losses(inst, grid_snap(inst, 12)).total == 0
+        dg = diagnose(inst, sol)
+        assert dg.image_size <= (g + 1) ** 3 + 6
+        assert dg.losses.total > 0
+    assert diagnose(inst, grid_snap(inst, 6)).losses.total == 0
+    assert diagnose(inst, grid_snap(inst, 12)).losses.total == 0
 
 
 def test_snap_loss_monotone_in_grid():
     inst = generate(12)
-    totals = [losses(inst, grid_snap(inst, g)).total for g in (1, 2, 3, 4, 6, 12)]
+    totals = [diagnose(inst, grid_snap(inst, g)).losses.total for g in (1, 2, 3, 4, 6, 12)]
     assert totals[0] > 0
     assert all(a >= b for a, b in zip(totals, totals[1:]))
     assert totals[-1] == 0
-    assert losses(inst, grid_snap(inst, 24)).total == 0
+    assert diagnose(inst, grid_snap(inst, 24)).losses.total == 0
 
 
 def test_snap_loss_total_matches_two_route(rng):
     inst = generate(4)
     sol = grid_snap(inst, 2)
-    rep = losses(inst, sol)
+    rep = diagnose(inst, sol).losses
     direct = sum((cap * ts_distance(sol.f[u], sol.f[v])
                   for u, v, cap, _ in inst.graph.edges), F(0))
     assert rep.total == direct - inst.opt()
@@ -267,7 +266,7 @@ def test_snap_loss_total_matches_two_route(rng):
 def test_directional_losses_identity_zero():
     inst = generate(4)
     sol = identity_solution(inst)
-    dr = directional_losses(inst, sol)
+    dr = diagnose(inst, sol).directional
     # geodesic telescoping: every aggregate-bound term vanishes exactly
     fwd, bwd, aggregates, _ = ref_directional(inst, sol)
     tables = {"fwd": fwd, "bwd": bwd}
@@ -281,7 +280,7 @@ def test_directional_losses_identity_zero():
 def test_directional_losses_nonnegative_and_aggregates(rng):
     inst = generate(4)
     sol = grid_snap(inst, 1)
-    dr = directional_losses(inst, sol)
+    dr = diagnose(inst, sol).directional
     fwd, bwd, _, _ = ref_directional(inst, sol)
     assert all(v >= 0 for v in fwd.values())
     assert all(v >= 0 for v in bwd.values())
@@ -299,11 +298,11 @@ def test_planar_losses_claims(rng):
     f = {vid: (dict(vec) if vid in term_ids else dict(rng.choice(pts)))
          for vid, vec in inst.vecs.items()}
     for sol in (identity_solution(inst), grid_snap(inst, 1), CandidateSolution(f=f)):
-        pr = planar_losses(inst, sol)
+        pr = diagnose(inst, sol).planar
         assert pr.step_bound_failures == []
         assert pr.transfer_bound_failures == []
         assert pr.bound_lhs >= pr.bound_rhs
-    pr = planar_losses(inst, identity_solution(inst))
+    pr = diagnose(inst, identity_solution(inst)).planar
     assert pr.bound_lhs == pr.bound_rhs == 0
     assert all(v == 0 for v in pr.table.values())
 
@@ -502,17 +501,16 @@ def ref_planar(inst, sol):
 
 
 def assert_matches_reference(inst, sol):
-    rep = losses(inst, sol)
+    dg = diagnose(inst, sol)
+    rep, dr, pr = dg.losses, dg.directional, dg.planar
     paths = inst.all_paths()
     excess = _ref_excess(inst, sol, paths)
     assert [(q.name, q.excess, q.loss) for q in rep.per_path] \
         == [(p.name, e, p.capacity * e) for p, e in zip(paths, excess)]
     assert rep.total == sum((p.capacity * e for p, e in zip(paths, excess)), F(0))
-    dr = directional_losses(inst, sol)
     _, _, aggregates, fails = ref_directional(inst, sol)
     assert dr.aggregates == aggregates
     assert dr.x_bound_failures == fails and dr.x_bounds_ok == (not fails)
-    pr = planar_losses(inst, sol)
     assert (pr.l_x, pr.l_y, pr.l_z1, pr.l_z2, pr.table, pr.step_bound_failures,
             pr.transfer_bound_failures, pr.bound_lhs, pr.bound_rhs) \
         == ref_planar(inst, sol)
@@ -610,9 +608,8 @@ def test_lattice_diagnostics_keep_checks():
     loose = identity_solution(inst)
     loose.f[inst.graph.terminals["b"]] = dict(inst.vecs[inst.graph.terminals["c"]])
     for sol, message in ((outside, "outside the span"), (loose, "must map to itself")):
-        for diagnostic in (losses, directional_losses, planar_losses):
-            with pytest.raises(MetricError, match=message):
-                diagnostic(inst, sol)
+        with pytest.raises(MetricError, match=message):
+            diagnose(inst, sol)
 
 
 def test_snap_grid_run_checks_the_cover_once(monkeypatch, capsys):
@@ -624,16 +621,9 @@ def test_snap_grid_run_checks_the_cover_once(monkeypatch, capsys):
                         lambda inst, sol: checks.append(sol) or real(inst, sol))
     assert main(["hard6", "--L", "3", "--snap-grid", "2"]) == 0
     assert len(checks) == 1
-    # outside a run each diagnostic checks its input again
-    inst = generate(3)
-    sol = grid_snap(inst, 2)
-    checks.clear()
-    losses(inst, sol)
-    planar_losses(inst, sol)
-    assert checks == [sol, sol]
 
 
-def test_diagnose_equals_the_standalone_reports(monkeypatch):
+def test_diagnose_checks_the_cover_once(monkeypatch):
     import spanflow.hard6 as hard6
     checks = []
     real = hard6._check_cover
@@ -647,8 +637,33 @@ def test_diagnose_equals_the_standalone_reports(monkeypatch):
         dg = diagnose(inst, sol)
         assert checks == [sol]
         assert dg.image_size == len({tuple(v[t] for t in TERMS) for v in sol.f.values()})
-        for got, standalone in ((dg.losses, losses), (dg.directional, directional_losses),
-                                (dg.planar, planar_losses)):
-            want = standalone(inst, sol)
-            for f in fields(want):
-                assert getattr(got, f.name) == getattr(want, f.name), (inst.L, g, f.name)
+
+
+def test_check_cover_checks_each_vector_before_keying_it():
+    inst = generate(4)
+    sol = grid_snap(inst, 2)
+    size = diagnose(inst, sol).image_size
+    vid = next(v for v in inst.index if v not in inst.graph.terminals.values())
+    # a snapped vertex written as strings is the same image point
+    sol.f[vid] = {t: str(x) for t, x in sol.f[vid].items()}
+    assert diagnose(inst, sol).image_size == size
+    # a vector that lacks a coordinate is a MetricError, not a KeyError
+    sol.f[vid] = {t: x for t, x in sol.f[vid].items() if t != "b"}
+    with pytest.raises(MetricError, match="missing coordinates"):
+        diagnose(inst, sol)
+
+
+def test_snap_grid_out_run_stays_on_the_int_vectors(monkeypatch, tmp_path, capsys):
+    import spanflow.cli as cli
+    made = []
+    monkeypatch.setattr(cli, "generate", lambda *a, **kw: made.append(generate(*a, **kw)) or made[-1])
+    assert cli.main(["hard6", "--L", "4", "--snap-grid", "2", "--out", str(tmp_path)]) == 0
+    inst, = made
+    assert "vecs" not in vars(inst)
+    # the Fraction view is the ints over L, terminals included
+    m = inst.metric
+    for t, vid in inst.graph.terminals.items():
+        assert inst.vecs[vid] == m.row(t)
+    assert list(inst.vecs) == list(inst.ivecs) == inst.graph.vertices
+    assert all(inst.vecs[vid] == {t: F(n, 4) for t, n in zip(TERMS, iv)}
+               for vid, iv in inst.ivecs.items())

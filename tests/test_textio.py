@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spanflow.graphs import TerminalGraph
+from spanflow.graphs import Edge, TerminalGraph
 from spanflow.textio import TextFormatError, dump_graph, load_graph
 
 TEXT = """\
@@ -30,6 +30,23 @@ def test_equal_tokens_share_one_fraction():
     assert caps[3] is caps[5]
     assert lengths[0] is lengths[1] is lengths[3] is lengths[5]
     assert lengths[2] is lengths[4]
+
+
+def test_parsed_edges_are_kept_as_built(monkeypatch):
+    import spanflow.textio as textio
+    given = []
+
+    def graph(**kw):
+        given.extend(kw["edges"])
+        return TerminalGraph(**kw)
+    monkeypatch.setattr(textio, "TerminalGraph", graph)
+    g = load_graph(TEXT)
+    assert len(given) == len(g.edges) == 6
+    assert all(type(e) is Edge for e in given)
+    # the graph keeps each parsed edge, and its fields are the token objects
+    assert all(kept is e for kept, e in zip(g.edges, given))
+    assert given[0].capacity is given[2].capacity is given[4].capacity
+    assert given[0].length is given[1].length is given[5].length
 
 
 def test_dump_of_a_loaded_graph_is_unchanged():
