@@ -19,7 +19,7 @@ from pathlib import Path
 from .decompose import Decomposer, contract, cost, sample_seed, sample_volumes
 from .flow import Demand, quality_ratio
 from .graphs import project_graph
-from .hard6 import diagnose, generate, grid_snap
+from .hard6 import DEFAULT_GAMMA, diagnose, generate, grid_snap
 from .metric import MetricError, as_fraction
 from .textio import dump_graph, load_demand, load_graph, load_metric
 from .tightspan import enumerate_complex, project
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hard6", help="generate the 6-terminal hard instance")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--ave", action="store_true")
-    p.add_argument("--gamma", default="1/1000000000000000")
+    p.add_argument("--gamma", default=str(DEFAULT_GAMMA))
     p.add_argument("--snap-grid", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_hard6)

@@ -21,12 +21,12 @@ multiple of it (`_build_model`); Fractions appear only in what it hands out:
 template parameters, representatives and costs.
 A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
 ("draw > s", or "draw >= s" across a fold) is the integer test U > t for a t
-fixed at build time.  Each vertex's representative is compiled once into a
-cut tree of such tests whose leaves are interned representatives (a planar
-anchor is lifted the first time a tree reads it); a sample draws the U's,
-walks the trees with integer compares, and reads each edge's int distance
-from a table of the representatives' distances.  Means and standard errors
-come from int moment sums (`moment_stats`), divided exactly once.
+fixed at build time.  Complex vertex i is representative i; any other point
+compiles once into a cut tree of such tests with interned representatives as
+leaves (a planar anchor is lifted the first time a tree reads it).  A sample
+draws the U's, walks the trees with integer compares, and reads each edge's
+int distance from a table of the representatives' distances.  Means and
+standard errors come from int moment sums (`moment_stats`), divided once.
 """
 from __future__ import annotations
 
@@ -271,14 +271,10 @@ class _ModelBase:
                        for c in complex_.cells}
         self.two = [c for c in complex_.cells if c.dim == 2]
         self.trees = [c for c in complex_.cells if c.dim == 1]
-        self.rep_ids: dict[tuple, int] = {}  # representative tuple -> id, in id order
-        self.vertex_reps = [self._rep(v) for v in self.V]
+        # representative tuple -> id, in id order; complex vertex i is id i
+        self.rep_ids: dict[tuple, int] = dict(self.vid)
         # (lo, width) of each uniform draw lo + U*width/2^53, in RNG order
         self.draw_spec: list[tuple[int, int]] = []
-
-    def _rep(self, key: tuple) -> int:
-        """The interned id of a representative coordinate tuple."""
-        return self.rep_ids.setdefault(key, len(self.rep_ids))
 
     def _add_draw(self, lo: int, w: int) -> int:
         self.draw_spec.append((lo, w))
@@ -298,25 +294,19 @@ class _ModelBase:
             d = self._add_draw(0, _dist(V[i], V[j]))
             self.segments.append((d, self.system[cell], i, j))
 
-    def _vertex_node(self, vid):
-        """A complex vertex's node: the vertex itself."""
-        return self.vertex_reps[vid]
-
     def _segment_node(self, p):
-        """Node of a point on a 1-cell (None if on none): an end, or a cut."""
+        """Cut of a non-vertex point on a 1-cell between its ends (None if on none)."""
         V = self.V
         for d, system, i, j in self.segments:
-            if p == V[i] or p == V[j]:
-                return self._vertex_node(i if p == V[i] else j)
             if _in_cell(system, p):
-                return self._cut(d, _dist(p, V[i]), self._vertex_node(j), self._vertex_node(i))
+                return self._cut(d, _dist(p, V[i]), j, i)
         return None
 
     def localize(self, p: tuple):
-        """The cut tree of a span point (ints on the scale): a representative id or a `_Cut`."""
-        if p in self.row_keys:
-            return self._rep(p)
-        return self._localize_inner(p)
+        """The cut tree of a span point (ints on the scale): a representative id or a `_Cut`;
+        complex vertex i is id i, and only points off the vertices reach the model."""
+        vid = self.vid.get(p)
+        return self._localize_inner(p) if vid is None else vid
 
 
 class _TreeModel(_ModelBase):
@@ -327,8 +317,7 @@ class _TreeModel(_ModelBase):
         self._add_tree_draws()
 
     def _localize_inner(self, p):
-        # a single-vertex complex (k = 1) is its terminal row, caught by
-        # localize; every other vertex ends a 1-cell
+        # vertices are caught by localize, so p lies inside a 1-cell or off the span
         node = self._segment_node(p)
         if node is None:
             raise MetricError("point not on the tree span")
@@ -419,22 +408,17 @@ class _FanModel(_ModelBase):
         self.pend_draw = {t: self._add_draw(0, self.pend_len[t]) for t in sorted(m.terminals)}
         self.side_draw = {k: self._add_draw(0, self.side_len[k])
                           for k in sorted(self.corner, key=sorted)}
-        self._static = {V[vid] for vid in
-                        (self.o_id, *self.prime.values(), *self.corner.values())}
         i = self.cycle.index
         self.next_of = {t: self.cycle[(i(t) + 1) % 5] for t in self.cycle}
         self.prev_of = {t: self.cycle[(i(t) - 1) % 5] for t in self.cycle}
 
     def _localize_inner(self, p):
-        if p in self._static:
-            return self._rep(p)
         V = self.V
         for t in sorted(self.metric.terminals):
             # pendant test: p lies between the terminal and its prime corner
             d_t = _dist(p, self.rows[t])
             if d_t + _dist(p, V[self.prime[t]]) == self.pend_len[t]:
-                return self._cut(self.pend_draw[t], d_t, self.vertex_reps[self.prime[t]],
-                                 self._rep(self.rows[t]))
+                return self._cut(self.pend_draw[t], d_t, self.prime[t], self.vid[self.rows[t]])
         for t in self.cycle:
             if not _in_cell(self.rect_systems[t], p):
                 continue
@@ -448,10 +432,8 @@ class _FanModel(_ModelBase):
             # corner is prime if u1 < r1 and u2 < r2, the next side's if only
             # u1 < r1, the previous side's if only u2 < r2, else the center
             d1, d2 = self.side_draw[e_next], self.side_draw[e_prev]
-            leaf = [self.vertex_reps[vid] for vid in (self.o_id, self.corner[e_prev],
-                                                      self.corner[e_next], self.prime[t])]
-            return self._cut(d1, u1, self._cut(d2, u2, leaf[0], leaf[1]),
-                             self._cut(d2, u2, leaf[2], leaf[3]))
+            return self._cut(d1, u1, self._cut(d2, u2, self.o_id, self.corner[e_prev]),
+                             self._cut(d2, u2, self.corner[e_next], self.prime[t]))
         raise MetricError("point not on the fan span")
 
 
@@ -526,15 +508,9 @@ class _PlanarModel(_ModelBase):
         if key not in self.lift:
             x, y = self.xs[gx], self.ys[gy]
             p = cell_point(self.complex, self.two[ci], {self.i1: x + y, self.i2: x - y}, self.scale)
-            self.lift[key] = None if p is None else self._rep(tuple(p))
+            ids = self.rep_ids
+            self.lift[key] = None if p is None else ids.setdefault(tuple(p), len(ids))
         return self.lift[key]
-
-    def _vertex_node(self, vid):
-        """A non-terminal vertex on 2-cells resolves through their anchors."""
-        cells = tuple(ci for ci, c in enumerate(self.two) if vid in c.vertex_ids)
-        if cells and self.V[vid] not in self.row_keys:
-            return self._cell_node(*self.plan[vid], cells)
-        return self.vertex_reps[vid]
 
     def _localize_inner(self, p):
         cells = tuple(ci for ci, c in enumerate(self.two) if _in_cell(self.system[c], p))
@@ -649,11 +625,8 @@ def _attach_point(model: _PlanarModel, t: str) -> int | None:
     vid = model.vid.get(model.rows[t])
     if vid is None:
         return None
-    for cell in model.trees:
-        if vid in cell.vertex_ids:
-            other = [w for w in cell.vertex_ids if w != vid][0]
-            return _dist(model.rows[t], model.V[other])
-    return 0
+    # the draw width of the 1-cell ending at the terminal is its length
+    return next((model.draw_spec[d][1] for d, _, i, j in model.segments if vid in (i, j)), 0)
 
 
 class Decomposer:

@@ -287,7 +287,9 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     arc_flow = [sum(X[j:j + nk]) for j in range(0, nf, nk)]
     used = list(map(add, arc_flow[:ne], arc_flow[ne:]))
     scale = 1 - eps / 10
-    # one int comparison per merged edge; the shrink margin makes the rescue unreachable
+    # one int comparison per merged edge; the rescue runs when the solver overfills
+    # a capacity row by more than the epsilon/10 shrink, which HiGHS's absolute
+    # primal feasibility tolerance (1e-7) allows once epsilon/10 is smaller
     if any(u * cs * scale.numerator > c * xs * scale.denominator for u, c in zip(used, caps)):
         scale /= max(Fraction(u * cs, c * xs) for u, c in zip(used, caps)) * scale
     lam = Fraction(x[-1]) * scale

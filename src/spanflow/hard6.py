@@ -202,7 +202,10 @@ _GROUP_CAPS = {
 }
 
 
-def generate(L: int, ave: bool = False, gamma=Fraction(1, 10 ** 15)) -> HardInstance:
+DEFAULT_GAMMA = Fraction(1, 10 ** 15)
+
+
+def generate(L: int, ave: bool = False, gamma=DEFAULT_GAMMA) -> HardInstance:
     """Build the instance at resolution L (the union of all path groups).
 
     Vertices are the grid points touched by paths plus the two off-grid
@@ -392,7 +395,7 @@ def _check_cover(inst: HardInstance, sol: CandidateSolution
     if missing:
         raise MetricError(f"solution misses vertices {missing[:3]}")
     for t, vid in inst.graph.terminals.items():
-        if sol.f[vid] != inst.metric.row(t):
+        if check_vector(inst.metric, sol.f[vid]) != inst.metric.row(t):
             raise MetricError(f"terminal {t} must map to itself")
     ids: dict[tuple, int] = {}
     by_object: dict[int, int] = {}   # id(vector) -> image-point id
@@ -660,16 +663,24 @@ def diagnose(inst: HardInstance, sol: CandidateSolution) -> Diagnosis:
 # average-version machinery
 
 
-def _delta_lookup(deltas: Mapping[tuple[str, str], object]):
-    """The lookup (t, u) -> delta of a table keyed by pairs in either order."""
-    norm = pair_table(deltas)
+def _delta_table(deltas: Mapping[tuple[str, str], object]) -> dict[tuple[str, str], Fraction]:
+    """The deltas keyed by `pair_key` (pairs given in either order), all 15 present."""
+    table = pair_table(deltas)
     for t, u in _D6:
-        if (t, u) not in norm:
+        if (t, u) not in table:
             raise MetricError(f"missing delta for pair ({t}, {u})")
+    return table
 
-    def get(t, u):
-        return norm[pair_key(t, u)]
-    return get
+
+def _violations(inst: HardInstance, table: Mapping[tuple[str, str], Fraction],
+                eta: Fraction) -> list[str]:
+    """The collinear triples whose positive slack in `table` reaches eta."""
+    out = []
+    for t, mid, u in collinear_triples(inst.metric):
+        slack = table[pair_key(t, mid)] + table[pair_key(mid, u)] - table[pair_key(t, u)]
+        if slack > 0 and slack >= eta:
+            out.append(f"triple ({t}, {mid}, {u}): slack {slack}")
+    return out
 
 
 @dataclass
@@ -688,17 +699,12 @@ def check_good(inst: HardInstance, deltas: Mapping[tuple[str, str], object],
     if inst.ave is None:
         raise MetricError("check_good needs an average-version instance")
     eta = as_fraction(eta)
-    get = _delta_lookup(deltas)
-    violations = []
-    for t, mid, u in collinear_triples(inst.metric):
-        slack = get(t, mid) + get(mid, u) - get(t, u)
-        if slack > 0 and slack >= eta:
-            violations.append(f"triple ({t}, {mid}, {u}): slack {slack}")
+    violations = _violations(inst, _delta_table(deltas), eta)
     return GoodReport(good=not violations, violations=violations)
 
 
 def _adjusted_table(A: Fraction, B: Fraction) -> dict[tuple[str, str], Fraction]:
-    table = {
+    return {
         ("a", "c"): A, ("b", "c"): A, ("d", "f"): A, ("e", "f"): A,
         ("a", "e"): B,
         ("a", "b"): 2 * A, ("d", "e"): 2 * A,
@@ -706,7 +712,6 @@ def _adjusted_table(A: Fraction, B: Fraction) -> dict[tuple[str, str], Fraction]
         ("a", "d"): 2 * A + B, ("b", "e"): 2 * A + B, ("c", "f"): 2 * A + B,
         ("b", "d"): 2 * A + B,
     }
-    return table
 
 
 @dataclass
@@ -733,24 +738,18 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     if inst.ave is None:
         raise MetricError("adjust_solution needs an average-version instance")
     eta = as_fraction(eta)
-    report = check_good(inst, deltas, eta)
-    if not report.good:
-        raise MetricError("input is not good: " + "; ".join(report.violations))
+    given = _delta_table(deltas)
+    violations = _violations(inst, given, eta)
+    if violations:
+        raise MetricError("input is not good: " + "; ".join(violations))
     lat = _Lattice(inst, sol)
-    get_in = _delta_lookup(deltas)
 
-    A = get_in("b", "c") - 3 * eta
-    B = get_in("a", "e") - 3 * eta
-    table = _adjusted_table(A, B)
-
-    def get_new(t, u):
-        return table[pair_key(t, u)]
-
+    table = _adjusted_table(given["b", "c"] - 3 * eta, given["a", "e"] - 3 * eta)
     for t, mid, u in collinear_triples(inst.metric):
-        if get_new(t, mid) + get_new(mid, u) != get_new(t, u):
+        if table[pair_key(t, mid)] + table[pair_key(mid, u)] != table[pair_key(t, u)]:
             raise MetricError("adjusted table violates a collinear triple")
 
-    tbar = {t: {s: (get_new(t, s) if s != t else Fraction(0)) for s in TERMS}
+    tbar = {t: {s: (table[pair_key(t, s)] if s != t else Fraction(0)) for s in TERMS}
             for t in TERMS}
     terminal_of = {vid: t for t, vid in inst.graph.terminals.items()}
     remapped: dict[tuple, Vec] = {}
@@ -761,15 +760,12 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
                              for t in TERMS}
 
     demand = inst.ave.demand
-    avg_in = demand.total_weighted({k: get_in(*k) for k in _D6})
-    avg_new = demand.total_weighted({k: get_new(*k) for k in _D6})
+    avg_in = demand.total_weighted(given)
+    avg_new = demand.total_weighted(table)
     scale = avg_in / avg_new
     for key in remapped:
         remapped[key] = {t: scale * x for t, x in remapped[key].items()}
     final_table = {k: scale * v for k, v in table.items()}
-
-    def get_final(t, u):
-        return Fraction(0) if t == u else final_table[pair_key(t, u)]
 
     # the remapped points on a lattice of their own; mid[pid] is pid's index there
     moved = PointLattice.of([tuple(vec[t] for t in TERMS) for vec in remapped.values()])
@@ -781,9 +777,9 @@ def adjust_solution(inst: HardInstance, sol: CandidateSolution,
     for u, v, cap, _ in inst.graph.edges:
         tu, tv = terminal_of.get(u), terminal_of.get(v)
         if tu is not None and tv is not None:
-            if tu != tv:
-                tt_before += cap * get_in(tu, tv)
-            tt_after += cap * get_final(tu, tv)
+            if tu != tv:   # a terminal self-loop costs nothing
+                tt_before += cap * given[pair_key(tu, tv)]
+                tt_after += cap * final_table[pair_key(tu, tv)]
             continue
         pu, pv = lat.image[u], lat.image[v]
         caps.append(cap)

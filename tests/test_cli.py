@@ -271,6 +271,14 @@ def test_hard6_ave_sidecar(tmp_path):
     assert sidecar["demand"] is not None
 
 
+def test_hard6_default_gamma_is_the_generate_default():
+    import inspect
+    from spanflow.hard6 import generate
+    from spanflow.metric import as_fraction
+    args = build_parser().parse_args(["hard6", "--L", "3"])
+    assert as_fraction(args.gamma) == inspect.signature(generate).parameters["gamma"].default
+
+
 def test_hard6_deterministic():
     r1 = run("hard6", "--L", "3")
     r2 = run("hard6", "--L", "3")

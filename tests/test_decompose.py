@@ -239,6 +239,38 @@ def test_planar_chart_matches_the_determinant_reference():
     assert charts == {True: 890, False: 12}
 
 
+def _vertex_models():
+    """Every span model of a {1, 2} five-point metric, then five derived
+    instances of each template, each also with its terminals reversed."""
+    pairs = list(combinations("abcde", 2))
+    for ds in product((1, 2), repeat=10):
+        yield _build_model(enumerate_complex(TerminalMetric.from_pairs(dict(zip(pairs, ds)))), 1)
+    rng = random.Random(24)
+    for builder in (rand_type1, rand_type2, rand_type3):
+        for _ in range(5):
+            m = builder(rng)[-1]
+            for metric in (m, _reversed(m)):
+                yield _build_model(enumerate_complex(metric), 1)
+
+
+def test_complex_vertex_i_is_representative_i():
+    kinds = Counter()
+    for model in _vertex_models():
+        kinds[type(model).__name__] += 1
+        n = len(model.V)
+        assert [model.localize(v) for v in model.V] == list(range(n))
+        assert all(model.localize(row) == model.vid[row] for row in model.rows.values())
+        if isinstance(model, _PlanarModel):
+            # a vertex on 2-cells is a band-grid point: the anchor there is the vertex
+            for i in range(n):
+                cells = tuple(ci for ci, c in enumerate(model.two) if i in c.vertex_ids)
+                if cells:
+                    assert model._cell_node(*model.plan[i], cells) == i
+        # the ids are the vertex ids in order, and localizing a vertex interns nothing
+        assert list(model.rep_ids.items()) == list(model.vid.items())
+    assert kinds == {"_TreeModel": 122, "_PlanarModel": 910, "_FanModel": 22}
+
+
 def test_one_and_two_terminal_graphs_build_tree_models(rng):
     one = TerminalGraph(vertices=["a", "x", "y"],
                         edges=[("a", "x", F(1), F(2)), ("x", "y", F(3), F(1))],

@@ -653,6 +653,32 @@ def test_check_cover_checks_each_vector_before_keying_it():
         diagnose(inst, sol)
 
 
+def test_check_cover_reads_a_terminal_written_as_strings():
+    inst = generate(3)
+    sol = grid_snap(inst, 2)
+    dg = diagnose(inst, sol)
+    b = inst.graph.terminals["b"]
+    sol.f[b] = {t: str(x) for t, x in sol.f[b].items()}
+    again = diagnose(inst, sol)
+    assert (again.image_size, again.total_loss) == (dg.image_size, dg.total_loss)
+    # b mapped to a's row is still not b, as Fractions or as strings
+    for row in (inst.metric.row("a"), {t: str(x) for t, x in inst.metric.row("a").items()}):
+        sol.f[b] = row
+        with pytest.raises(MetricError, match="terminal b must map to itself"):
+            diagnose(inst, sol)
+
+
+def test_adjust_solution_reads_its_deltas_once(monkeypatch):
+    import spanflow.hard6 as hard6
+    calls = []
+    real = hard6.pair_table
+    monkeypatch.setattr(hard6, "pair_table", lambda pairs: calls.append(pairs) or real(pairs))
+    inst = generate(3, ave=True)
+    deltas = exact_deltas()
+    adjust_solution(inst, grid_snap(inst, 2), deltas, F(1, 10 ** 9))
+    assert calls == [deltas]
+
+
 def test_snap_grid_out_run_stays_on_the_int_vectors(monkeypatch, tmp_path, capsys):
     import spanflow.cli as cli
     made = []

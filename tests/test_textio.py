@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from spanflow.flow import Demand
 from spanflow.graphs import Edge, TerminalGraph
-from spanflow.textio import TextFormatError, dump_graph, load_graph
+from spanflow.textio import TextFormatError, dump_demand, dump_graph, load_demand, load_graph
 
 TEXT = """\
 # repeated capacity and length tokens
@@ -69,3 +70,15 @@ def test_malformed_token_reported_at_its_first_line():
     assert exc.value.line == 4
     with pytest.raises(TextFormatError, match=r"line 3: malformed rational '1/0'"):
         load_graph("terminal s a\nterminal t b\nedge a b 1/0 1\nedge a b 1 1/0\n")
+
+
+def test_dump_demand_round_trips():
+    # reversed and repeated pairs: the demand sums them into one sorted pair
+    d = Demand({("b", "a"): 1, ("a", "b"): "1/2", ("c", "a"): F(2, 3), ("b", "c"): 0})
+    assert d.entries == {("a", "b"): F(3, 2), ("a", "c"): F(2, 3), ("b", "c"): 0}
+    text = dump_demand(d)
+    assert text == "demand a b 3/2\ndemand a c 2/3\ndemand b c 0\n"
+    assert load_demand(text).entries == d.entries
+    parsed = load_demand("demand c a 1/3\ndemand b a 1\ndemand a c 1/3\ndemand a b 1/2\n")
+    assert parsed.entries == {("a", "b"): F(3, 2), ("a", "c"): F(2, 3)}
+    assert load_demand(dump_demand(parsed)).entries == parsed.entries
