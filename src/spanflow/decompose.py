@@ -44,7 +44,7 @@ from .metric import MetricError, TerminalMetric, Vec
 from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distance_ints
 from .tightspan import (CellComplex, FractionTable, PointLattice, UnsupportedSizeError,
                         cell_point, enumerate_complex, int_in_span, lattice_ints,
-                        max_cell_dimension, on_scale, weighted_sum)
+                        max_cell_dimension, on_scale, to_lattice, weighted_sum)
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 
@@ -66,7 +66,11 @@ class Cluster:
 
 @dataclass
 class Solution:
-    """A partition of graph vertices plus representative span points."""
+    """A partition of graph vertices plus representative span points.
+
+    A representative is a vector over exactly the metric's terminals; its
+    coordinates may be anything `as_fraction` reads, strings included.
+    """
     metric: TerminalMetric
     clusters: list[Cluster]
     by_vertex: dict[Hashable, int]
@@ -76,9 +80,10 @@ class Solution:
 
     @cached_property
     def lattice(self) -> PointLattice:
-        """The cluster representatives on one lattice (point i is cluster i's rep)."""
-        ts = self.metric.terminals
-        return PointLattice.of([tuple(c.rep[t] for t in ts) for c in self.clusters])
+        """The cluster representatives on one lattice (point i is cluster i's rep),
+        checked by `to_lattice`."""
+        _, ipts, S = to_lattice(self.metric, [c.rep for c in self.clusters])
+        return PointLattice(ipts, S)
 
     def delta(self, i: int, j: int) -> Fraction:
         lat = self.lattice
@@ -265,7 +270,8 @@ class _ModelBase:
         self.V = [tuple(x * f for x in v) for v in complex_.ivertices]
         self.vid = {v: i for i, v in enumerate(self.V)}
         self.rows = {t: tuple(by_pair[t, u][2] * f for u in ts) for t in ts}
-        self.row_keys = {r: t for t, r in self.rows.items()}
+        # terminal rows are complex vertices: `_walk_vertices` starts at them
+        self.term_vid = {t: self.vid[r] for t, r in self.rows.items()}
         # each cell's tight pairs as constraints on the scale
         self.system = {c: [(i, j, r * f) for i, j, r in map(by_pair.__getitem__, c.pairs)]
                        for c in complex_.cells}
@@ -341,25 +347,22 @@ class _FanModel(_ModelBase):
         if len(common) != 1:
             raise MetricError("fan rectangles must share one center")
         self.o_id = common.pop()
-        term_vid = {t: self.vid.get(self.rows[t]) for t in m.terminals}
-        if None in term_vid.values():
-            raise MetricError("terminal not a complex vertex")
         # pendants: terminal vertex <-> prime corner of exactly one rectangle;
         # a terminal sitting directly on its rectangle has a zero pendant
         self.prime = {}
         self.pend_len = {}
         for c in self.trees:
             ids = set(c.vertex_ids)
-            terms = [t for t, vid in term_vid.items() if vid in ids]
+            terms = [t for t, vid in self.term_vid.items() if vid in ids]
             if len(terms) != 1:
                 raise MetricError("fan pendant must end at one terminal")
             t = terms[0]
-            other = (ids - {term_vid[t]}).pop()
+            other = (ids - {self.term_vid[t]}).pop()
             self.prime[t] = other
             self.pend_len[t] = _dist(V[other], self.rows[t])
         for t in m.terminals:
             if t not in self.prime:
-                self.prime[t] = term_vid[t]
+                self.prime[t] = self.term_vid[t]
                 self.pend_len[t] = 0
         if len(self.prime) != 5:
             raise MetricError("each terminal needs its own pendant")
@@ -418,7 +421,7 @@ class _FanModel(_ModelBase):
             # pendant test: p lies between the terminal and its prime corner
             d_t = _dist(p, self.rows[t])
             if d_t + _dist(p, V[self.prime[t]]) == self.pend_len[t]:
-                return self._cut(self.pend_draw[t], d_t, self.prime[t], self.vid[self.rows[t]])
+                return self._cut(self.pend_draw[t], d_t, self.prime[t], self.term_vid[t])
         for t in self.cycle:
             if not _in_cell(self.rect_systems[t], p):
                 continue
@@ -613,18 +616,14 @@ def _template_of(model) -> TSTemplate:
                   for i, (lo, hi) in enumerate(zip(grid, grid[1:]))}
         params["fold"] = frac[model.fold_bands[3]]
         for t in model.metric.terminals:
-            pendant = _attach_point(model, t)
-            if pendant is not None:
-                params[f"pendant_{t}"] = frac[pendant]
+            params[f"pendant_{t}"] = frac[_attach_point(model, t)]
         return TSTemplate(tag=tag, params=params)
     return TSTemplate(tag="degenerate")
 
 
-def _attach_point(model: _PlanarModel, t: str) -> int | None:
-    """Pendant length of a terminal (0 on a 2-cell), if it is a complex vertex."""
-    vid = model.vid.get(model.rows[t])
-    if vid is None:
-        return None
+def _attach_point(model: _PlanarModel, t: str) -> int:
+    """Pendant length of a terminal (0 on a 2-cell)."""
+    vid = model.term_vid[t]
     # the draw width of the 1-cell ending at the terminal is its length
     return next((model.draw_spec[d][1] for d, _, i, j in model.segments if vid in (i, j)), 0)
 
@@ -682,14 +681,14 @@ class Decomposer:
         groups: dict[int, list] = {}
         for v in self.embedded.graph.vertices:
             groups.setdefault(assign[v], []).append(v)
-        row_keys = self.model.row_keys
+        # rep id i is complex vertex i, so a terminal's rep id is its vertex id
+        term_of = {vid: t for t, vid in self.model.term_vid.items()}
         clusters, by_vertex = [], {}
         steiner = 0
         ipts, reps = self.lattice.ipts, self.lattice.points
-        for rid in sorted(groups, key=lambda i: (ipts[i] not in row_keys, ipts[i])):
-            key = ipts[rid]
-            if key in row_keys:
-                label = f"t:{row_keys[key]}"
+        for rid in sorted(groups, key=lambda i: (i not in term_of, ipts[i])):
+            if rid in term_of:
+                label = f"t:{term_of[rid]}"
             else:
                 label = f"s{steiner}"
                 steiner += 1

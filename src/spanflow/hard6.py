@@ -10,9 +10,10 @@ bounded-image embedding must lose.
 
 Generation and diagnostics compute on integer lattice points (distance
 vectors scaled by L in `HardInstance.ivecs`, a candidate's image points on one
-`tightspan.to_lattice` with the metric); lengths, losses and bounds become
-exact Fractions only where they are stored.  A grid edge is one critical step,
-1/L long by construction; only edges to terminals take `sup_dist`.
+`tightspan.to_lattice` with the metric, which checks every vector, and keyed
+by their ints); lengths, losses and bounds become exact Fractions only where
+they are stored.  A grid edge is one critical step, 1/L long by construction;
+only edges to terminals take `sup_dist`.
 `diagnose` checks the candidate's cover on those ints once, makes one
 `PointLattice` of them and runs all three reports on it, stepping on the grid
 index through `HardInstance.steps`, a neighbour table built once per instance.
@@ -26,8 +27,8 @@ from itertools import repeat
 from operator import add
 from typing import Mapping, NamedTuple
 
-from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
-                     collinear_triples, pair_key, pair_table)
+from .metric import (MetricError, TerminalMetric, Vec, as_fraction, collinear_triples,
+                     pair_key, pair_table)
 from .graphs import Edge, TerminalGraph
 from .flow import Demand
 from .textio import str_each
@@ -382,40 +383,36 @@ class LossReport:
 
 
 def _check_cover(inst: HardInstance, sol: CandidateSolution
-                 ) -> tuple[dict[str, int], list[list[int]], int]:
+                 ) -> tuple[dict[str, int], list[tuple[int, ...]], int]:
     """Check that sol covers inst, fixes the terminals and maps into the span.
 
     Returns the image-point id of every vertex of sol, the distinct image
     points as ints in TERMS order on one lattice with the metric, and its
-    scale; span membership is tested once per point, on those ints.  Each
-    vector object is checked (`check_vector`) once and keyed by its exact
-    coordinates; vertices sharing one object share its id without comparing.
+    scale.  The distinct vector objects cross into ints in one `to_lattice`
+    call, which checks each of them; image points are keyed by their ints,
+    a terminal's is compared with the metric's int row, and span membership
+    is tested once per image point.
     """
     missing = [v for v in inst.graph.vertices if v not in sol.f]
     if missing:
         raise MetricError(f"solution misses vertices {missing[:3]}")
+    slot: dict[int, int] = {}   # id(vector) -> its index in vecs
+    vecs = []
+    for vec in sol.f.values():
+        if id(vec) not in slot:
+            slot[id(vec)] = len(vecs)
+            vecs.append(vec)
+    d, ivecs, S = to_lattice(inst.metric, vecs)
     for t, vid in inst.graph.terminals.items():
-        if check_vector(inst.metric, sol.f[vid]) != inst.metric.row(t):
+        if ivecs[slot[id(sol.f[vid])]] != d[inst.metric.index(t)]:
             raise MetricError(f"terminal {t} must map to itself")
-    ids: dict[tuple, int] = {}
-    by_object: dict[int, int] = {}   # id(vector) -> image-point id
-    image: dict[str, int] = {}
-    owners, points = [], []   # per image point: its first vertex, its checked vector
-    for vid, vec in sol.f.items():
-        pid = by_object.get(id(vec))
-        if pid is None:
-            point = check_vector(inst.metric, vec)
-            key = tuple(point.values())   # in TERMS order
-            pid = ids.get(key)
-            if pid is None:
-                pid = ids[key] = len(ids)
-                owners.append(vid)
-                points.append(point)
-            by_object[id(vec)] = pid
-        image[vid] = pid
-    d, ipts, S = to_lattice(inst.metric, points)
-    for vid, x in zip(owners, ipts):
+    ids: dict[tuple[int, ...], int] = {}
+    pid = [ids.setdefault(tuple(x), len(ids)) for x in ivecs]
+    image = {vid: pid[slot[id(vec)]] for vid, vec in sol.f.items()}
+    ipts = list(ids)
+    for n, x in enumerate(ipts):
         if not int_in_span(d, x):
+            vid = next(v for v, p in image.items() if p == n)
             raise MetricError(f"image of vertex {vid} is outside the span")
     return image, ipts, S
 

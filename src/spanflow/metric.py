@@ -150,9 +150,14 @@ def validate_metric(m: TerminalMetric) -> list[str]:
     required off the diagonal: distinct terminals at distance zero would merge
     in the tight span and are rejected here instead of downstream.
     """
+    return _axiom_violations(m.terminals, m._dist, positive=True)
+
+
+def _axiom_violations(ts: Sequence[str], d: Sequence[Sequence], positive: bool) -> list[str]:
+    """The pseudometric axioms `validate_metric` checks, on a matrix d over
+    the terminals ts (Fractions, or ints on one scale), with distinct
+    terminals at distance zero a violation only if `positive`."""
     violations = []
-    ts = m.terminals
-    d = m._dist
     for i, t in enumerate(ts):
         if d[i][i] != 0:
             violations.append(f"nonzero diagonal at {t}: {d[i][i]}")
@@ -161,8 +166,9 @@ def validate_metric(m: TerminalMetric) -> list[str]:
             u = ts[j]
             if d[i][j] != d[j][i]:
                 violations.append(f"asymmetry at ({t}, {u}): {d[i][j]} != {d[j][i]}")
-            if d[i][j] <= 0:
-                violations.append(f"non-positive distance at ({t}, {u}): {d[i][j]}")
+            if d[i][j] < 0 or positive and d[i][j] == 0:
+                sign = "non-positive" if positive else "negative"
+                violations.append(f"{sign} distance at ({t}, {u}): {d[i][j]}")
     for i, j, l in combinations(range(len(ts)), 3):
         for (p, q, r) in ((i, j, l), (j, i, l), (l, i, j)):
             # p is the middle point: d(q, r) <= d(q, p) + d(p, r)

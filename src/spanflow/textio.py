@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .flow import Demand
-from .graphs import Edge, TerminalGraph
+from .graphs import Edge, GraphError, TerminalGraph
 from .metric import MetricError, TerminalMetric, as_fraction, pair_key
 
 
@@ -68,21 +68,32 @@ def dump_metric(m: TerminalMetric) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph(records: list) -> TerminalGraph:
+    """The graph of `(lineno, Edge or (terminal, vertex))` records, vertices
+    in order of first appearance."""
+    vertices: dict[str, None] = {}   # an ordered set
+    edges, terminals = [], {}
+    for _, rec in records:
+        if type(rec) is Edge:
+            vertices[rec.u] = None
+            vertices[rec.v] = None
+            edges.append(rec)
+        else:
+            vertices[rec[1]] = None
+            terminals[rec[0]] = rec[1]
+    return TerminalGraph(vertices=list(vertices), edges=edges, terminals=terminals)
+
+
 def load_graph(text: str) -> TerminalGraph:
     """Parse `edge <u> <v> <capacity> <length>` and `terminal <name> <vertex>`.
 
-    Equal capacity or length tokens share one Fraction object.
+    Equal capacity or length tokens share one Fraction object.  The graph's
+    own checks (`TerminalGraph`) are reported at the line of the first record
+    that fails them.
     """
-    edges = []
-    terminals: dict[str, str] = {}
-    vertices: list[str] = []
-    seen: set[str] = set()
+    records = []
+    terminals: set[str] = set()
     parsed: dict[str, Fraction] = {}   # each distinct token parsed once
-
-    def add_vertex(v: str):
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
 
     def rational(lineno: int, token: str) -> Fraction:
         value = parsed.get(token)
@@ -95,25 +106,34 @@ def load_graph(text: str) -> TerminalGraph:
             if len(fields) != 5:
                 raise TextFormatError(lineno, "expected 'edge <u> <v> <capacity> <length>'")
             _, u, v, cap, length = fields
-            add_vertex(u)
-            add_vertex(v)
-            edges.append(Edge(u, v, rational(lineno, cap), rational(lineno, length)))
+            records.append((lineno, Edge(u, v, rational(lineno, cap), rational(lineno, length))))
         elif fields[0] == "terminal":
             if len(fields) != 3:
                 raise TextFormatError(lineno, "expected 'terminal <name> <vertex>'")
             _, name, v = fields
             if name in terminals:
                 raise TextFormatError(lineno, f"duplicate terminal {name}")
-            add_vertex(v)
-            terminals[name] = v
+            terminals.add(name)
+            records.append((lineno, (name, v)))
         else:
             raise TextFormatError(lineno, f"unknown record {fields[0]!r}")
     if not terminals:
         raise TextFormatError(1, "no terminals declared")
     try:
-        return TerminalGraph(vertices=vertices, edges=edges, terminals=terminals)
-    except ValueError as exc:
-        raise TextFormatError(1, str(exc)) from None
+        return _graph(records)
+    except GraphError as exc:
+        error = exc
+    # a prefix of the records fails the graph's checks iff it holds a failing
+    # record: bisect for the shortest, whose last record is the first to fail
+    lo, hi = 0, len(records)   # records[:lo] pass, records[:hi] fail with `error`
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _graph(records[:mid])
+            lo = mid
+        except GraphError as exc:
+            hi, error = mid, exc
+    raise TextFormatError(records[hi - 1][0], str(error)) from None
 
 
 def str_each(values: list) -> list[str]:

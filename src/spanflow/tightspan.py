@@ -14,10 +14,11 @@ coordinates take given values, on any multiple of the complex's constraint
 scale.  :class:`PointLattice` holds a fixed set of span points as ints on one
 common scale, for code that measures many distances between the same points.
 
-Membership and projection run on ints too: :func:`to_lattice` puts a metric
-and points on the lcm of their denominators (:func:`on_scale` one value on a
-given scale), and :func:`int_in_span` and :func:`int_project` work there;
-:func:`in_tight_span` and :func:`project` are their Fraction forms.
+Membership and projection run on ints too: :func:`to_lattice` checks a
+pseudometric and points over its terminals and puts them on the lcm of their
+denominators (:func:`on_scale` one value on a given scale), and
+:func:`int_in_span` and :func:`int_project` work there; :func:`in_tight_span`
+and :func:`project` are their Fraction forms.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .metric import (MetricError, TerminalMetric, Vec, as_fraction, check_vector,
-                     validate_metric)
+from .metric import (MetricError, TerminalMetric, Vec, _axiom_violations, as_fraction,
+                     check_vector, validate_metric)
 
 
 class UnsupportedSizeError(MetricError):
@@ -58,17 +59,26 @@ def weighted_sum(caps: Sequence[Fraction], ints: Iterable[int], scale: int) -> F
     return Fraction(sum(map(mul, cs, ints)), cscale * scale)
 
 
-def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, Fraction]]
+def to_lattice(m: TerminalMetric, points: Iterable[Mapping[str, object]]
                ) -> tuple[list[list[int]], list[list[int]], int]:
     """The metric and the points as ints on one scale S, and S.
 
-    S is the lcm of the denominators of the metric and of every coordinate;
-    each point becomes its S-scaled coordinates in terminal order.  Every
-    point must be over exactly m's terminals, as `check_vector` returns it.
+    This is where a metric and its points cross into ints, so it checks
+    both: m must be a pseudometric (the axioms of `validate_metric`, with
+    distinct terminals at distance zero allowed), and every point is
+    normalized by `check_vector`, so it must be over exactly m's terminals;
+    else `MetricError`.  S is the lcm of the denominators of the metric and
+    of every coordinate; each point becomes its S-scaled coordinates in
+    terminal order.
     """
     ts = m.terminals
-    ints, scale = lattice_ints([*m.matrix(), *([p[t] for t in ts] for p in points)])
-    return ints[:len(ts)], ints[len(ts):], scale
+    rows = [list(check_vector(m, p).values()) for p in points]
+    ints, scale = lattice_ints([*m.matrix(), *rows])
+    d = ints[:len(ts)]
+    if _axiom_violations(ts, d, positive=False):   # cheap on ints; the message shows Fractions
+        problems = _axiom_violations(ts, m.matrix(), positive=False)
+        raise MetricError("not a pseudometric: " + "; ".join(problems[:3]))
+    return d, ints[len(ts):], scale
 
 
 def int_in_span(d: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
@@ -138,7 +148,7 @@ def in_tight_span(m: TerminalMetric, x: Mapping[str, object]) -> bool:
 
     A zero coordinate counts as tight (the pair (t, t) with D(t, t) = 0).
     """
-    d, (ix,), _ = to_lattice(m, [check_vector(m, x)])
+    d, (ix,), _ = to_lattice(m, [x])
     return int_in_span(d, ix)
 
 
@@ -152,7 +162,7 @@ def project(m: TerminalMetric, x: Mapping[str, object]) -> Vec:
     nearest-point projection.  Runs as `int_project` on twice the lcm of the
     denominators.
     """
-    d, (ix,), scale = to_lattice(m, [check_vector(m, x)])
+    d, (ix,), scale = to_lattice(m, [x])
     p = int_project([[2 * a for a in row] for row in d], [2 * a for a in ix])
     return {t: Fraction(n, 2 * scale) for t, n in zip(m.terminals, p)}
 

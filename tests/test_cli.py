@@ -67,6 +67,63 @@ def test_missing_pair_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_project_rejects_a_triangle_violation_exit_2(tmp_path, capsys):
+    # `tightspan` rejected this metric already; `project` printed a "projection"
+    f = tmp_path / "m.txt"
+    f.write_text("dist a b 1\ndist b c 1\ndist a c 5\n")
+    assert main(["project", str(f), "5,5,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: not a pseudometric: triangle violation (a, b, c): 5 > 1 + 1\n"
+    assert main(["tightspan", str(f)]) == 2
+    assert capsys.readouterr().err == "error: invalid metric: triangle violation (a, b, c): 5 > 1 + 1\n"
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("metric", "dist a b 7\ndist a c 5\ndist a b 8\n", 3),
+    ("graph", STAR.replace("edge b o 1 5", "edge b o 0 5"), 5),
+    ("demand", "demand a b 1\ndemand a\n", 2),
+])
+def test_bad_text_file_of_each_kind_exit_2(tmp_path, capsys, kind, text, line):
+    good = tmp_path / "good.txt"
+    good.write_text(STAR)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    argv = {"metric": ["tightspan", str(bad)],
+            "graph": ["sparsify", str(bad), "--seed", "1"],
+            "demand": ["quality", str(good), str(good), "--demands", str(bad)]}[kind]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: line {line}: ")
+
+
+def test_sparsify_needs_a_sample_exit_2(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(STAR)
+    assert main(["sparsify", str(f), "--seed", "1", "--samples", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: need at least one sample\n")
+
+
+def test_quality_needs_seeded_or_given_demands_exit_2(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(STAR)
+    assert main(["quality", str(f), str(f), "--random-demands", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: --random-demands requires --seed\n")
+    assert main(["quality", str(f), str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: no demands given (use --demands or --random-demands)\n")
+
+
+def test_hard6_l2_breaks_the_opt_bound_exit_1(capsys):
+    # boundary rows make opt exceed 90 L^2 at L = 2 (test_hard6.test_opt_bound);
+    # the summary is still printed in full before the failure is reported
+    assert main(["hard6", "--L", "2"]) == 1
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert (data["opt"], data["opt_bound"]) == ("456", "360")
+    assert err == "property failure: opt exceeds 90 L^2\n"
+
+
 def test_sparsify_star(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text(STAR)

@@ -16,6 +16,7 @@ from spanflow.decompose import (Decomposer, _build_model, _Cut, _PlanarModel, _T
                                 type3_metric)
 from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
 from spanflow.hard6 import metric6
+from spanflow.textio import dump_graph
 from spanflow.metric import MetricError, TerminalMetric, validate_metric
 from spanflow.tightspan import enumerate_complex, lattice_ints, ts_distance
 
@@ -260,6 +261,8 @@ def test_complex_vertex_i_is_representative_i():
         n = len(model.V)
         assert [model.localize(v) for v in model.V] == list(range(n))
         assert all(model.localize(row) == model.vid[row] for row in model.rows.values())
+        # each terminal's vertex id, mapped once by the model
+        assert model.term_vid == {t: model.localize(row) for t, row in model.rows.items()}
         if isinstance(model, _PlanarModel):
             # a vertex on 2-cells is a band-grid point: the anchor there is the vertex
             for i in range(n):
@@ -762,6 +765,26 @@ def test_contract_capacity_conservation(rng):
         total_g = sum((e.capacity for e in g.edges), F(0))
         total_h = sum((e.capacity for e in h.edges), F(0))
         assert total_h == total_g - intra
+
+
+def test_cost_and_contract_read_representatives_written_as_strings(rng):
+    from spanflow.decompose import Cluster, Solution
+    m = rand_type2(rng)[-1]
+    g = graph_from_metric(m, 5, rng)
+    emb = project_graph(g)
+    sol = Decomposer(emb).solution(7)
+    text = Solution(metric=m, by_vertex=sol.by_vertex, clusters=[
+        Cluster(c.label, c.vertices, {t: str(x) for t, x in c.rep.items()})
+        for c in sol.clusters])
+    assert cost(emb, text) == cost(emb, sol)
+    assert dump_graph(contract(g, text)) == dump_graph(contract(g, sol))
+    # a representative missing a coordinate is a MetricError, not a KeyError
+    short = Solution(metric=m, by_vertex=sol.by_vertex, clusters=[
+        Cluster(c.label, c.vertices, {t: x for t, x in c.rep.items() if t != m.terminals[0]})
+        for c in sol.clusters])
+    for call in (cost, lambda _, s: contract(g, s)):
+        with pytest.raises(MetricError, match="missing coordinates"):
+            call(emb, short)
 
 
 def test_contract_keeps_parallel_edges():

@@ -180,6 +180,32 @@ def test_dual_value_rejects_unknown_terminals_and_uncovered_demand():
         dual_value(g, [F(1)], {("s", "t"): F(1)}, demand=dem)
 
 
+def test_flow_input_errors():
+    g = single_edge()
+    unit = Demand({("s", "t"): F(1)})
+    with pytest.raises(FlowError, match="^demand on a pair requires two distinct terminals$"):
+        Demand({("s", "s"): F(1)})
+    with pytest.raises(FlowError, match=r"^negative demand on \(t, s\)$"):
+        Demand({("t", "s"): F(-1, 2)})
+    for eps in (F(0), F(-1, 100), F(51, 100), 1):
+        with pytest.raises(FlowError, match=r"^epsilon must lie in \(0, 1/2\]$"):
+            max_concurrent_flow(g, unit, eps)
+    assert max_concurrent_flow(g, unit, F(1, 2)).lam > 0   # the closed end
+    for empty in (Demand({}), Demand({("s", "t"): F(0)})):
+        with pytest.raises(FlowError, match="^demand is empty$"):
+            max_concurrent_flow(g, empty, EPS)
+    with pytest.raises(FlowError, match="^unknown terminal$"):
+        exact_single_commodity(g, "s", "x")
+    with pytest.raises(FlowError, match="^source equals sink$"):
+        exact_single_commodity(g, "t", "t")
+    with pytest.raises(FlowError, match="^expected 1 lengths, got 2$"):
+        dual_value(g, [F(1), F(1)], {("s", "t"): F(1)})
+    with pytest.raises(FlowError, match="^negative edge length$"):
+        dual_value(g, [F(-1)], {("s", "t"): F(1)})
+    with pytest.raises(FlowError, match="^need at least one demand$"):
+        quality_ratio(g, g, [], EPS)
+
+
 def test_weak_duality(rng):
     for _ in range(10):
         g = rand_connected_graph(rng, 6, 5)

@@ -653,6 +653,26 @@ def test_check_cover_checks_each_vector_before_keying_it():
         diagnose(inst, sol)
 
 
+def test_check_cover_crosses_into_ints_once(monkeypatch):
+    import spanflow.hard6 as hard6
+    calls = []
+    real = hard6.to_lattice
+    monkeypatch.setattr(hard6, "to_lattice",
+                        lambda m, points: calls.append(list(points)) or real(m, calls[-1]))
+    inst = generate(4)
+    sol = grid_snap(inst, 2)
+    # two objects with one value: passed once each, keyed as one image point
+    vid = next(v for v in inst.index if v not in inst.graph.terminals.values())
+    sol.f[vid] = {t: str(x) for t, x in sol.f[vid].items()}
+    image, ipts, S = hard6._check_cover(inst, sol)
+    assert len(calls) == 1
+    assert len(calls[0]) == len({id(v) for v in sol.f.values()})
+    points = {tuple(F(x) for x in v.values()) for v in sol.f.values()}
+    assert len(ipts) == len(set(ipts)) == len(points) < len(calls[0])
+    assert all(ipts[image[v]] == tuple(F(vec[t]) * S for t in TERMS)
+               for v, vec in sol.f.items())
+
+
 def test_check_cover_reads_a_terminal_written_as_strings():
     inst = generate(3)
     sol = grid_snap(inst, 2)

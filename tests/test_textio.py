@@ -4,7 +4,8 @@ import pytest
 
 from spanflow.flow import Demand
 from spanflow.graphs import Edge, TerminalGraph
-from spanflow.textio import TextFormatError, dump_demand, dump_graph, load_demand, load_graph
+from spanflow.textio import (TextFormatError, dump_demand, dump_graph, load_demand, load_graph,
+                            load_metric)
 
 TEXT = """\
 # repeated capacity and length tokens
@@ -82,3 +83,56 @@ def test_dump_demand_round_trips():
     parsed = load_demand("demand c a 1/3\ndemand b a 1\ndemand a c 1/3\ndemand a b 1/2\n")
     assert parsed.entries == {("a", "b"): F(3, 2), ("a", "c"): F(2, 3)}
     assert load_demand(dump_demand(parsed)).entries == parsed.entries
+
+
+GRAPH_HEAD = "terminal s a\nterminal t b\nedge a b 1 1\n"
+
+
+@pytest.mark.parametrize("load, text, line, message", [
+    (load_metric, "dist a b 1\ndist a c\n", 2, "expected 'dist <t1> <t2> <value>', got 'dist a c'"),
+    (load_metric, "# a graph record\nedge a b 1 1\n", 2,
+     "expected 'dist <t1> <t2> <value>', got 'edge a b 1 1'"),
+    (load_metric, "dist a a 1\n", 1, "distance requires two distinct terminals"),
+    (load_metric, "dist a b 1\n\ndist b a 2\n", 3, "duplicate distance for pair (b, a)"),
+    (load_metric, "dist a b 1\ndist a c one\n", 2, "malformed rational 'one'"),
+    (load_metric, "# nothing\n\n", 1, "no distances found"),
+    (load_metric, "dist a b 1\ndist b c 1\n", 1, "missing distance for pair (a, c)"),
+    (load_graph, GRAPH_HEAD + "edge a b 1\n", 4, "expected 'edge <u> <v> <capacity> <length>'"),
+    (load_graph, "terminal s\n", 1, "expected 'terminal <name> <vertex>'"),
+    (load_graph, GRAPH_HEAD + "terminal s c\n", 4, "duplicate terminal s"),
+    (load_graph, GRAPH_HEAD + "node c\n", 4, "unknown record 'node'"),
+    (load_graph, "edge a b 1 1\n", 1, "no terminals declared"),
+    (load_graph, GRAPH_HEAD + "edge a b 0 1\n", 4, "edge (a, b) has non-positive capacity 0"),
+    (load_graph, GRAPH_HEAD + "edge b c 1 1\n# note\nedge a c 1 -2\n", 6,
+     "edge (a, c) has negative length -2"),
+    (load_graph, GRAPH_HEAD + "edge b c 1 1\nterminal u a\nedge a c 0 1\n", 5,
+     "distinct terminals must occupy distinct vertices"),
+    (load_graph, "edge a b -1 1\nterminal s a\n", 1, "edge (a, b) has non-positive capacity -1"),
+    (load_demand, "demand a b 1\ndemand a c\n", 2, "expected 'demand <t1> <t2> <value>'"),
+    (load_demand, "dist a b 1\n", 1, "expected 'demand <t1> <t2> <value>'"),
+    (load_demand, "demand a b 1\ndemand c c 1\n", 2, "demand requires two distinct terminals"),
+    (load_demand, "demand a b 1/0\n", 1, "malformed rational '1/0'"),
+    (load_demand, "# none\n", 1, "no demand entries found"),
+])
+def test_every_text_error_names_its_line(load, text, line, message):
+    with pytest.raises(TextFormatError) as exc:
+        load(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_graph_errors_are_reported_at_the_first_failing_record():
+    # each record alone is fine up to line 9; the graph's own checks fail at
+    # the first record that breaks them, in file order
+    body = "".join(f"edge v{i} v{i + 1} 1 1\n" for i in range(8))
+    text = "terminal s v0\nterminal t v8\n" + body
+    assert len(load_graph(text).edges) == 8
+    for n in range(3, 11):
+        lines = text.splitlines()
+        bad = lines[:n - 1] + [lines[n - 1].replace(" 1 1", " 0 1")] + lines[n:]
+        with pytest.raises(TextFormatError, match=rf"^line {n}: .*non-positive capacity 0"):
+            load_graph("\n".join(bad) + "\n")
+    # a bad edge after the terminal clash reports the clash, at its own line
+    with pytest.raises(TextFormatError,
+                       match="^line 3: distinct terminals must occupy distinct vertices"):
+        load_graph(text.replace(body, "") + "terminal u v0\nedge v0 v1 0 1\n")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import lcm
@@ -84,6 +85,51 @@ def test_projection_requires_valid_vector():
     m = m3()
     with pytest.raises(MetricError):
         project(m, m.vector([0, 0, 0]))
+
+
+def test_to_lattice_checks_the_metric_and_every_point():
+    x = {"a": 4, "b": 4, "c": 4}
+    bad = {
+        "triangle": (TerminalMetric(["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]]),
+                     "triangle violation (a, b, c): 5 > 1 + 1"),
+        "asymmetry": (TerminalMetric(["a", "b"], [[0, 1], [2, 0]]),
+                      "asymmetry at (a, b): 1 != 2"),
+        "diagonal": (TerminalMetric(["a", "b"], [[1, 1], [1, 0]]), "nonzero diagonal at a: 1"),
+        "negative": (TerminalMetric(["a", "b"], [[0, -1], [-1, 0]]),
+                     "negative distance at (a, b): -1"),
+    }
+    for m, message in bad.values():
+        point = {t: 4 for t in m.terminals}
+        for call in (lambda: to_lattice(m, [point]), lambda: in_tight_span(m, point),
+                     lambda: project(m, point)):
+            with pytest.raises(MetricError, match=rf"^not a pseudometric: {re.escape(message)}"):
+                call()
+    # distinct terminals at distance zero stay legal here: zero-length edges
+    # give them (`project_graph`), though `validate_metric` rejects them
+    zero = TerminalMetric(["a", "b", "c"], [[0, 0, 2], [0, 0, 2], [2, 2, 0]])
+    assert project(zero, x) == {"a": 1, "b": 1, "c": 1}
+    assert in_tight_span(zero, zero.row("a"))
+    # every point goes through `check_vector`: coerced, or rejected
+    m = m3()
+    d, ipts, S = to_lattice(m, [{"c": F(1, 2), "a": "3/4", "b": 1}])
+    assert (ipts, S) == ([[3, 4, 2]], 4) and d[0] == [0, 28, 20]
+    with pytest.raises(MetricError, match="missing coordinates"):
+        to_lattice(m, [{"a": 1, "b": 1}])
+    with pytest.raises(MetricError, match="unknown coordinates"):
+        to_lattice(m, [{**x, "d": 1}])
+
+
+def test_membership_and_projection_check_vectors_only_in_to_lattice(monkeypatch):
+    calls = []
+    real = tightspan.check_vector
+    monkeypatch.setattr(tightspan, "check_vector", lambda m, x: calls.append(x) or real(m, x))
+    m, x, y = m3(), {"a": 4, "b": 4, "c": 4}, {"a": 5, "b": 5, "c": 5}
+    to_lattice(m, [x, y])
+    assert calls == [x, y]
+    calls.clear()
+    project(m, x)
+    in_tight_span(m, y)
+    assert calls == [x, y]
 
 
 def test_ts_distance_examples():
