@@ -99,8 +99,6 @@ def _cmd_project(args) -> int:
 
 def _cmd_sparsify(args) -> int:
     g = load_graph(Path(args.graph).read_text())
-    if args.samples < 1:
-        raise MetricError("need at least one sample")
     emb = project_graph(g)
     dec = Decomposer(emb)
     run = sample_volumes(dec, args.samples, args.seed)

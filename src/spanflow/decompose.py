@@ -24,20 +24,22 @@ A draw is lo + U*width/2^53 for a 53-bit integer U, so every threshold test
 fixed at build time.  Complex vertex i is representative i; any other point
 compiles once into a cut tree of such tests with interned representatives as
 leaves (a planar anchor is lifted the first time a tree reads it).  A sample
-draws the U's, walks the trees with integer compares, and reads each edge's
-int distance from a table of the representatives' distances.  Means and
-standard errors come from int moment sums (`moment_stats`), divided once.
+draws the U's and walks the trees with integer compares; a run of samples
+walks each tree into one column of leaf ids and prices each vertex's few
+distinct leaves once (`sample_volumes`).  Means and standard errors come from
+int moment sums (`moment_stats`), divided once.
 """
 from __future__ import annotations
 
 import math
 import random
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from operator import add, mul
+from itertools import combinations, repeat
+from operator import mul
 from typing import Hashable, Mapping, Sequence
 
 from .metric import MetricError, TerminalMetric, Vec
@@ -655,7 +657,7 @@ class Decomposer:
         # localizing interned every leaf; rep id i is lattice point i
         self.lattice = PointLattice(self.model.rep_ids, self.model.scale)
         self._static_ids = {v: n for v, n in self.nodes.items() if type(n) is int}
-        self._dynamic = [(v, n) for v, n in self.nodes.items() if type(n) is not int]
+        self._dynamic = {v: n for v, n in self.nodes.items() if type(n) is not int}
 
     def assignment(self, seed: int) -> dict[Hashable, tuple]:
         """Each vertex's representative coordinate tuple for one sample."""
@@ -664,16 +666,29 @@ class Decomposer:
 
     def assignment_ids(self, seed: int) -> dict[Hashable, int]:
         """Each vertex's interned representative id (its `lattice` point) for one sample."""
-        rng = random.Random(seed)
-        us = [rng.getrandbits(_DRAW_BITS) for _ in self.model.draw_spec]
         out = dict(self._static_ids)
-        for v, node in self._dynamic:
-            while node.__class__ is _Cut:
-                node = node.above if us[node.d] > node.t else node.below
-            if node is None:
-                raise MetricError("no anchor for a banded region (degenerate shape)")
-            out[v] = node
+        out.update(zip(self._dynamic, self._leaf_rows([seed])[0]))
         return out
+
+    def _leaf_rows(self, seeds: Sequence[int]) -> list[list[int]]:
+        """One row per seed: the leaf ids of the dynamic vertices, in `_dynamic` order.
+
+        Sample i draws its U's from `random.Random(seeds[i])` in `draw_spec`
+        order and walks every cut tree once.
+        """
+        n = len(self.model.draw_spec)
+        rows = []
+        for rng in map(random.Random, seeds):
+            us = [rng.getrandbits(_DRAW_BITS) for _ in range(n)]
+            row = []
+            for node in self._dynamic.values():
+                while node.__class__ is _Cut:
+                    node = node.above if us[node.d] > node.t else node.below
+                row.append(node)
+            if None in row:
+                raise MetricError("no anchor for a banded region (degenerate shape)")
+            rows.append(row)
+        return rows
 
     def solution(self, seed: int) -> Solution:
         m = self.embedded.metric
@@ -742,7 +757,9 @@ class Samples:
     `ivols[i]` is sample i's exact volume times `scale`.  With `per_edge`,
     `delta_sums[e]` and `delta_squares[e]` are the sums over the samples of
     edge e's span distance delta between its endpoints' representatives and of
-    delta^2, as ints on the representatives' lattice (`Decomposer.lattice.S`).
+    delta^2, as ints on the representatives' lattice (`Decomposer.lattice.S`);
+    an edge with one static end has them from the leaf counts of its dynamic
+    end, so `sample_volumes` does no per-sample work for it.
     """
     ivols: list[int]
     scale: int
@@ -764,27 +781,67 @@ def sample_volumes(dec: Decomposer, n_samples: int, master_seed: int,
                    per_edge: bool = False) -> Samples:
     """Draw `n_samples` seeded decompositions and their exact cut volumes.
 
-    The representatives' int span distances are tabulated once; a sample reads
-    each edge's delta from the table and its volume is the sum of int
-    capacity (on the capacities' common denominator) times delta.  With
-    `per_edge` the same loop adds each delta and its square to per-edge int
-    sums, so no Fraction is built per sample and edge.
+    A volume sums int capacity (on the capacities' common denominator) times
+    int delta over the edges, regrouped so that the work scales with samples
+    times dynamic vertices, not with samples times edges.  The walks of
+    `Decomposer._leaf_rows`, transposed, give each dynamic vertex one column
+    of leaf ids over the samples.  Edges between static vertices add one
+    constant; a dynamic vertex's edges to static ones are priced once per
+    distinct leaf of its column and added down it; only edges between two
+    dynamic vertices are read per sample.  With `per_edge`, an edge with a
+    static end takes its sums from its dynamic end's leaf counts.  Raises
+    `MetricError` for fewer than one sample.
     """
+    if n_samples < 1:
+        raise MetricError("need at least one sample")
     edges = dec.embedded.graph.edges
-    ipts = dec.lattice.ipts
-    rows = [[_dist(p, q) for q in ipts] for p in ipts]
+    lat = dec.lattice
     (caps,), scale = lattice_ints([[e.capacity for e in edges]])
-    ends = [(e.u, e.v) for e in edges]
-    s1 = s2 = [0] * len(edges) if per_edge else None
-    ivols = []
-    for i in range(n_samples):
-        a = dec.assignment_ids(sample_seed(master_seed, i))
-        ds = [rows[a[u]][a[v]] for u, v in ends]
-        ivols.append(sum(map(mul, ds, caps)))
+    static = dec._static_ids
+    seeds = [sample_seed(master_seed, i) for i in range(n_samples)]
+    cols = dict(zip(dec._dynamic, zip(*dec._leaf_rows(seeds))))   # vertex -> leaf column
+    s1 = s2 = None
+    if per_edge:
+        s1, s2 = [0] * len(edges), [0] * len(edges)
+    const = 0
+    pull: dict[Hashable, dict[int, int]] = defaultdict(dict)   # static id -> capacity
+    fixed, free = [], []   # (k, static id, dynamic end), (k, capacity, u, v)
+    for k, ((u, v, _, _), c) in enumerate(zip(edges, caps)):
+        a, b = static.get(u), static.get(v)
+        if a is not None and b is not None:
+            d = lat.dist(a, b)
+            const += c * d
+            if per_edge:
+                s1[k], s2[k] = n_samples * d, n_samples * d * d
+        elif a is None and b is None:
+            free.append((k, c, u, v))
+        else:
+            a, w = (a, v) if b is None else (b, u)
+            p = pull[w]
+            p[a] = p.get(a, 0) + c
+            if per_edge:
+                fixed.append((k, a, w))
+    parts = []   # each dynamic vertex's and free edge's share of every sample's volume
+    moments = {}   # (dynamic vertex, static id) -> (sum of delta, sum of delta^2)
+    for w, p in pull.items():
+        col, ids = cols[w], list(p)
+        leaves = list(set(col))
+        at = [list(lat.dists(ids, repeat(leaf))) for leaf in leaves]   # at[j][i]: ids[i] to leaf j
+        table = dict(zip(leaves, [sum(map(mul, p.values(), ds)) for ds in at]))
+        parts.append(map(table.__getitem__, col))
         if per_edge:
-            s1 = list(map(add, s1, ds))
-            s2 = list(map(add, s2, map(mul, ds, ds)))
-    return Samples(ivols=ivols, scale=scale * dec.lattice.S, delta_sums=s1, delta_squares=s2)
+            ns = list(map(col.count, leaves))
+            for a, ds in zip(ids, zip(*at)):
+                moments[w, a] = sum(map(mul, ns, ds)), sum(map(mul, ns, map(mul, ds, ds)))
+    for k, c, u, v in free:
+        ds = list(lat.dists(cols[u], cols[v]))
+        parts.append(map(c.__mul__, ds))
+        if per_edge:
+            s1[k], s2[k] = sum(ds), sum(map(mul, ds, ds))
+    for k, a, w in fixed:
+        s1[k], s2[k] = moments[w, a]
+    ivols = list(map(sum, zip(repeat(const, n_samples), *parts)))
+    return Samples(ivols=ivols, scale=scale * lat.S, delta_sums=s1, delta_squares=s2)
 
 
 def _sqrt_float(q: Fraction) -> float:

@@ -160,8 +160,11 @@ def load_demand(text: str) -> Demand:
         _, t, u, val = fields
         if t == u:
             raise TextFormatError(lineno, "demand requires two distinct terminals")
+        value = _rational(lineno, val)
+        if value < 0:
+            raise TextFormatError(lineno, f"negative demand on ({t}, {u})")
         key = pair_key(t, u)
-        entries[key] = entries.get(key, Fraction(0)) + _rational(lineno, val)
+        entries[key] = entries.get(key, Fraction(0)) + value
     if not entries:
         raise TextFormatError(1, "no demand entries found")
     return Demand(entries)

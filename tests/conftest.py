@@ -91,6 +91,38 @@ def rand_connected_graph(rng: random.Random, n: int, extra: int,
                          terminals=dict(zip(terminal_names, picks)))
 
 
+def rand_multigraph(rng, n_terminals, n_steiner):
+    """Terminal star plus Steiner-Steiner edges, parallel and long edges,
+    zero-length edges and a self-loop."""
+    ts = [f"t{i}" for i in range(n_terminals)]
+    ss = [f"s{i}" for i in range(n_steiner)]
+    verts = ts + ss
+    edges = []
+
+    def add(a, b, length):
+        edges.append((a, b, Fraction(rng.randint(1, 5), rng.randint(1, 3)), length))
+
+    def rand_len():
+        return Fraction(rng.randint(0, 12), rng.randint(1, 4))
+
+    for s in ss:
+        for t in rng.sample(ts, rng.randint(1, n_terminals)):
+            add(s, t, rand_len())
+    for _ in range(2 * n_steiner):
+        a, b = rng.sample(ss, 2)
+        add(a, b, rand_len())
+    for _ in range(4):  # parallel copies, some far longer than the path around
+        u, v, _, length = rng.choice(edges)
+        add(u, v, length + rng.choice([Fraction(0), Fraction(1, 3), Fraction(40)]))
+    for _ in range(2):
+        add(*rng.sample(verts, 2), Fraction(0))
+    add(rng.choice(ss), rng.choice(ss), Fraction(0))
+    loop = rng.choice(verts)
+    add(loop, loop, Fraction(7))
+    return TerminalGraph(vertices=verts, edges=edges,
+                         terminals={t: t for t in ts})
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -83,6 +83,7 @@ def test_project_rejects_a_triangle_violation_exit_2(tmp_path, capsys):
     ("metric", "dist a b 7\ndist a c 5\ndist a b 8\n", 3),
     ("graph", STAR.replace("edge b o 1 5", "edge b o 0 5"), 5),
     ("demand", "demand a b 1\ndemand a\n", 2),
+    ("demand", "demand a b 1\ndemand b c -2\n", 2),
 ])
 def test_bad_text_file_of_each_kind_exit_2(tmp_path, capsys, kind, text, line):
     good = tmp_path / "good.txt"

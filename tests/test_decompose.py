@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 import types
 from collections import Counter
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from spanflow.textio import dump_graph
 from spanflow.metric import MetricError, TerminalMetric, validate_metric
 from spanflow.tightspan import enumerate_complex, lattice_ints, ts_distance
 
-from conftest import graph_from_metric, rand_connected_graph, rand_metric
+from conftest import graph_from_metric, rand_connected_graph, rand_metric, rand_multigraph
 from test_cli import _sparsify_fixtures
 
 
@@ -833,6 +834,75 @@ def test_sample_volumes_equal_cost_on_the_planar_goldens():
         for i, vol in enumerate(run.vols):
             assert vol == cost(emb, dec.solution(sample_seed(11, i))).vol, (name, i)
     assert max(scales) > 1   # the representatives' lattice is not the integers
+
+
+def _regrouping_decomposers():
+    """Decomposers of random multigraphs (Steiner-Steiner, parallel and
+    zero-length edges, a self-loop) wherever one builds, and of a fan, a
+    folded-plane and a two-rectangle graph."""
+    rng = random.Random(2718)
+    decs = []
+    for _ in range(40):
+        g = rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
+        try:
+            decs.append(Decomposer(project_graph(g)))
+        except MetricError:
+            continue   # a zero-length path between two terminals gives no metric
+    for rand_shape in (rand_type1, rand_type2, rand_type3):
+        decs.append(Decomposer(project_graph(graph_from_metric(rand_shape(rng)[-1], 6, rng))))
+    return decs
+
+
+def test_sample_volumes_equal_a_per_sample_per_edge_reference():
+    # the regrouped sums against each sample's own solution, edge by edge
+    models, free = set(), 0
+    for dec in _regrouping_decomposers():
+        emb, S = dec.embedded, dec.lattice.S
+        edges = emb.graph.edges
+        models.add(type(dec.model).__name__)
+        free += sum(u != v and u in dec._dynamic and v in dec._dynamic
+                    for u, v, _, _ in edges)
+        for n in (1, 2, 30):
+            sols = [dec.solution(sample_seed(5, i)) for i in range(n)]
+            vols = [cost(emb, sol).vol for sol in sols]
+            deltas = [[sol.delta(sol.cluster_of(u), sol.cluster_of(v)) for sol in sols]
+                      for u, v, _, _ in edges]
+            for per_edge in (False, True):
+                run = sample_volumes(dec, n, 5, per_edge=per_edge)
+                assert run.ivols == [vol * run.scale for vol in vols]
+                if not per_edge:
+                    assert run.delta_sums is None and run.delta_squares is None
+                    continue
+                assert run.delta_sums == [sum(ds) * S for ds in deltas]
+                assert run.delta_squares == [sum(d * d for d in ds) * S * S for ds in deltas]
+    assert models == {"_TreeModel", "_FanModel", "_PlanarModel"}
+    assert free > 0   # edges between two dynamic vertices; the bench corpus has none
+
+
+def test_sample_volumes_need_a_sample(rng):
+    dec = Decomposer(project_graph(graph_from_metric(rand_type1(rng)[-1], 2, rng)))
+    for n in (0, -1):
+        with pytest.raises(MetricError, match="^need at least one sample$"):
+            sample_volumes(dec, n, 3)
+
+
+def test_a_reachable_missing_anchor_raises(rng):
+    dec = Decomposer(project_graph(graph_from_metric(rand_type1(rng)[-1], 4, rng)))
+    v, root = next(iter(dec._dynamic.items()))
+    dec.nodes[v] = dec._dynamic[v] = _Cut(root.d, root.t, None, root.above)
+    missing = "^no anchor for a banded region"
+    reached = []
+    for seed in range(20):
+        try:
+            dec.assignment_ids(seed)
+            reached.append(False)
+        except MetricError as exc:
+            assert re.match(missing, str(exc))
+            reached.append(True)
+    assert any(reached) and not all(reached)
+    for per_edge in (False, True):   # sample_seed(0, i) is i
+        with pytest.raises(MetricError, match=missing):
+            sample_volumes(dec, 20, 0, per_edge=per_edge)
 
 
 def _mean_and_squared_stderr(values):

@@ -12,7 +12,7 @@ from spanflow.graphs import (Edge, GraphError, TerminalGraph, distance_vectors, 
 from spanflow.metric import is_valid_vector
 from spanflow.tightspan import in_tight_span, project, ts_distance
 
-from conftest import rand_connected_graph, rand_metric, graph_from_metric
+from conftest import graph_from_metric, rand_connected_graph, rand_metric, rand_multigraph
 
 
 def star():
@@ -149,42 +149,10 @@ def test_projection_chain_inequality(rng):
             assert in_tight_span(emb.metric, emb.points[v])
 
 
-def _rand_multigraph(rng, n_terminals, n_steiner):
-    """Terminal star plus Steiner-Steiner edges, parallel and long edges,
-    zero-length edges and a self-loop."""
-    ts = [f"t{i}" for i in range(n_terminals)]
-    ss = [f"s{i}" for i in range(n_steiner)]
-    verts = ts + ss
-    edges = []
-
-    def add(a, b, length):
-        edges.append((a, b, F(rng.randint(1, 5), rng.randint(1, 3)), length))
-
-    def rand_len():
-        return F(rng.randint(0, 12), rng.randint(1, 4))
-
-    for s in ss:
-        for t in rng.sample(ts, rng.randint(1, n_terminals)):
-            add(s, t, rand_len())
-    for _ in range(2 * n_steiner):
-        a, b = rng.sample(ss, 2)
-        add(a, b, rand_len())
-    for _ in range(4):  # parallel copies, some far longer than the path around
-        u, v, _, length = rng.choice(edges)
-        add(u, v, length + rng.choice([F(0), F(1, 3), F(40)]))
-    for _ in range(2):
-        add(*rng.sample(verts, 2), F(0))
-    add(rng.choice(ss), rng.choice(ss), F(0))
-    loop = rng.choice(verts)
-    add(loop, loop, F(7))
-    return TerminalGraph(vertices=verts, edges=edges,
-                         terminals={t: t for t in ts})
-
-
 def test_edge_distances_match_all_pairs():
     rng = random.Random(7331)
     for _ in range(25):
-        g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
+        g = rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
         brute = {v: shortest_distances(g, v) for v in g.vertices}
         got = edge_distance_ints(g)
         assert got == [brute[u].ints.get(v) for u, v, _, _ in g.edges]
@@ -199,7 +167,7 @@ def test_project_graph_matches_the_fraction_projection():
     # the int embedding against `project` of each distance vector, and its
     # int points against the Fraction ones on twice the length scale
     rng = random.Random(2718)
-    graphs = [_rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9)) for _ in range(10)]
+    graphs = [rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9)) for _ in range(10)]
     graphs += [graph_from_metric(rand_metric(rng, k, den=den), 6, rng, den=den)
                for k in (2, 3, 5) for den in (1000, 6)]
     for g in graphs:
@@ -236,7 +204,7 @@ def _dijkstra_reference(adj, source):
 def test_int_dijkstra_matches_the_fraction_reference():
     rng = random.Random(90210)
     for _ in range(15):
-        g = _rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
+        g = rand_multigraph(rng, rng.randint(2, 5), rng.randint(3, 9))
         adj = {v: [] for v in g.vertices}
         for u, v, _, length in g.edges:
             adj[u].append((v, length))

@@ -113,6 +113,9 @@ GRAPH_HEAD = "terminal s a\nterminal t b\nedge a b 1 1\n"
     (load_demand, "demand a b 1\ndemand c c 1\n", 2, "demand requires two distinct terminals"),
     (load_demand, "demand a b 1/0\n", 1, "malformed rational '1/0'"),
     (load_demand, "# none\n", 1, "no demand entries found"),
+    (load_demand, "demand a b 1\ndemand c d -2\n", 2, "negative demand on (c, d)"),
+    # a negative record is rejected at its line, although the pair sums to 2
+    (load_demand, "demand a b 3\n# note\ndemand b a -1\n", 3, "negative demand on (b, a)"),
 ])
 def test_every_text_error_names_its_line(load, text, line, message):
     with pytest.raises(TextFormatError) as exc:
