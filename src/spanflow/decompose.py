@@ -42,7 +42,7 @@ from itertools import combinations, repeat
 from operator import mul
 from typing import Hashable, Mapping, Sequence
 
-from .metric import MetricError, TerminalMetric, Vec
+from .metric import MetricError, TerminalMetric, Vec, as_fraction
 from .graphs import Edge, EmbeddedGraph, GraphError, TerminalGraph, edge_distance_ints
 from .tightspan import (CellComplex, FractionTable, PointLattice, UnsupportedSizeError,
                         cell_point, enumerate_complex, int_in_span, lattice_ints,
@@ -133,12 +133,12 @@ def type1_metric(pendants: Mapping[str, object], sides: Mapping[tuple[str, str],
     k = len(cyc)
     if k != 5:
         raise MetricError("the fan template needs exactly five terminals")
-    pend = {t: Fraction(pendants[t]) for t in cyc}
+    pend = {t: as_fraction(pendants[t]) for t in cyc}
 
     def side(t, u):
         if (t, u) in sides:
-            return Fraction(sides[(t, u)])
-        return Fraction(sides[(u, t)])
+            return as_fraction(sides[(t, u)])
+        return as_fraction(sides[(u, t)])
 
     pairs = {}
     for i, t in enumerate(cyc):
@@ -161,11 +161,10 @@ def type2_metric(width, height, off_x, off_y, fold, pendants: Mapping[str, objec
     likewise in y.
     """
     a, b, c, d, e = names
-    W, H = Fraction(width), Fraction(height)
-    P, Q, h = Fraction(off_x), Fraction(off_y), Fraction(fold)
+    W, H, P, Q, h = map(as_fraction, (width, height, off_x, off_y, fold))
     if not (0 < P and 0 < Q and P + h < W and Q + h < H and h > 0):
         raise MetricError("fold square must lie strictly inside the rectangle")
-    p = {t: Fraction(pendants[t]) for t in names}
+    p = {t: as_fraction(pendants[t]) for t in names}
     pairs = {
         (a, b): p[a] + W + p[b],
         (b, c): p[b] + H + p[c],
@@ -189,12 +188,10 @@ def type3_metric(x_lo, x_hi, y_lo, y_hi, fold, pendants: Mapping[str, object],
     terminals sit at a=(X0,Y0), b=(X0,Y3), c=(X3,Y2), d=(X3,Y0), e=(X2,Y3).
     """
     a, b, c, d, e = names
-    ax, ax2 = Fraction(x_lo), Fraction(x_hi)
-    ay, ay2 = Fraction(y_lo), Fraction(y_hi)
-    h = Fraction(fold)
+    ax, ax2, ay, ay2, h = map(as_fraction, (x_lo, x_hi, y_lo, y_hi, fold))
     if min(ax, ax2, ay, ay2, h) <= 0:
         raise MetricError("all band widths must be positive")
-    p = {t: Fraction(pendants[t]) for t in names}
+    p = {t: as_fraction(pendants[t]) for t in names}
     X30 = ax + h + ax2
     Y30 = ay + h + ay2
     pairs = {
@@ -266,17 +263,15 @@ class _ModelBase:
         self.complex = complex_
         self.metric = complex_.metric
         self.scale = scale
-        _, base, by_pair = complex_.constraints
-        f = scale // base
-        ts = self.metric.terminals
+        f = scale // complex_.scale
         self.V = [tuple(x * f for x in v) for v in complex_.ivertices]
         self.vid = {v: i for i, v in enumerate(self.V)}
-        self.rows = {t: tuple(by_pair[t, u][2] * f for u in ts) for t in ts}
+        self.rows = {t: tuple(on_scale(x, scale) for x in row)
+                     for t, row in zip(self.metric.terminals, self.metric.matrix())}
         # terminal rows are complex vertices: `_walk_vertices` starts at them
         self.term_vid = {t: self.vid[r] for t, r in self.rows.items()}
         # each cell's tight pairs as constraints on the scale
-        self.system = {c: [(i, j, r * f) for i, j, r in map(by_pair.__getitem__, c.pairs)]
-                       for c in complex_.cells}
+        self.system = {c: [(i, j, r * f) for i, j, r in c.system] for c in complex_.cells}
         self.two = [c for c in complex_.cells if c.dim == 2]
         self.trees = [c for c in complex_.cells if c.dim == 1]
         # representative tuple -> id, in id order; complex vertex i is id i
@@ -565,12 +560,12 @@ def _find_chart(cx: CellComplex, two) -> tuple[str, str] | None:
     coordinate +-s + c in one group's parameter s, or fixed.  Pinning x_{t1}
     and x_{t2} at a vertex determines a point of the cell iff t1 and t2 lie in
     different groups; the span distance on the cell is then
-    max(|d x_{t1}|, |d x_{t2}|).  Runs on the complex's constraint scale.
+    max(|d x_{t1}|, |d x_{t2}|).  Runs on the complex's `scale`.
     """
-    ts, scale = cx.metric.terminals, cx.constraints[1]
+    ts = cx.metric.terminals
     firsts = [(c, cx.ivertices[c.vertex_ids[0]]) for c in two]
     for i1, i2 in combinations(range(len(ts)), 2):
-        if all(cell_point(cx, c, {i1: v[i1], i2: v[i2]}, scale) is not None
+        if all(cell_point(cx, c, {i1: v[i1], i2: v[i2]}, cx.scale) is not None
                for c, v in firsts):
             return (ts[i1], ts[i2])
     return None
@@ -578,9 +573,9 @@ def _find_chart(cx: CellComplex, two) -> tuple[str, str] | None:
 
 def _build_model(cx: CellComplex, lattice: int):
     """The tree model for a complex of dimension <= 1, else the fan or the plane,
-    on 4 * lcm(lattice, the constraint scale): there each point integral on
+    on 4 * lcm(lattice, the complex's scale): there each point integral on
     `lattice` is a multiple of 4, so every halving is exact."""
-    scale = 4 * math.lcm(lattice, cx.constraints[1])
+    scale = 4 * math.lcm(lattice, cx.scale)
     if max_cell_dimension(cx) <= 1:
         return _TreeModel(cx, scale)
     reasons = []

@@ -82,8 +82,6 @@ class FlowResult:
     lam: Fraction
     congestion: Fraction
     routed: dict[tuple[str, str], Fraction]   # per demand pair, net inflow at its sink
-    epsilon: Fraction
-    iterations: int
     load_nums: list[int]
     load_dens: list[int]
     load_scale: int
@@ -305,9 +303,8 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
                    - sum(X[j * nk + k] for j in np.flatnonzero(tails == wi).tolist()))
             routed[pair] = Fraction(net * sn, xs * sd)
     congestion = Fraction(1) / lam if lam > 0 else Fraction(0)
-    return FlowResult(lam=lam, congestion=congestion, routed=routed, epsilon=eps,
-                      iterations=res.nit, load_nums=load_nums, load_dens=load_dens,
-                      load_scale=xs * sd)
+    return FlowResult(lam=lam, congestion=congestion, routed=routed, load_nums=load_nums,
+                      load_dens=load_dens, load_scale=xs * sd)
 
 
 def exact_single_commodity(g: TerminalGraph, s_name: str, t_name: str) -> Fraction:

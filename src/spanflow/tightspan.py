@@ -10,9 +10,9 @@ integer walk over the bounded edges finds the vertices, and intersections of
 their tight sets give the faces.  One integer solver for tight pair systems
 (`_tight_system`, a signed BFS) gives the walk's edge directions, each
 cell's dimension and :func:`cell_point`, the point of a cell where some
-coordinates take given values, on any multiple of the complex's constraint
-scale.  :class:`PointLattice` holds a fixed set of span points as ints on one
-common scale, for code that measures many distances between the same points.
+coordinates take given values, on any multiple of the complex's `scale`.
+:class:`PointLattice` holds a fixed set of span points as ints on one common
+scale, for code that measures many distances between the same points.
 
 Membership and projection run on ints too: :func:`to_lattice` checks a
 pseudometric and points over its terminals and puts them on the lcm of their
@@ -242,43 +242,33 @@ class Cell:
     """A maximal bounded face: its tight pairs, dimension, and incidences.
 
     `pairs` lists the terminal pairs whose equalities cut out the cell; a pair
-    (t, t) stands for the constraint x_t = 0.  `dim` is the number of
-    terminals minus the rank of the equality system.
+    (t, t) stands for the constraint x_t = 0.  `system` is the same pairs, in
+    the same order, as constraints on the complex's `scale`.  `dim` is the
+    number of terminals minus the rank of the equality system.
     """
     pairs: tuple[tuple[str, str], ...]
     dim: int
     vertex_ids: tuple[int, ...]
     adjacent: tuple[int, ...]
+    system: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Cells, and vertices as ints on the constraint scale `constraints[1]`
-    (`ivertices`) and as Fraction vectors built on first read (`vertices`)."""
+    """Cells, and vertices as ints on `scale` (`ivertices`) and as Fraction
+    vectors built on first read (`vertices`).  `cons` is the metric's
+    constraint system on `scale`, as `enumerate_complex` walked it."""
     metric: TerminalMetric
     ivertices: tuple[tuple[int, ...], ...]
     cells: tuple[Cell, ...]
+    cons: tuple[tuple[int, int, int], ...]
+    scale: int
 
     @cached_property
     def vertices(self) -> tuple[Vec, ...]:
-        frac = FractionTable(self.constraints[1])
+        frac = FractionTable(self.scale)
         ts = self.metric.terminals
         return tuple(dict(zip(ts, map(frac.__getitem__, v))) for v in self.ivertices)
-
-    @cached_property
-    def constraints(self) -> tuple[list[tuple[int, int, int]], int,
-                                   dict[tuple[str, str], tuple[int, int, int]]]:
-        """`_scaled_constraints` of the metric, once per complex, and its pairs.
-
-        The third entry maps each terminal pair, in both orders, to its
-        constraint (i, i, 0 for a pair (t, t)), as `cell_point` reads it.
-        """
-        cons, scale = _scaled_constraints(self.metric)
-        ts = self.metric.terminals
-        by_pair = {}
-        for c in cons:
-            by_pair[ts[c[0]], ts[c[1]]] = by_pair[ts[c[1]], ts[c[0]]] = c
-        return cons, scale, by_pair
 
     def vertex_id(self, point: Mapping[str, object]) -> int | None:
         p = check_vector(self.metric, point)
@@ -441,10 +431,10 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
 
     Vertices come from an exact walk over the bounded edges of the
     polyhedron (see `_walk_vertices`); cells are the maximal bounded faces,
-    found as intersections of vertex tight sets and grouped by their
-    tight-pair sets, with dimensions from the rank of the system and
-    adjacency between cells sharing a vertex.  Limited to six terminals to
-    bound the cost of the face closure.
+    found as intersections of vertex tight sets, with dimensions from the
+    rank of their systems and adjacency between cells sharing a vertex.  The
+    complex keeps the walked constraint system and its scale.  Limited to
+    six terminals to bound the cost of the face closure.
     """
     problems = validate_metric(m)
     if problems:
@@ -452,7 +442,7 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
     k = len(m.terminals)
     if k > 6:
         raise UnsupportedSizeError("cell enumeration supports at most 6 terminals")
-    cons, _ = _scaled_constraints(m)
+    cons, scale = _scaled_constraints(m)
     masks = [(1 << i) | (1 << j) for i, j, _ in cons]
     full = (1 << k) - 1
     verts = _walk_vertices(cons, k)
@@ -463,36 +453,35 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
         tight_sets.append(frozenset(
             c for c, (i, j, r) in enumerate(cons) if sol[i] + sol[j] == r))
 
-    # Faces are intersections of vertex tight sets, closed under intersection.
-    closure: set[frozenset[int]] = set(tight_sets)
-    frontier = list(closure)
+    def bounded(a: frozenset[int]) -> bool:
+        touched = 0
+        for c in a:
+            touched |= masks[c]
+        return touched == full
+
+    # Bounded faces are the bounded intersections of vertex tight sets.  Each
+    # partial intersection on the way to one contains it, so is bounded too,
+    # and the closure keeps only bounded sets.  A vertex's set is bounded.
+    faces: set[frozenset[int]] = set(tight_sets)
+    frontier = list(faces)
     while frontier:
         fresh = []
         for a in frontier:
             for b in tight_sets:
                 c = a & b
-                if c not in closure:
-                    closure.add(c)
+                if c not in faces and bounded(c):
+                    faces.add(c)
                     fresh.append(c)
         frontier = fresh
-
-    faces = []
-    for a in closure:
-        touched = 0
-        for c in a:
-            touched |= masks[c]
-        if touched == full:  # bounded, hence part of the span
-            faces.append(a)
     maximal = [a for a in faces if not any(b < a for b in faces)]
 
-    def pair_names(cids: frozenset[int]) -> tuple[tuple[str, str], ...]:
-        names = [(m.terminals[cons[c][0]], m.terminals[cons[c][1]]) for c in cids]
-        return tuple(sorted(names))
-
-    ordered = sorted(maximal, key=pair_names)
+    # a cell's constraint ids in the order of their pair names; cells sorted by them
+    names = [(m.terminals[i], m.terminals[j]) for i, j, _ in cons]
+    ordered = sorted((sorted(a, key=names.__getitem__) for a in maximal),
+                     key=lambda ids: [names[c] for c in ids])
     members = []
-    for a in ordered:
-        members.append(tuple(i for i, tset in enumerate(tight_sets) if tset >= a))
+    for ids in ordered:
+        members.append(tuple(i for i, tset in enumerate(tight_sets) if tset.issuperset(ids)))
     adjacency = []
     for i, mem in enumerate(members):
         mset = set(mem)
@@ -500,27 +489,28 @@ def enumerate_complex(m: TerminalMetric) -> CellComplex:
             j for j, other in enumerate(members)
             if j != i and mset.intersection(other)))
 
-    cells = [Cell(pairs=pair_names(a), dim=_tight_system([cons[c] for c in a], k)[1],
-                  vertex_ids=mem, adjacent=adj)
-             for a, mem, adj in zip(ordered, members, adjacency)]
-
-    return CellComplex(metric=m, ivertices=tuple(vlist), cells=tuple(cells))
+    cells = []
+    for ids, mem, adj in zip(ordered, members, adjacency):
+        system = tuple(cons[c] for c in ids)
+        cells.append(Cell(pairs=tuple(names[c] for c in ids), dim=_tight_system(system, k)[1],
+                          vertex_ids=mem, adjacent=adj, system=system))
+    return CellComplex(metric=m, ivertices=tuple(vlist), cells=tuple(cells),
+                       cons=tuple(cons), scale=scale)
 
 
 def cell_point(complex_: CellComplex, cell: Cell, pins: Mapping[int, int],
                scale: int) -> list[int] | None:
     """The unique point of `cell` with x_i = v for each pin (i, v), as ints.
 
-    The pins and the point are on `scale`, a multiple of `constraints[1]`.
-    Solves the cell's tight pairs plus x_i + x_i = 2v per pin in integers;
-    None if the point is undetermined, inconsistent or not integral there,
-    or breaks a constraint of the polyhedron and so lies outside the cell.
+    The pins and the point are on `scale`, a multiple of the complex's scale.
+    Solves the cell's `system` plus x_i + x_i = 2v per pin in integers; None
+    if the point is undetermined, inconsistent or not integral there, or
+    breaks a constraint of the polyhedron and so lies outside the cell.
     """
-    cons, base, by_pair = complex_.constraints
-    f = scale // base
-    system = [(i, j, r * f) for i, j, r in map(by_pair.__getitem__, cell.pairs)]
+    f = scale // complex_.scale
+    system = [(i, j, r * f) for i, j, r in cell.system]
     system += [(i, i, 2 * v) for i, v in pins.items()]
     values = _tight_system(system, len(complex_.metric.terminals))[0]
-    if values is None or any(values[i] + values[j] < r * f for i, j, r in cons):
+    if values is None or any(values[i] + values[j] < r * f for i, j, r in complex_.cons):
         return None
     return values

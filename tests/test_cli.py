@@ -98,6 +98,24 @@ def test_bad_text_file_of_each_kind_exit_2(tmp_path, capsys, kind, text, line):
     assert out == "" and err.startswith(f"error: line {line}: ")
 
 
+SIX = ("".join(f"terminal {t} {t}\n" for t in "abcdef")
+       + "".join(f"edge {t} {u} 1 2\n" for t, u in combinations("abcdef", 2)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["project", "{metric}", "1,2"], "expected 3 coordinates, got 2"),
+    (["sparsify", "{six}", "--seed", "1"], "decomposition supports at most 5 terminals"),
+    (["sparsify", "{island}", "--seed", "1"], "vertex x is disconnected from terminal a"),
+], ids=["project too few coordinates", "sparsify six terminals", "sparsify unreachable component"])
+def test_public_input_errors_exit_2(tmp_path, capsys, argv, message):
+    files = {"metric": METRIC_EX1, "six": SIX, "island": STAR + "edge x y 1 1\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    paths = {name: str(tmp_path / f"{name}.txt") for name in files}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_sparsify_needs_a_sample_exit_2(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(STAR)

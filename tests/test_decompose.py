@@ -11,15 +11,15 @@ from itertools import combinations, product
 import pytest
 
 from spanflow import decompose
-from spanflow.decompose import (Decomposer, _build_model, _Cut, _PlanarModel, _TreeModel,
-                                classify, contract, cost, expected_cost, moment_stats,
+from spanflow.decompose import (Cluster, Decomposer, Solution, _build_model, _Cut, _PlanarModel,
+                                _TreeModel, classify, contract, cost, expected_cost, moment_stats,
                                 sample_seed, sample_volumes, type1_metric, type2_metric,
                                 type3_metric)
-from spanflow.graphs import TerminalGraph, project_graph, terminal_metric
+from spanflow.graphs import GraphError, TerminalGraph, project_graph, terminal_metric
 from spanflow.hard6 import metric6
 from spanflow.textio import dump_graph
 from spanflow.metric import MetricError, TerminalMetric, validate_metric
-from spanflow.tightspan import enumerate_complex, lattice_ints, ts_distance
+from spanflow.tightspan import UnsupportedSizeError, enumerate_complex, lattice_ints, ts_distance
 
 from conftest import graph_from_metric, rand_connected_graph, rand_metric, rand_multigraph
 from test_cli import _sparsify_fixtures
@@ -103,6 +103,43 @@ def test_classify_path_metric_degenerate():
     tpl = classify(enumerate_complex(m))
     assert tpl.tag == "degenerate"
     assert all(c.dim <= 1 for c in enumerate_complex(m).cells)
+
+
+PEND = {"a": 1, "b": F(3, 2), "c": 2, "d": F(1, 2), "e": 1}
+SIDES = {("a", "b"): 2, ("b", "c"): 1, ("c", "d"): 3, ("d", "e"): F(5, 2), ("e", "a"): 1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: type1_metric({**PEND, "b": x}, SIDES),
+    lambda x: type1_metric(PEND, {**SIDES, ("b", "c"): x}),
+    lambda x: type2_metric(7, 6, 2, 1, x, PEND),
+    lambda x: type2_metric(7, 6, 2, 1, 1, {**PEND, "e": x}),
+    lambda x: type3_metric(2, x, 1, 2, 1, PEND),
+    lambda x: type3_metric(2, 3, 1, 2, 1, {**PEND, "a": x}),
+], ids=["type1 pendant", "type1 side", "type2 fold", "type2 pendant", "type3 band",
+        "type3 pendant"])
+def test_template_builders_coerce_through_as_fraction(build):
+    ref = build(F(3, 2))
+    got = build("3/2")
+    assert (got.terminals, got.matrix()) == (ref.terminals, ref.matrix())
+    with pytest.raises(MetricError, match="^floating point distance 0.1 rejected"):
+        build(0.1)
+    with pytest.raises(MetricError, match=r"^not a rational: '3/x'$"):
+        build("3/x")
+
+
+def test_template_builders_reject_bad_shapes():
+    with pytest.raises(MetricError, match="^the fan template needs exactly five terminals$"):
+        type1_metric(PEND, SIDES, cycle="abcd")
+    with pytest.raises(MetricError, match="^fold square must lie strictly inside the rectangle$"):
+        type2_metric(7, 6, 2, 1, 5, PEND)   # 2 + 5 reaches the width 7
+    with pytest.raises(MetricError, match="^all band widths must be positive$"):
+        type3_metric(2, 3, 0, 2, 1, PEND)
+
+
+def test_classify_rejects_six_terminals():
+    with pytest.raises(UnsupportedSizeError, match="^classification supports at most 5 terminals$"):
+        classify(enumerate_complex(metric6()))
 
 
 def _model_name(m: TerminalMetric) -> str:
@@ -753,6 +790,20 @@ def test_contract_drops_self_loops():
     assert set(h.terminals.values()) == {"t:a", "t:b"}
 
 
+def test_cost_and_contract_reject_a_solution_that_misses_a_vertex():
+    g = TerminalGraph(vertices=["a", "u", "b"],
+                      edges=[("a", "u", F(1), F(1)), ("u", "b", F(2), F(1))],
+                      terminals={"a": "a", "b": "b"})
+    m = terminal_metric(g)
+    sol = Solution(metric=m, clusters=[Cluster(label="t:a", vertices=["a"], rep=m.row("a")),
+                                       Cluster(label="t:b", vertices=["b"], rep=m.row("b"))],
+                   by_vertex={"a": 0, "b": 1})
+    with pytest.raises(GraphError, match=r"^solution does not cover vertices \['u'\]$"):
+        cost(project_graph(g), sol)
+    with pytest.raises(GraphError, match=r"^solution does not cover vertices \['u'\]$"):
+        contract(g, sol)
+
+
 def test_contract_capacity_conservation(rng):
     m = rand_metric(rng, 4)
     g = graph_from_metric(m, 4, rng)
@@ -884,6 +935,12 @@ def test_sample_volumes_need_a_sample(rng):
     for n in (0, -1):
         with pytest.raises(MetricError, match="^need at least one sample$"):
             sample_volumes(dec, n, 3)
+
+
+def test_expected_cost_needs_two_samples(rng):
+    emb = project_graph(graph_from_metric(rand_type1(rng)[-1], 2, rng))
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        expected_cost(emb, 1, 3)
 
 
 def test_a_reachable_missing_anchor_raises(rng):

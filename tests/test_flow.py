@@ -162,6 +162,14 @@ def test_dual_normalization_check():
     assert rep2.feasible
 
 
+def test_dual_value_reports_a_disconnected_pair():
+    g = TerminalGraph(vertices=["s", "t", "u"], edges=[("s", "u", F(1), F(1))],
+                      terminals={"s": "s", "t": "t"})
+    rep = dual_value(g, [F(2)], {("s", "t"): F(1)})
+    assert rep.value == 2
+    assert not rep.feasible and rep.violations == ["pair (s, t): disconnected"]
+
+
 def test_dual_value_rejects_a_pair_given_two_values():
     g = single_edge()
     with pytest.raises(MetricError, match="conflicting values"):

@@ -63,6 +63,14 @@ def test_bad_edges_rejected(make, edge, message):
                       terminals={"a": "a", "b": "b"})
 
 
+def test_unknown_vertices_rejected():
+    with pytest.raises(GraphError, match="^terminal c assigned to unknown vertex z$"):
+        TerminalGraph(vertices=["a", "b"], edges=[("a", "b", F(1), F(1))],
+                      terminals={"a": "a", "c": "z"})
+    with pytest.raises(GraphError, match="^unknown source vertex z$"):
+        shortest_distances(star(), "z")
+
+
 def test_edges_normalized_to_fraction_edges():
     exact = Edge("a", "b", F(3, 2), F(0))
     g = TerminalGraph(vertices=["a", "b"],

@@ -31,7 +31,7 @@ def cell_point(cx, cell, fixed):
     constraint scale refined by their denominators, and returns a Vec."""
     ts = cx.metric.terminals
     pins = {ts.index(t): F(v) for t, v in fixed.items()}
-    scale = lcm(cx.constraints[1], *(v.denominator for v in pins.values()))
+    scale = lcm(cx.scale, *(v.denominator for v in pins.values()))
     got = tightspan.cell_point(cx, cell, {i: int(v * scale) for i, v in pins.items()}, scale)
     return None if got is None else {t: F(x, scale) for t, x in zip(ts, got)}
 
@@ -443,9 +443,10 @@ def test_tight_system_rejects_half_integral_vertex():
 
 def brute_force_complex(m):
     """The reference enumeration: a tight system for every k-subset of the
-    constraints that touches every coordinate, then the same face closure."""
+    constraints that touches every coordinate, then the closure of all
+    intersections of vertex tight sets, filtered to the bounded ones."""
     k = len(m.terminals)
-    cons, _ = _scaled_constraints(m)
+    cons, scale = _scaled_constraints(m)
     masks = [(1 << i) | (1 << j) for i, j, _ in cons]
     full = (1 << k) - 1
     verts = set()
@@ -480,6 +481,11 @@ def brute_force_complex(m):
         return tuple(sorted((m.terminals[cons[c][0]], m.terminals[cons[c][1]])
                             for c in cids))
 
+    def system(cids):
+        """The face's constraints, in the order of their pair names."""
+        return tuple(sorted((cons[c] for c in cids),
+                            key=lambda c: (m.terminals[c[0]], m.terminals[c[1]])))
+
     ordered = sorted(maximal, key=pair_names)
     members = [tuple(i for i, tset in enumerate(tight_sets) if tset >= a)
                for a in ordered]
@@ -487,9 +493,11 @@ def brute_force_complex(m):
         Cell(pairs=pair_names(a), dim=_tight_system([cons[c] for c in a], k)[1],
              vertex_ids=mem,
              adjacent=tuple(j for j, other in enumerate(members)
-                            if j != n and set(mem).intersection(other)))
+                            if j != n and set(mem).intersection(other)),
+             system=system(a))
         for n, (a, mem) in enumerate(zip(ordered, members)))
-    return CellComplex(metric=m, ivertices=tuple(vlist), cells=cells)
+    return CellComplex(metric=m, ivertices=tuple(vlist), cells=cells,
+                       cons=tuple(cons), scale=scale)
 
 
 def _reference_corpus():
