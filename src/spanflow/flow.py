@@ -24,9 +24,11 @@ A NaN or infinite value in the solver's output raises `FlowError`.  The
 single-commodity oracle and the dual checker are exact and independent of
 that code path.
 
-numpy, scipy's HiGHS bindings and `scipy.sparse` load on the first LP, not
-at import: importing them costs more than the rest of the package, and the
-geometry, decomposition and hard-instance code never solves an LP.
+numpy and HiGHS's compiled core (scipy's `_highspy._core` extension, loaded
+from its file, not through `scipy.optimize`) load on the first LP, not at
+import: the geometry, decomposition and hard-instance code never solves an LP.
+The LP matrices are numpy triplets and the connectivity check a union-find,
+so spanflow imports neither `scipy.sparse` nor `scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -109,11 +111,44 @@ class LPResult(NamedTuple):
     nit: int
 
 
+class Triplets(NamedTuple):
+    """A sparse matrix as COO triplets: data[i] sits at (row[i], col[i])."""
+    data: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
 @cache
 def _highs():
-    """scipy's HiGHS bindings and the options `scipy.optimize.linprog(method="highs")`
-    sets, imported and built on the first LP, once per process."""
-    from scipy.optimize._highspy import _core as highs
+    """HiGHS's compiled core from scipy and the options
+    `scipy.optimize.linprog(method="highs")` sets, loaded and built on the
+    first LP, once per process.
+
+    The extension is loaded from its file under its full dotted name, so
+    `scipy.optimize` is not imported; a later `import scipy.optimize` reuses
+    the module (loaded under another name, pybind11 would refuse to register
+    its types twice).  If that name is already loaded, it is reused.
+    """
+    import os
+    import sys
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import module_from_spec, spec_from_file_location
+    name = "scipy.optimize._highspy._core"
+    highs = sys.modules.get(name)
+    if highs is None:
+        import scipy
+        base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+        path = next((base + s for s in EXTENSION_SUFFIXES if os.path.exists(base + s)), None)
+        if path is None:
+            raise ImportError(f"scipy has no HiGHS core at {base}")
+        spec = spec_from_file_location(name, path)
+        highs = sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(highs)
     options = highs.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = 0   # kHighsDebugLevelNone
@@ -131,24 +166,35 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
     that `max_concurrent_flow` uses: the same stacked CSC matrix, row and column
     bounds and options (presolve, dual simplex, no output), so the same x and
     iteration count; it builds no marginals and makes no residual check.
-    `A_ub` and `A_eq` are COO matrices with the same number of columns.
+    `A_ub` and `A_eq` are COO triplets with the same number of columns: a
+    `Triplets`, or anything else with `data`, `row`, `col` and `shape`, such
+    as a scipy COO matrix.  The CSC matrix is built here with numpy, in the
+    order scipy's COO to CSC conversion gives: by column, then by row, with
+    duplicate entries summed.
     """
     import numpy as np
-    from scipy.sparse import csc_array
     highs, options = _highs()
-    # the stacked matrix in one step: A_eq's rows follow A_ub's
-    a = csc_array((np.concatenate([A_ub.data, A_eq.data]),
-                   (np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]]),
-                    np.concatenate([A_ub.col, A_eq.col]))),
-                  shape=(A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1]))
-    nrow, ncol = a.shape
+    # the stacked matrix: A_eq's rows follow A_ub's
+    nrow, ncol = A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1]
+    row = np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]])
+    col = np.concatenate([A_ub.col, A_eq.col])
+    data = np.concatenate([A_ub.data, A_eq.data])
+    order = np.argsort(col.astype(np.int64) * nrow + row, kind="stable")
+    row, col, data = row[order], col[order], data[order]
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    if not new.all():
+        first = np.flatnonzero(new)
+        row, col, data = row[first], col[first], np.add.reduceat(data, first)
+    start = np.zeros(ncol + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=ncol), out=start[1:])
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = row
+    lp.a_matrix_.value_ = data
     lp.col_cost_ = c
     lp.col_lower_ = np.zeros(ncol)
     lp.col_upper_ = np.full(ncol, highs.kHighsInf)
@@ -166,6 +212,21 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
         primal = solver.solutionStatusToString(info.primal_solution_status)
         return LPResult(None, False, f"model_status is {text}; primal_status is {primal}", nit)
     return LPResult(np.array(solver.getSolution().col_value), True, text, nit)
+
+
+def _components(n: int, a: list[int], b: list[int]) -> list[int]:
+    """A component label for each of n vertices under the edges (a[j], b[j]),
+    by union-find with path halving."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for u, w in zip(a, b):
+        root[find(u)] = find(w)
+    return [find(v) for v in range(n)]
 
 
 def _source_cover(pairs) -> list[tuple[str, list[tuple[tuple[str, str], str, Fraction]]]]:
@@ -204,8 +265,6 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     accuracy.  A non-finite solver value raises `FlowError`.
     """
     import numpy as np
-    from scipy.sparse import coo_matrix, csr_matrix
-    from scipy.sparse.csgraph import connected_components
     eps = as_fraction(epsilon)
     if not (0 < eps <= Fraction(1, 2)):
         raise FlowError("epsilon must lie in (0, 1/2]")
@@ -222,11 +281,9 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     slot = slot.ravel()
     ne = len(keys)
     # merged edge j joins a[j] and b[j]; a demand pair is connected when its
-    # terminals share a (weak) component of the merged edges, whose CSR rows
-    # the sorted keys give directly
+    # terminals share a component of the merged edges
     a, b = keys // nv, keys % nv
-    csr = csr_matrix((np.ones(ne), b, np.searchsorted(a, np.arange(nv + 1))), shape=(nv, nv))
-    _, comp = connected_components(csr)
+    comp = _components(nv, a.tolist(), b.tolist())
     for t, u, _ in pairs:
         if t not in g.terminals or u not in g.terminals:
             raise FlowError(f"demand names unknown terminal in ({t}, {u})")
@@ -263,9 +320,8 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     row_id = np.cumsum(live) - 1
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     keep = live[rows]
-    a_eq = coo_matrix((vals[keep], (row_id[rows[keep]], cols[keep])),
-                      shape=(int(live.sum()), nvar))
-    a_ub = coo_matrix((np.ones(nf), (arc % ne, fcols)), shape=(ne, nvar))
+    a_eq = Triplets(vals[keep], row_id[rows[keep]], cols[keep], (int(live.sum()), nvar))
+    a_ub = Triplets(np.ones(nf), arc % ne, fcols, (ne, nvar))
     b_ub = [c / cs for c in caps]   # int true division rounds correctly
 
     c = np.zeros(nvar)

@@ -106,7 +106,9 @@ SIX = ("".join(f"terminal {t} {t}\n" for t in "abcdef")
     (["project", "{metric}", "1,2"], "expected 3 coordinates, got 2"),
     (["sparsify", "{six}", "--seed", "1"], "decomposition supports at most 5 terminals"),
     (["sparsify", "{island}", "--seed", "1"], "vertex x is disconnected from terminal a"),
-], ids=["project too few coordinates", "sparsify six terminals", "sparsify unreachable component"])
+    (["hard6", "--L", "3", "--snap-grid", "0"], "snap grid must be at least 1"),
+], ids=["project too few coordinates", "sparsify six terminals", "sparsify unreachable component",
+        "hard6 snap grid 0"])
 def test_public_input_errors_exit_2(tmp_path, capsys, argv, message):
     files = {"metric": METRIC_EX1, "six": SIX, "island": STAR + "edge x y 1 1\n"}
     for name, text in files.items():
@@ -278,7 +280,8 @@ if sys.argv[1] == "warm":
 import spanflow, spanflow.cli
 
 def scipy_loaded():
-    return [m for m in ("numpy", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+    return [m for m in ("numpy", "scipy.linalg", "scipy.optimize",
+                        "scipy.optimize._highspy._core", "scipy.sparse")
             if m in sys.modules]
 
 print(json.dumps({"scipy": scipy_loaded()}))
@@ -291,9 +294,10 @@ for argv in json.loads(sys.argv[2]):
 
 def test_scipy_loads_on_the_first_lp(tmp_path):
     """Importing spanflow and running the commands that solve no LP leave
-    numpy, scipy.optimize, scipy.sparse and scipy.linalg unloaded (this process
-    holds them already, so a child checks); `quality` loads them, and prints
-    what it prints when scipy was imported first."""
+    numpy, HiGHS's compiled core, scipy.optimize, scipy.sparse and
+    scipy.linalg unloaded (this process holds them already, so a child
+    checks); `quality` loads numpy and the core only, and prints what it
+    prints when scipy was imported first."""
     m, g, h = tmp_path / "m.txt", tmp_path / "g.txt", tmp_path / "h.txt"
     m.write_text(METRIC_EX1)
     g.write_text(STAR)
@@ -311,11 +315,12 @@ def test_scipy_loads_on_the_first_lp(tmp_path):
         assert [s["rc"] for s in steps[1:]] == [0] * len(argvs)
         return steps
 
-    scipy = ["numpy", "scipy.linalg", "scipy.optimize", "scipy.sparse"]
     cold = probe("cold", no_lp + [quality])
-    assert [s["scipy"] for s in cold] == [[]] * (1 + len(no_lp)) + [scipy]
+    assert [s["scipy"] for s in cold] == \
+        [[]] * (1 + len(no_lp)) + [["numpy", "scipy.optimize._highspy._core"]]
     warm = probe("warm", [quality])
-    assert warm[0]["scipy"] == scipy
+    assert warm[0]["scipy"] == ["numpy", "scipy.linalg", "scipy.optimize",
+                                "scipy.optimize._highspy._core", "scipy.sparse"]
     assert cold[-1]["out"] == warm[-1]["out"] and json.loads(cold[-1]["out"])["ratios"]
 
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from types import SimpleNamespace
@@ -394,6 +396,12 @@ def test_source_cover_is_greedy_and_ordered():
         [("a", ["b", "c", "d"]), ("b", ["c"])]
 
 
+def as_coo(m):
+    """scipy's COO array of `linprog` triplets."""
+    from scipy.sparse import coo_array
+    return coo_array((m.data, (m.row, m.col)), shape=m.shape)
+
+
 def capture_linprog(monkeypatch):
     import spanflow.flow as flow
     calls = []
@@ -419,7 +427,7 @@ def test_lp_size_ave_instance(monkeypatch):
     assert kw["A_ub"].shape == (ne, 3793)
     assert kw["A_eq"].shape == (nk * (len(inst.graph.vertices) - 1), 3793)
     # arc-major columns: flow column j is commodity j % nk on arc j // nk
-    a_ub = kw["A_ub"].tocsc()
+    a_ub = as_coo(kw["A_ub"]).tocsc()
     assert a_ub.nnz == len(c) - 1
     for j in range(len(c) - 1):
         assert a_ub.indices[a_ub.indptr[j]:a_ub.indptr[j + 1]].tolist() == [(j // nk) % ne]
@@ -583,7 +591,8 @@ def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
         max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
     assert len(calls) == 14
     for c, kw in calls:
-        ours, ref = linprog(c, **kw), scipy_linprog(c, **kw, bounds=(0, None), method="highs")
+        ref_kw = dict(kw, A_ub=as_coo(kw["A_ub"]), A_eq=as_coo(kw["A_eq"]))
+        ours, ref = linprog(c, **kw), scipy_linprog(c, **ref_kw, bounds=(0, None), method="highs")
         assert ours.success and ref.success
         assert ours.nit == ref.nit
         assert np.array_equal(ours.x, ref.x)
@@ -604,3 +613,84 @@ def test_infeasible_lp_reports_the_highs_status(monkeypatch):
     monkeypatch.setattr(flow, "linprog", lambda c, **kwargs: res)
     with pytest.raises(FlowError, match="LP solver failed: model_status is Infeasible"):
         max_concurrent_flow(single_edge(), Demand({("s", "t"): F(1)}), EPS)
+
+
+def test_linprog_sums_duplicate_triplets_like_scipy():
+    """Unsorted triplets with repeated entries give scipy's x and iteration
+    count: the CSC matrix sorts by column, then row, and sums duplicates."""
+    from scipy.optimize import linprog as scipy_linprog
+    from spanflow.flow import Triplets
+    # max x0 + 3 x1 + x2 with x0 + x1 <= 4 (x1's entry split in two), x1 + x2 <= 3
+    # and x0 - x2 = 1 (x0's entry split in three)
+    a_ub = Triplets(np.array([1.0, 0.5, 1.0, 0.5, 1.0]), np.array([1, 0, 0, 0, 1]),
+                    np.array([2, 1, 0, 1, 1]), (2, 3))
+    a_eq = Triplets(np.array([-1.0, 0.25, 0.5, 0.25]), np.array([0, 0, 0, 0]),
+                    np.array([2, 0, 0, 0]), (1, 3))
+    c, b_ub, b_eq = np.array([-1.0, -3.0, -1.0]), [4.0, 3.0], np.array([1.0])
+    ours = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
+    ref = scipy_linprog(c, A_ub=as_coo(a_ub), b_ub=b_ub, A_eq=as_coo(a_eq), b_eq=b_eq,
+                        bounds=(0, None), method="highs")
+    assert ours.success and ref.success and ours.nit == ref.nit
+    assert np.array_equal(ours.x, ref.x)
+    assert np.allclose(ours.x, [1.0, 3.0, 0.0])
+
+
+# run in a fresh process: spanflow's first LP, then `import scipy.optimize`
+LP_FIRST = r"""
+import sys
+import numpy as np
+import spanflow.flow as flow
+from spanflow.hard6 import generate
+calls = []
+real = flow.linprog
+flow.linprog = lambda c, **kw: calls.append((c, kw)) or real(c, **kw)
+inst = generate(3, ave=True)
+flow.max_concurrent_flow(inst.graph, inst.ave.demand, "1/100")
+unloaded = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+assert not [m for m in unloaded if m in sys.modules], sorted(sys.modules)
+import scipy.optimize
+from scipy.optimize._highspy import _core
+from scipy.sparse import coo_array
+assert _core is flow._highs()[0]
+(c, kw), = calls
+coo = {k: coo_array((m.data, (m.row, m.col)), shape=m.shape) for k, m in kw.items()
+       if k.startswith("A_")}
+ref = scipy.optimize.linprog(c, **dict(kw, **coo), bounds=(0, None), method="highs")
+ours = real(c, **kw)
+assert ref.success and ours.success and ours.nit == ref.nit
+assert np.array_equal(ours.x, ref.x)
+"""
+
+# run in a fresh process: `import scipy.optimize`, then spanflow's first LP
+SCIPY_FIRST = r"""
+import sys
+import scipy.optimize
+import spanflow.flow as flow
+from spanflow.hard6 import generate
+assert flow._highs()[0] is sys.modules["scipy.optimize._highspy._core"]
+inst = generate(2, ave=True)
+assert flow.max_concurrent_flow(inst.graph, inst.ave.demand, "1/100").lam > 0
+"""
+
+
+@pytest.mark.parametrize("script", [LP_FIRST, SCIPY_FIRST], ids=["lp first", "scipy first"])
+def test_highs_core_loads_in_either_order(script):
+    """HiGHS's core, loaded from its file by the first LP, is the module a
+    later `import scipy.optimize` uses, and an already imported core is
+    reused: in either order scipy's `linprog` works and agrees bit for bit."""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_a_scipy_without_the_highs_core_is_an_import_error(monkeypatch, tmp_path):
+    import scipy
+    import spanflow.flow as flow
+    flow._highs()
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    flow._highs.cache_clear()
+    try:
+        with pytest.raises(ImportError, match="^scipy has no HiGHS core at "):
+            flow._highs()
+    finally:
+        flow._highs.cache_clear()

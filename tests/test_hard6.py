@@ -39,6 +39,12 @@ def test_assoc_rejects_outside_points():
         to_assoc({"a": 0, "b": 0, "c": 0, "d": 0, "e": 0, "f": 0})
     with pytest.raises(MetricError):
         from_assoc(AssocVec(F(1, 2), F(2), F(1)))
+    with pytest.raises(MetricError, match=r"^planar point .* outside the admissible region$"):
+        from_assoc(AssocVec(F(3), F(0), F(0)))
+    # c's row with f moved off the span: its coordinates are c's, admissible
+    off = {**metric6().row("c"), "f": 4}
+    with pytest.raises(MetricError, match="^point is not in the span of the 6-terminal metric$"):
+        to_assoc(off)
 
 
 def span_points(rng, per_cell):
@@ -338,6 +344,19 @@ def test_check_good():
     with pytest.raises(MetricError, match=r"conflicting values .* for pair \(b, a\)"):
         check_good(inst, {**deltas, ("b", "a"): deltas[("a", "b")] + 1}, eta)
     assert check_good(inst, {**deltas, ("b", "a"): deltas[("a", "b")]}, eta).good
+
+
+def test_check_good_and_adjust_solution_errors():
+    deltas = exact_deltas()
+    del deltas[("c", "d")]
+    with pytest.raises(MetricError, match=r"^missing delta for pair \(c, d\)$"):
+        check_good(generate(2, ave=True), deltas, 0)
+    plain = generate(2)
+    with pytest.raises(MetricError, match="^check_good needs an average-version instance$"):
+        check_good(plain, exact_deltas(), 0)
+    with pytest.raises(MetricError,
+                       match="^adjust_solution needs an average-version instance$"):
+        adjust_solution(plain, grid_snap(plain, 1), exact_deltas(), 0)
 
 
 def test_adjust_solution_exact_input():

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spanflow.metric import (MetricError, TerminalMetric, collinear_triples,
+from spanflow.metric import (MetricError, TerminalMetric, as_fraction, collinear_triples,
                              is_valid_vector, restrict, validate_metric)
 
 from conftest import rand_metric
@@ -77,6 +78,17 @@ def test_restrict_identity_and_singleton():
 def test_restrict_unknown_name():
     with pytest.raises(MetricError):
         restrict(m3(), ["a", "zz"])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: as_fraction(1.5j), "cannot interpret 1.5j as a rational"),
+    (lambda: TerminalMetric(["a", "b", "a"], [[0] * 3] * 3), "duplicate terminal names"),
+    (lambda: restrict(m3(), []), "cannot restrict to an empty terminal set"),
+    (lambda: restrict(m3(), ["a", "b", "a"]), "duplicate terminal in subset"),
+], ids=["complex value", "duplicate names", "empty subset", "repeated subset"])
+def test_public_metric_errors(build, message):
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_collinear_triples_line():

@@ -138,6 +138,8 @@ def test_ts_distance_examples():
     x = m.vector([1, 6, 4])
     assert ts_distance(x, x) == 0
     assert ts_distance(m.row("a"), m.row("b")) == 7
+    with pytest.raises(MetricError, match=r"^points live over different terminal sets$"):
+        ts_distance(x, {"a": 1, "b": 6, "d": 4})
 
 
 def test_point_inputs_are_exact():
