@@ -239,13 +239,6 @@ def _threshold(s: int, lo: int, w: int, closed: bool = False) -> int:
     return (a - 1) // w if closed else a // w
 
 
-def _half(n: int) -> int:
-    """n/2 for an even n; the model's scale keeps every halved sum even."""
-    if n & 1:
-        raise ArithmeticError(f"{n} is odd on the model's lattice")
-    return n >> 1
-
-
 def _in_cell(system, p) -> bool:
     """Exact containment: p lies in the cell iff its tight pairs (`system`) hold."""
     return all(p[i] + p[j] == r for i, j, r in system)
@@ -298,12 +291,12 @@ class _ModelBase:
             self.segments.append((d, self.system[cell], i, j))
 
     def _segment_node(self, p):
-        """Cut of a non-vertex point on a 1-cell between its ends (None if on none)."""
+        """Cut of a non-vertex point on a 1-cell between its ends; `MetricError` if on none."""
         V = self.V
         for d, system, i, j in self.segments:
             if _in_cell(system, p):
                 return self._cut(d, _dist(p, V[i]), j, i)
-        return None
+        raise MetricError("point not on the span")
 
     def localize(self, p: tuple):
         """The cut tree of a span point (ints on the scale): a representative id or a `_Cut`;
@@ -319,12 +312,8 @@ class _TreeModel(_ModelBase):
         super().__init__(complex_, scale)
         self._add_tree_draws()
 
-    def _localize_inner(self, p):
-        # vertices are caught by localize, so p lies inside a 1-cell or off the span
-        node = self._segment_node(p)
-        if node is None:
-            raise MetricError("point not on the tree span")
-        return node
+    # vertices are caught by localize, so p lies inside a 1-cell or off the span
+    _localize_inner = _ModelBase._segment_node
 
 
 class _FanModel(_ModelBase):
@@ -387,11 +376,7 @@ class _FanModel(_ModelBase):
         cyc = [start]
         while len(cyc) < 5:
             t = cyc[-1]
-            nxts = [u for k in shared if t in k for u in k
-                    if u != t and u not in cyc]
-            if not nxts:
-                raise MetricError("fan cycle is broken")
-            cyc.append(min(nxts))
+            cyc.append(min(u for k in shared if t in k for u in k if u != t and u not in cyc))
         self.cycle = tuple(cyc)
         self.corner = shared  # frozenset pair -> vertex id
         self.side_len = {k: _dist(V[self.o_id], V[v]) for k, v in shared.items()}
@@ -426,8 +411,8 @@ class _FanModel(_ModelBase):
             e_next = frozenset((t, nxt))
             e_prev = frozenset((prv, t))
             dp = _dist(p, V[self.prime[t]])
-            u1 = _half(dp + _dist(p, V[self.corner[e_next]]) - self.side_len[e_prev])
-            u2 = _half(dp + _dist(p, V[self.corner[e_prev]]) - self.side_len[e_next])
+            u1 = (dp + _dist(p, V[self.corner[e_next]]) - self.side_len[e_prev]) >> 1
+            u2 = (dp + _dist(p, V[self.corner[e_prev]]) - self.side_len[e_next]) >> 1
             # with r1, r2 the draws of the next and the previous side, the
             # corner is prime if u1 < r1 and u2 < r2, the next side's if only
             # u1 < r1, the previous side's if only u2 < r2, else the center
@@ -500,7 +485,7 @@ class _PlanarModel(_ModelBase):
     def _position(self, p) -> tuple[int, int]:
         """The planar position of a point on the chart."""
         a, b = p[self.i1], p[self.i2]
-        return _half(a + b), _half(a - b)
+        return (a + b) >> 1, (a - b) >> 1
 
     def _lift(self, ci, gx, gy):
         """Rep id of cell ci's point at grid anchor (gx, gy), None off the cell; memoized."""
@@ -516,10 +501,7 @@ class _PlanarModel(_ModelBase):
         cells = tuple(ci for ci, c in enumerate(self.two) if _in_cell(self.system[c], p))
         if cells:
             return self._cell_node(*self._position(p), cells)
-        node = self._segment_node(p)
-        if node is None:
-            raise MetricError("point not on the planar span")
-        return node
+        return self._segment_node(p)
 
     def _cell_node(self, x, y, cells):
         """Cut tree of planar (x, y) in `cells`: the first cell's lift over (gx, gy)."""
@@ -573,8 +555,9 @@ def _find_chart(cx: CellComplex, two) -> tuple[str, str] | None:
 
 def _build_model(cx: CellComplex, lattice: int):
     """The tree model for a complex of dimension <= 1, else the fan or the plane,
-    on 4 * lcm(lattice, the complex's scale): there each point integral on
-    `lattice` is a multiple of 4, so every halving is exact."""
+    on 4 * lcm(lattice, the complex's scale): there the vertices, terminal rows
+    and every point integral on `lattice` are multiples of 4, so each sum or
+    difference of them that a model halves is even."""
     scale = 4 * math.lcm(lattice, cx.scale)
     if max_cell_dimension(cx) <= 1:
         return _TreeModel(cx, scale)

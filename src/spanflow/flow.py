@@ -170,7 +170,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
     `Triplets`, or anything else with `data`, `row`, `col` and `shape`, such
     as a scipy COO matrix.  The CSC matrix is built here with numpy, in the
     order scipy's COO to CSC conversion gives: by column, then by row, with
-    duplicate entries summed.
+    duplicate entries summed.  A model that HiGHS rejects is not run: the
+    result fails with the status `passModel` returned.
     """
     import numpy as np
     highs, options = _highs()
@@ -202,7 +203,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
     lp.row_upper_ = np.concatenate([b_ub, b_eq])
     solver = highs._Highs()
     solver.passOptions(options)
-    solver.passModel(lp)
+    if (passed := solver.passModel(lp)) == highs.HighsStatus.kError:   # e.g. an inf entry
+        return LPResult(None, False, f"passModel returned {passed.name}", 0)
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
@@ -262,7 +264,8 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     (`_source_cover`) is one commodity; commodity k's flow on arc a is
     column a * nk + k.  Every load is exactly within its edge's capacity
     (int accounting of the solver's floats); conservation holds only to float
-    accuracy.  A non-finite solver value raises `FlowError`.
+    accuracy.  A non-finite solver value, or a capacity (summed over parallel
+    edges) or demand too large for a float, raises `FlowError`.
     """
     import numpy as np
     eps = as_fraction(epsilon)
@@ -314,7 +317,11 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
                  for k, (_, sinks) in enumerate(cover) for _, w, _ in sinks]
     rows.append(np.array(sink_rows, dtype=np.int64))
     cols.append(np.full(len(sink_rows), lam_col))
-    vals.append(np.array([-float(d) for _, sinks in cover for _, _, d in sinks]))
+    try:
+        vals.append(np.array([-float(d) for _, sinks in cover for _, _, d in sinks]))
+    except OverflowError:
+        t, u, d = max(pairs, key=lambda p: p[2])
+        raise FlowError(f"demand {d} on ({t}, {u}) does not fit a float") from None
     live = np.ones(nk * nv, dtype=bool)
     live[[k * nv + vindex[g.terminals[s]] for k, (s, _) in enumerate(cover)]] = False
     row_id = np.cumsum(live) - 1
@@ -322,7 +329,13 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     keep = live[rows]
     a_eq = Triplets(vals[keep], row_id[rows[keep]], cols[keep], (int(live.sum()), nvar))
     a_ub = Triplets(np.ones(nf), arc % ne, fcols, (ne, nvar))
-    b_ub = [c / cs for c in caps]   # int true division rounds correctly
+    try:
+        b_ub = [c / cs for c in caps]   # int true division rounds correctly
+    except OverflowError:
+        j = caps.index(max(caps))
+        u, v = g.vertices[a[j]], g.vertices[b[j]]
+        raise FlowError(f"capacity {Fraction(caps[j], cs)} of edge ({u}, {v}) "
+                        "does not fit a float") from None
 
     c = np.zeros(nvar)
     c[lam_col] = -1.0

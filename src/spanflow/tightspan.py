@@ -382,9 +382,9 @@ def _walk_vertices(cons: list[tuple[int, int, int]], k: int) -> set[tuple[int, .
     the slack constraints gives the step to the next vertex; a direction that
     no constraint stops is an unbounded ray and is skipped.  The bounded
     complex is contractible (Develin 2006), so its 1-skeleton is connected and
-    the walk reaches every vertex.  A step that is not an integer, or a vertex
-    that violates a constraint, raises ArithmeticError: cons is not on a
-    lattice where the vertices are integral.
+    the walk reaches every vertex.  A step that is not an integer raises
+    ArithmeticError: cons is not on a lattice where the vertices are integral.
+    The rows are feasible, and the exact ratio test keeps every step feasible.
     """
     rows = [[0] * k for _ in range(k)]
     for i, j, r in cons:
@@ -418,8 +418,6 @@ def _walk_vertices(cons: list[tuple[int, int, int]], k: int) -> set[tuple[int, .
             if step2 % 2:
                 raise ArithmeticError(f"edge step {step2}/2 from {v} is not integral")
             w = tuple(a + step2 // 2 * b for a, b in zip(v, e))
-            if any(w[i] + w[j] < r for i, j, r in cons):
-                raise ArithmeticError(f"walked point {w} violates a constraint")
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

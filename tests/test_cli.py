@@ -201,6 +201,20 @@ def test_quality_missing_terminal_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_quality_with_a_capacity_or_demand_beyond_float_range_exit_2(tmp_path, capsys):
+    big = "1" + "0" * 400
+    g, wide, d = tmp_path / "g.txt", tmp_path / "wide.txt", tmp_path / "d.txt"
+    g.write_text(STAR)
+    wide.write_text(STAR.replace("edge a o 1 2", f"edge a o {big} 2"))
+    d.write_text("demand a b 1\n")
+    assert main(["quality", str(wide), str(g), "--demands", str(d)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: capacity {big} of edge (a, o) does not fit a float\n")
+    d.write_text(f"demand a b {big}\n")
+    assert main(["quality", str(g), str(g), "--demands", str(d)]) == 2
+    assert capsys.readouterr() == ("", f"error: demand {big} on (a, b) does not fit a float\n")
+
+
 def test_quality_negative_random_demands_exit_2(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(STAR)

@@ -11,10 +11,10 @@ from itertools import combinations, product
 import pytest
 
 from spanflow import decompose
-from spanflow.decompose import (Cluster, Decomposer, Solution, _build_model, _Cut, _PlanarModel,
-                                _TreeModel, classify, contract, cost, expected_cost, moment_stats,
-                                sample_seed, sample_volumes, type1_metric, type2_metric,
-                                type3_metric)
+from spanflow.decompose import (Cluster, Decomposer, Solution, _build_model, _Cut, _FanModel,
+                                _PlanarModel, _TreeModel, classify, contract, cost, expected_cost,
+                                moment_stats, sample_seed, sample_volumes, type1_metric,
+                                type2_metric, type3_metric)
 from spanflow.graphs import GraphError, TerminalGraph, project_graph, terminal_metric
 from spanflow.hard6 import metric6
 from spanflow.textio import dump_graph
@@ -169,6 +169,138 @@ def test_three_dimensional_complex_is_rejected_with_each_reason():
         _build_model(cx, 1)
     assert "fan: not a fan complex" in str(err.value)
     assert "planar: a cell of dimension above 2" in str(err.value)
+
+
+# -- hand-built complexes: each model rejection, read from classify's message --
+
+def _edited(cx, edits=None, extra=()):
+    """cx with cell i's fields replaced by edits[i], and the cells `extra` appended."""
+    cells = list(cx.cells)
+    for i, change in (edits or {}).items():
+        cells[i] = dataclasses.replace(cells[i], **change)
+    return dataclasses.replace(cx, cells=tuple(cells) + tuple(extra))
+
+
+def _ids(*vertex_ids):
+    return {"vertex_ids": vertex_ids}
+
+
+def _fan_complex():
+    """The fan of PEND and SIDES: center 5; rectangles (cell: vertices)
+    2: (1, 2, 4, 5), 4: (2, 3, 5, 7), 5: (5, 7, 11, 12), 7: (5, 9, 11, 13) and
+    8: (4, 5, 8, 9); pendants (cell: terminal, its vertex, its prime corner)
+    0: a 0 1, 1: b 6 3, 3: c 14 12, 6: d 15 13 and 9: e 10 8."""
+    cx = enumerate_complex(type1_metric(PEND, SIDES))
+    assert [c.vertex_ids for c in cx.cells] == [
+        (0, 1), (3, 6), (1, 2, 4, 5), (12, 14), (2, 3, 5, 7), (5, 7, 11, 12), (13, 15),
+        (5, 9, 11, 13), (4, 5, 8, 9), (8, 10)]
+    return cx
+
+
+def _square_complex():
+    """A four-terminal span: one square 2-cell (cell 2, vertices 1, 2, 3, 6;
+    sides 1-2 and 1-3, diagonal 1-6) with four pendants."""
+    cx = enumerate_complex(TerminalMetric.from_pairs(
+        {("a", "b"): 3, ("a", "c"): 2, ("a", "d"): 2, ("b", "c"): 2, ("b", "d"): 2,
+         ("c", "d"): 3}))
+    assert cx.cells[2].dim == 2 and cx.cells[2].vertex_ids == (1, 2, 3, 6)
+    return cx
+
+
+def _type2_complex():
+    """A type-2 span: 2-cells 2, 4, 5, 6, 7; fold (4, 6) in cells 4, 6 and 7;
+    vertices 1 and 5 are a diagonal two x-bands apart."""
+    cx = enumerate_complex(type2_metric(7, 6, 2, 1, 1, PEND))
+    model = _build_model(cx, 1)
+    assert [c.vertex_ids for c in model.two] == [
+        (1, 2, 3, 4), (3, 4, 6, 10, 12), (6, 12, 13, 14), (2, 4, 6, 8, 13), (4, 5, 6)]
+    assert model.fold == (4, 6) and model.xs[:3] == [152, 184, 216]
+    assert (model.plan[1], model.plan[5]) == ((152, -120), (216, -56))
+    return cx
+
+
+def _square_copies(*vertex_ids):
+    """The square with two more copies of its 2-cell, on `vertex_ids`."""
+    cx = _square_complex()
+    return _edited(cx, extra=[dataclasses.replace(cx.cells[2], vertex_ids=vertex_ids)] * 2)
+
+
+def _no_two_cells():
+    cx = _type2_complex()
+    return _edited(cx, {i: {"dim": 3} for i, c in enumerate(cx.cells) if c.dim == 2})
+
+
+def _no_chart():
+    # x_a pinned to -2 puts every point of cell 2 outside the polyhedron
+    cx = _type2_complex()
+    return _edited(cx, {2: {"system": cx.cells[2].system + ((0, 0, -8),)}})
+
+
+def _square_fan():
+    # five rectangles sharing vertex 1, no pendants: four terminals, four primes
+    cx = _square_complex()
+    return dataclasses.replace(cx, cells=tuple(
+        dataclasses.replace(cx.cells[2], vertex_ids=ids)
+        for ids in ((1, 2, 3, 6), (1, 0, 4, 5), (1, 2, 4, 7), (1, 3, 5, 7), (1, 0, 6, 7))))
+
+
+def _long_fold():
+    # cell 4 drops vertex 4, so (4, 6) is in two cells; three copies of cell 2
+    # make (1, 5) the only pair in three cells
+    cx = _type2_complex()
+    return _edited(cx, {4: _ids(3, 6, 10, 12)},
+                   [dataclasses.replace(cx.cells[2], vertex_ids=(1, 5))] * 3)
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: _edited(_fan_complex(), {2: _ids(1, 2, 4, 0)}),
+     "fan: fan rectangles must share one center"),
+    (lambda: _edited(_fan_complex(), {0: _ids(1, 2)}), "fan: fan pendant must end at one terminal"),
+    (_square_fan, "fan: each terminal needs its own pendant"),
+    # b's rectangle takes a's prime corner 1 in place of its own, 3
+    (lambda: _edited(_fan_complex(), {4: _ids(2, 1, 5, 7)}),
+     "fan: prime corner must belong to one rectangle"),
+    # a's rectangle holds both a's and b's prime corners
+    (lambda: _edited(_fan_complex(), {2: _ids(1, 2, 3, 5), 4: _ids(2, 6, 5, 7)}),
+     "fan: rectangles and terminals must pair up"),
+    (lambda: _edited(_fan_complex(), {4: _ids(2, 3, 5, 4)}),
+     "fan: fan rectangles overlap too much"),
+    # b's rectangle shares no corner with its neighbours
+    (lambda: _edited(_fan_complex(), {4: _ids(0, 3, 5, 6)}),
+     "fan: fan rectangles must form a single cycle"),
+    # a and b swap pendants
+    (lambda: _edited(_fan_complex(), {0: _ids(0, 3), 1: _ids(1, 6)}),
+     "fan: fan parameters do not reproduce the metric"),
+    (_no_two_cells, "planar: no 2-cells for the planar model"),
+    (_no_chart, "planar: no global planar chart"),
+    # each of the square's six vertex pairs is in three cells
+    (lambda: _square_copies(1, 2, 3, 6), "planar: more than one fold segment"),
+    # only the side 1-2 is
+    (lambda: _square_copies(1, 2), "planar: fold is not diagonal"),
+    (_long_fold, "planar: fold must span single bands"),
+], ids=["center", "pendant", "own pendant", "prime corner", "pair up", "overlap", "cycle",
+        "round trip", "no 2-cells", "chart", "two folds", "diagonal", "single bands"])
+def test_hand_built_complexes_are_rejected_with_each_reason(build, reason):
+    with pytest.raises(MetricError, match="^no span model fits the complex") as err:
+        classify(build())
+    assert reason in str(err.value)
+
+
+def _path_complex():
+    return enumerate_complex(TerminalMetric.from_pairs(
+        {(a, b): abs(ord(a) - ord(b)) for a, b in combinations("abcde", 2)}))
+
+
+@pytest.mark.parametrize("build, model, message", [
+    (_fan_complex, _FanModel, "^point not on the fan span$"),
+    (_type2_complex, _PlanarModel, "^point not on the span$"),
+    (_path_complex, _TreeModel, "^point not on the span$"),
+], ids=["fan", "planar", "tree"])
+def test_localize_rejects_a_point_off_the_span(build, model, message):
+    built = _build_model(build(), 1)
+    assert type(built) is model
+    with pytest.raises(MetricError, match=message):
+        built.localize((4, 8, 12, 16, 20))
 
 
 # -- the planar chart and lifts against the determinant and barycentric code ---

@@ -635,6 +635,30 @@ def test_linprog_sums_duplicate_triplets_like_scipy():
     assert np.allclose(ours.x, [1.0, 3.0, 0.0])
 
 
+def test_linprog_does_not_run_a_model_highs_rejects():
+    from spanflow.flow import Triplets
+    # max x0 + x1 with x0 + inf * x1 <= 1: passModel returns kError
+    a_ub = Triplets(np.array([1.0, np.inf]), np.array([0, 0]), np.array([0, 1]), (1, 2))
+    none = np.zeros(0, dtype=np.int64)
+    a_eq = Triplets(np.zeros(0), none, none, (0, 2))
+    res = linprog(np.array([-1.0, -1.0]), A_ub=a_ub, b_ub=[1.0], A_eq=a_eq, b_eq=np.zeros(0))
+    assert res == (None, False, "passModel returned kError", 0)
+
+
+def test_a_capacity_or_demand_beyond_float_range_is_a_flow_error():
+    big = 10 ** 400
+    with pytest.raises(FlowError, match=rf"^capacity {big} of edge \(s, t\) does not fit a float"):
+        max_concurrent_flow(single_edge(F(big)), Demand({("s", "t"): F(1)}), EPS)
+    with pytest.raises(FlowError, match=rf"^demand {big} on \(s, t\) does not fit a float$"):
+        max_concurrent_flow(single_edge(), Demand({("s", "t"): F(big)}), EPS)
+    # two parallel edges that each fit a float merge into one that does not
+    half = F(10 ** 308)
+    g = TerminalGraph(vertices=["s", "t"], terminals={"s": "s", "t": "t"},
+                      edges=[("s", "t", half, F(1)), ("t", "s", half, F(1))])
+    with pytest.raises(FlowError, match=rf"^capacity {2 * 10 ** 308} of edge \(s, t\)"):
+        max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
+
+
 # run in a fresh process: spanflow's first LP, then `import scipy.optimize`
 LP_FIRST = r"""
 import sys

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from spanflow.hard6 import (TERMS, AssocVec, CandidateSolution, _Lattice, adjust_solution,
-                            check_good, diagnose, from_assoc, generate, grid_snap,
+from spanflow.hard6 import (TERMS, AssocVec, CandidateSolution, _Lattice, _adjusted_table,
+                            adjust_solution, check_good, diagnose, from_assoc, generate, grid_snap,
                             identity_solution, metric6, rect_project, to_assoc)
-from spanflow.metric import MetricError, collinear_triples, restrict, validate_metric
+from spanflow.metric import MetricError, collinear_triples, pair_key, restrict, validate_metric
 from spanflow.tightspan import (enumerate_complex, in_tight_span, project, to_lattice,
                                 ts_distance)
 
@@ -197,13 +197,25 @@ def test_opt_equals_edge_shortest_path_sum():
 
 
 def test_vertex_formulas_and_membership():
-    inst = generate(4)
-    m = inst.metric
-    for vid, a in ref_assoc(inst).items():
-        assert from_assoc(a) == inst.vecs[vid]
-        assert to_assoc(inst.vecs[vid]) == a
-    for vid in ("b", "d"):
-        assert in_tight_span(m, inst.vecs[vid])
+    # from_assoc rejects a point outside the admissible region, so every
+    # walk's index ranges keep its grid points inside it
+    for L in (2, 3, 4, 7):
+        inst = generate(L)
+        for vid, a in ref_assoc(inst).items():
+            assert from_assoc(a) == inst.vecs[vid]
+            assert to_assoc(inst.vecs[vid]) == a
+        for vid in ("b", "d"):
+            assert in_tight_span(inst.metric, inst.vecs[vid])
+
+
+def test_adjusted_table_keeps_every_collinear_triple():
+    # the table is linear in (A, B): exact at (1, 0) and (0, 1), so at every (A, B)
+    triples = collinear_triples(metric6())
+    assert len(triples) == 16
+    for A, B in ((F(1), F(0)), (F(0), F(1))):
+        table = _adjusted_table(A, B)
+        for t, mid, u in triples:
+            assert table[pair_key(t, mid)] + table[pair_key(mid, u)] == table[pair_key(t, u)]
 
 
 def test_opt_bound():

@@ -67,6 +67,11 @@ def test_restrict_six_terminal_table():
         assert r.d(t, u) == v
 
 
+def test_len_and_repr():
+    assert len(m3()) == 3
+    assert repr(m3()) == "TerminalMetric(['a', 'b', 'c'], k=3)"
+
+
 def test_restrict_identity_and_singleton():
     m = m3()
     assert restrict(m, m.terminals) == m
