@@ -27,8 +27,8 @@ that code path.
 numpy and HiGHS's compiled core (scipy's `_highspy._core` extension, loaded
 from its file, not through `scipy.optimize`) load on the first LP, not at
 import: the geometry, decomposition and hard-instance code never solves an LP.
-The LP matrices are numpy triplets and the connectivity check a union-find,
-so spanflow imports neither `scipy.sparse` nor `scipy.optimize`.
+The LP matrix is built column-wise, as HiGHS reads it, and connectivity is a
+union-find, so spanflow imports neither `scipy.sparse` nor `scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -111,18 +111,6 @@ class LPResult(NamedTuple):
     nit: int
 
 
-class Triplets(NamedTuple):
-    """A sparse matrix as COO triplets: data[i] sits at (row[i], col[i])."""
-    data: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-
 @cache
 def _highs():
     """HiGHS's compiled core from scipy and the options
@@ -158,49 +146,34 @@ def _highs():
     return highs, options
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
-    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and x >= 0, by one
+def linprog(c, A, row_lower, row_upper) -> LPResult:
+    """min c @ x subject to row_lower <= A @ x <= row_upper and x >= 0, by one
     HiGHS run.
 
-    The part of `scipy.optimize.linprog(..., bounds=(0, None), method="highs")`
-    that `max_concurrent_flow` uses: the same stacked CSC matrix, row and column
-    bounds and options (presolve, dual simplex, no output), so the same x and
-    iteration count; it builds no marginals and makes no residual check.
-    `A_ub` and `A_eq` are COO triplets with the same number of columns: a
-    `Triplets`, or anything else with `data`, `row`, `col` and `shape`, such
-    as a scipy COO matrix.  The CSC matrix is built here with numpy, in the
-    order scipy's COO to CSC conversion gives: by column, then by row, with
-    duplicate entries summed.  A model that HiGHS rejects is not run: the
-    result fails with the status `passModel` returned.
+    `A` is HiGHS's column-wise matrix `(start, index, value)`: column j's
+    entries are `value[start[j]:start[j + 1]]`, in the rows `index[...]`,
+    which increase within each column.  The options are the ones
+    `scipy.optimize.linprog(method="highs")` sets (presolve, dual simplex, no
+    output), so on the same CSC matrix, with x >= 0, it returns scipy's x and
+    iteration count; it builds no marginals and makes no residual check.  A
+    model that HiGHS rejects is not run: the result fails with the status
+    `passModel` returned.
     """
     import numpy as np
     highs, options = _highs()
-    # the stacked matrix: A_eq's rows follow A_ub's
-    nrow, ncol = A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1]
-    row = np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]])
-    col = np.concatenate([A_ub.col, A_eq.col])
-    data = np.concatenate([A_ub.data, A_eq.data])
-    order = np.argsort(col.astype(np.int64) * nrow + row, kind="stable")
-    row, col, data = row[order], col[order], data[order]
-    new = np.ones(len(row), dtype=bool)
-    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    if not new.all():
-        first = np.flatnonzero(new)
-        row, col, data = row[first], col[first], np.add.reduceat(data, first)
-    start = np.zeros(ncol + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col, minlength=ncol), out=start[1:])
+    start, index, value = A
     lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = ncol
-    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = row
-    lp.a_matrix_.value_ = data
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(ncol)
-    lp.col_upper_ = np.full(ncol, highs.kHighsInf)
-    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -highs.kHighsInf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    lp.col_lower_ = np.zeros(len(c))
+    lp.col_upper_ = np.full(len(c), highs.kHighsInf)
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
     solver = highs._Highs()
     solver.passOptions(options)
     if (passed := solver.passModel(lp)) == highs.HighsStatus.kError:   # e.g. an inf entry
@@ -214,6 +187,17 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq) -> LPResult:
         primal = solver.solutionStatusToString(info.primal_solution_status)
         return LPResult(None, False, f"model_status is {text}; primal_status is {primal}", nit)
     return LPResult(np.array(solver.getSolution().col_value), True, text, nit)
+
+
+def _fit(num: int, den: int, what) -> float:
+    """num / den as a float (int true division rounds correctly); `FlowError`
+    naming `what()` when a positive value overflows or rounds to 0.0."""
+    try:
+        if (f := num / den) > 0:
+            return f
+    except OverflowError:
+        pass
+    raise FlowError(f"{what()} does not fit a float")
 
 
 def _components(n: int, a: list[int], b: list[int]) -> list[int]:
@@ -264,8 +248,9 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
     (`_source_cover`) is one commodity; commodity k's flow on arc a is
     column a * nk + k.  Every load is exactly within its edge's capacity
     (int accounting of the solver's floats); conservation holds only to float
-    accuracy.  A non-finite solver value, or a capacity (summed over parallel
-    edges) or demand too large for a float, raises `FlowError`.
+    accuracy.  A non-finite solver value, a solver lambda <= 0, or a capacity
+    (summed over parallel edges) or demand that overflows a float or rounds to
+    0.0, raises `FlowError`.
     """
     import numpy as np
     eps = as_fraction(epsilon)
@@ -299,51 +284,47 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
         caps[m] += ci
     # arc j < ne runs a -> b on merged edge j, arc ne + j runs back
     tails, heads = np.concatenate([a, b]), np.concatenate([b, a])
-    narc = 2 * ne
-
     cover = _source_cover(pairs)
     nk = len(cover)
-    nf = narc * nk
-    nvar = nf + 1   # f[arc, k] in column arc * nk + k, then lambda
-    lam_col = nf
-    # equality rows (k, v): inflow - outflow - lambda * d_k(v) = 0, except at
-    # the source, whose row the others imply
-    fcols = np.arange(nf)
-    arc, base = fcols // nk, fcols % nk * nv
-    rows = [base + heads[arc], base + tails[arc]]
-    cols = [fcols, fcols]
-    vals = [np.ones(nf), -np.ones(nf)]
-    sink_rows = [k * nv + vindex[g.terminals[w]]
-                 for k, (_, sinks) in enumerate(cover) for _, w, _ in sinks]
-    rows.append(np.array(sink_rows, dtype=np.int64))
-    cols.append(np.full(len(sink_rows), lam_col))
-    try:
-        vals.append(np.array([-float(d) for _, sinks in cover for _, _, d in sinks]))
-    except OverflowError:
-        t, u, d = max(pairs, key=lambda p: p[2])
-        raise FlowError(f"demand {d} on ({t}, {u}) does not fit a float") from None
-    live = np.ones(nk * nv, dtype=bool)
-    live[[k * nv + vindex[g.terminals[s]] for k, (s, _) in enumerate(cover)]] = False
-    row_id = np.cumsum(live) - 1
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    keep = live[rows]
-    a_eq = Triplets(vals[keep], row_id[rows[keep]], cols[keep], (int(live.sum()), nvar))
-    a_ub = Triplets(np.ones(nf), arc % ne, fcols, (ne, nvar))
-    try:
-        b_ub = [c / cs for c in caps]   # int true division rounds correctly
-    except OverflowError:
-        j = caps.index(max(caps))
-        u, v = g.vertices[a[j]], g.vertices[b[j]]
-        raise FlowError(f"capacity {Fraction(caps[j], cs)} of edge ({u}, {v}) "
-                        "does not fit a float") from None
+    nf = 2 * ne * nk   # f[arc, k] in column arc * nk + k, then lambda
+    src = np.array([vindex[g.terminals[s]] for s, _ in cover])
 
-    c = np.zeros(nvar)
-    c[lam_col] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]))
+    def row(k, v):
+        """Commodity k's conservation row at vertex v, after the ne capacity
+        rows: inflow - outflow - lambda * d_k(v) = 0.  Its source's row, which
+        the others imply, is left out."""
+        return ne + k * (nv - 1) + v - (v > src[k])
+
+    # HiGHS's column-wise matrix.  Flow column j: its capacity row, then its
+    # merged edge's lower and higher end (a < b), -1/+1 on arc a -> b and +1/-1
+    # back, an entry at the source's row dropped.  Each column's rows increase
+    fcols = np.arange(nf)
+    arc, k = fcols // nk, fcols % nk
+    e = arc % ne
+    sign = np.where(arc < ne, 1.0, -1.0)
+    keep = np.stack([np.ones(nf, dtype=bool), a[e] != src[k], b[e] != src[k]], axis=1)
+    # then the lambda column: -d at each sink's row
+    lam_rows, lam_vals = zip(*sorted(
+        (row(k, vindex[g.terminals[w]]), -_fit(d.numerator, d.denominator,
+                                               lambda: f"demand {d} on ({t}, {u})"))
+        for k, (_, sinks) in enumerate(cover) for (t, u), w, d in sinks))
+    matrix = (np.concatenate([[0], keep.sum(axis=1), [len(lam_rows)]]).cumsum(),
+              np.concatenate([np.stack([e, row(k, a[e]), row(k, b[e])], axis=1)[keep], lam_rows]),
+              np.concatenate([np.stack([np.ones(nf), -sign, sign], axis=1)[keep], lam_vals]))
+    cap_bounds = [_fit(c, cs, lambda: f"capacity {Fraction(c, cs)} of edge "
+                                      f"({g.vertices[a[j]]}, {g.vertices[b[j]]})")
+                  for j, c in enumerate(caps)]
+    zeros = np.zeros(nk * (nv - 1))
+    c = np.zeros(nf + 1)
+    c[-1] = -1.0
+    res = linprog(c, matrix, np.concatenate([np.full(ne, -np.inf), zeros]),
+                  np.concatenate([cap_bounds, zeros]))
     if not res.success:
         raise FlowError(f"LP solver failed: {res.message}")
     if not np.isfinite(res.x).all():
         raise FlowError("LP solver returned a non-finite value")
+    if res.x[-1] <= 0:   # the demand pairs are connected and capacities positive
+        raise FlowError("LP solver returned lambda <= 0 on a connected demand")
 
     # the clipped float flow exactly, as ints X on the power-of-two scale xs:
     # merged edge m carries used[m] / xs against capacity caps[m] / cs.  One
@@ -371,8 +352,7 @@ def max_concurrent_flow(g: TerminalGraph, demand: Demand, epsilon) -> FlowResult
             net = (sum(X[j * nk + k] for j in np.flatnonzero(heads == wi).tolist())
                    - sum(X[j * nk + k] for j in np.flatnonzero(tails == wi).tolist()))
             routed[pair] = Fraction(net * sn, xs * sd)
-    congestion = Fraction(1) / lam if lam > 0 else Fraction(0)
-    return FlowResult(lam=lam, congestion=congestion, routed=routed, load_nums=load_nums,
+    return FlowResult(lam=lam, congestion=1 / lam, routed=routed, load_nums=load_nums,
                       load_dens=load_dens, load_scale=xs * sd)
 
 

@@ -107,10 +107,13 @@ SIX = ("".join(f"terminal {t} {t}\n" for t in "abcdef")
     (["sparsify", "{six}", "--seed", "1"], "decomposition supports at most 5 terminals"),
     (["sparsify", "{island}", "--seed", "1"], "vertex x is disconnected from terminal a"),
     (["hard6", "--L", "3", "--snap-grid", "0"], "snap grid must be at least 1"),
+    (["quality", "{tiny}", "{tiny}", "--random-demands", "1", "--seed", "1"],
+     f"capacity 1/{10 ** 400} of edge (s, t) does not fit a float"),
 ], ids=["project too few coordinates", "sparsify six terminals", "sparsify unreachable component",
-        "hard6 snap grid 0"])
+        "hard6 snap grid 0", "quality capacity rounds to 0"])
 def test_public_input_errors_exit_2(tmp_path, capsys, argv, message):
-    files = {"metric": METRIC_EX1, "six": SIX, "island": STAR + "edge x y 1 1\n"}
+    files = {"metric": METRIC_EX1, "six": SIX, "island": STAR + "edge x y 1 1\n",
+             "tiny": f"terminal s s\nterminal t t\nedge s t 1/{10 ** 400} 1\n"}
     for name, text in files.items():
         (tmp_path / f"{name}.txt").write_text(text)
     paths = {name: str(tmp_path / f"{name}.txt") for name in files}

@@ -396,20 +396,14 @@ def test_source_cover_is_greedy_and_ordered():
         [("a", ["b", "c", "d"]), ("b", ["c"])]
 
 
-def as_coo(m):
-    """scipy's COO array of `linprog` triplets."""
-    from scipy.sparse import coo_array
-    return coo_array((m.data, (m.row, m.col)), shape=m.shape)
-
-
 def capture_linprog(monkeypatch):
     import spanflow.flow as flow
     calls = []
     real = flow.linprog
 
-    def spy(c, **kwargs):
-        calls.append((c, kwargs))
-        return real(c, **kwargs)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(flow, "linprog", spy)
     return calls
@@ -420,18 +414,20 @@ def test_lp_size_ave_instance(monkeypatch):
     inst = generate(4, ave=True)
     calls = capture_linprog(monkeypatch)
     r = max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
-    (c, kw), = calls
+    (c, (start, index, value), row_lower, row_upper), = calls
     # 474 merged edges, two arcs each, 4 sources cover the 9 demand pairs
     ne, nk = 474, 4
-    assert len(c) == 2 * ne * nk + 1 == 3793
-    assert kw["A_ub"].shape == (ne, 3793)
-    assert kw["A_eq"].shape == (nk * (len(inst.graph.vertices) - 1), 3793)
+    assert len(c) == 2 * ne * nk + 1 == 3793 == len(start) - 1
+    assert len(row_lower) == len(row_upper) == ne + nk * (len(inst.graph.vertices) - 1)
+    assert np.isinf(row_lower[:ne]).all() and not row_lower[ne:].any()
+    columns = [index[start[j]:start[j + 1]].tolist() for j in range(len(c))]
+    assert all(rows == sorted(set(rows)) for rows in columns)   # strictly increasing
     # arc-major columns: flow column j is commodity j % nk on arc j // nk
-    a_ub = as_coo(kw["A_ub"]).tocsc()
-    assert a_ub.nnz == len(c) - 1
-    for j in range(len(c) - 1):
-        assert a_ub.indices[a_ub.indptr[j]:a_ub.indptr[j + 1]].tolist() == [(j // nk) % ne]
-    assert a_ub.indptr[-1] == a_ub.indptr[-2]   # lambda has no capacity entry
+    assert all(rows[0] == (j // nk) % ne for j, rows in enumerate(columns[:-1]))
+    assert all(min(rows[1:], default=ne) >= ne for rows in columns[:-1])
+    # the lambda column has one entry per demand pair, all conservation rows
+    assert len(columns[-1]) == len(inst.ave.demand.pairs()) == 9
+    assert min(columns[-1]) >= ne
     assert all(load <= e.capacity for load, e in zip(r.loads, inst.graph.edges))
 
 
@@ -445,9 +441,9 @@ def test_capacity_bounds_are_the_rounded_merged_capacities(monkeypatch):
                              ("s", "t", F(3, 23), F(1))],
                       terminals={"s": "s", "t": "t"})
     max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
-    (_, kw), = calls
+    (_, _, _, row_upper), = calls
     merged = [F(1, 3) + F(2, 7), F(3, 23), F(5, 11) + F(1, 13) + F(4, 17)]  # (s,m) (s,t) (m,t)
-    assert kw["b_ub"] == [float(cap) for cap in merged]
+    assert row_upper[:3].tolist() == [float(cap) for cap in merged]
 
 
 def fraction_reference(g, demand, epsilon, x):
@@ -497,8 +493,8 @@ def test_int_accounting_matches_the_fraction_reference(monkeypatch, rng):
     results = []
     real = flow.linprog
 
-    def spy(c, **kwargs):
-        results.append(real(c, **kwargs))
+    def spy(*args):
+        results.append(real(*args))
         return results[-1]
 
     monkeypatch.setattr(flow, "linprog", spy)
@@ -520,7 +516,7 @@ def stub_linprog(monkeypatch, pattern, lam=0.5):
     import spanflow.flow as flow
     vectors = []
 
-    def stub(c, **kwargs):
+    def stub(c, *args):
         x = np.resize(np.array(pattern, dtype=float), len(c))
         x[-1] = lam
         vectors.append(x)
@@ -567,9 +563,21 @@ def test_lp_size_ignores_edge_multiplicity(monkeypatch):
                           terminals={"s": "s", "t": "t"})
         r = max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
         assert (1 - EPS) * copies <= r.lam <= copies
-    sizes = {(len(c), kw["A_eq"].shape, kw["A_eq"].nnz, kw["A_ub"].nnz) for c, kw in calls}
+    sizes = {(len(c), len(row_lower), tuple(start)) for c, (start, _, _), row_lower, _ in calls}
     assert len(calls) == 3 and len(sizes) == 1
     assert len(calls[0][0]) == 2 * 2 + 1
+
+
+def as_scipy(c, matrix, row_lower, row_upper):
+    """`linprog`'s arguments as `scipy.optimize.linprog`'s: the column-wise
+    matrix as a CSC array, split into its inequality rows (lower bound -inf)
+    and its equality rows."""
+    from scipy.sparse import csc_array
+    start, index, value = matrix
+    a = csc_array((value, index, start), shape=(len(row_lower), len(c)))
+    ne = int(np.isinf(row_lower).sum())
+    assert np.isinf(row_lower[:ne]).all() and np.array_equal(row_lower[ne:], row_upper[ne:])
+    return dict(c=c, A_ub=a[:ne], b_ub=row_upper[:ne], A_eq=a[ne:], b_eq=row_upper[ne:])
 
 
 def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
@@ -590,9 +598,8 @@ def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
         inst = generate(3, ave=True, gamma=gamma)
         max_concurrent_flow(inst.graph, inst.ave.demand, EPS)
     assert len(calls) == 14
-    for c, kw in calls:
-        ref_kw = dict(kw, A_ub=as_coo(kw["A_ub"]), A_eq=as_coo(kw["A_eq"]))
-        ours, ref = linprog(c, **kw), scipy_linprog(c, **ref_kw, bounds=(0, None), method="highs")
+    for args in calls:
+        ours, ref = linprog(*args), scipy_linprog(**as_scipy(*args), bounds=(0, None), method="highs")
         assert ours.success and ref.success
         assert ours.nit == ref.nit
         assert np.array_equal(ours.x, ref.x)
@@ -601,47 +608,23 @@ def test_direct_highs_call_matches_scipy_linprog(monkeypatch, rng):
 def test_infeasible_lp_reports_the_highs_status(monkeypatch):
     import spanflow.flow as flow
     from scipy.optimize import linprog as scipy_linprog
-    from scipy.sparse import coo_matrix
-    # x0 <= -1 against x >= 0
-    c = np.array([1.0, 0.0])
-    kw = dict(A_ub=coo_matrix(np.array([[1.0, 0.0]])), b_ub=[-1.0],
-              A_eq=coo_matrix(np.array([[0.0, 1.0]])), b_eq=np.zeros(1))
-    res, ref = linprog(c, **kw), scipy_linprog(c, **kw, bounds=(0, None), method="highs")
+    # x0 <= -1 against x >= 0, and x1 = 0
+    args = (np.array([1.0, 0.0]), (np.array([0, 1, 2]), np.array([0, 1]), np.ones(2)),
+            np.array([-np.inf, 0.0]), np.array([-1.0, 0.0]))
+    res = linprog(*args)
+    ref = scipy_linprog(**as_scipy(*args), bounds=(0, None), method="highs")
     assert not res.success and not ref.success and res.x is None
     assert "model_status is Infeasible" in res.message
     assert res.message in ref.message
-    monkeypatch.setattr(flow, "linprog", lambda c, **kwargs: res)
+    monkeypatch.setattr(flow, "linprog", lambda *args: res)
     with pytest.raises(FlowError, match="LP solver failed: model_status is Infeasible"):
         max_concurrent_flow(single_edge(), Demand({("s", "t"): F(1)}), EPS)
 
 
-def test_linprog_sums_duplicate_triplets_like_scipy():
-    """Unsorted triplets with repeated entries give scipy's x and iteration
-    count: the CSC matrix sorts by column, then row, and sums duplicates."""
-    from scipy.optimize import linprog as scipy_linprog
-    from spanflow.flow import Triplets
-    # max x0 + 3 x1 + x2 with x0 + x1 <= 4 (x1's entry split in two), x1 + x2 <= 3
-    # and x0 - x2 = 1 (x0's entry split in three)
-    a_ub = Triplets(np.array([1.0, 0.5, 1.0, 0.5, 1.0]), np.array([1, 0, 0, 0, 1]),
-                    np.array([2, 1, 0, 1, 1]), (2, 3))
-    a_eq = Triplets(np.array([-1.0, 0.25, 0.5, 0.25]), np.array([0, 0, 0, 0]),
-                    np.array([2, 0, 0, 0]), (1, 3))
-    c, b_ub, b_eq = np.array([-1.0, -3.0, -1.0]), [4.0, 3.0], np.array([1.0])
-    ours = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
-    ref = scipy_linprog(c, A_ub=as_coo(a_ub), b_ub=b_ub, A_eq=as_coo(a_eq), b_eq=b_eq,
-                        bounds=(0, None), method="highs")
-    assert ours.success and ref.success and ours.nit == ref.nit
-    assert np.array_equal(ours.x, ref.x)
-    assert np.allclose(ours.x, [1.0, 3.0, 0.0])
-
-
 def test_linprog_does_not_run_a_model_highs_rejects():
-    from spanflow.flow import Triplets
     # max x0 + x1 with x0 + inf * x1 <= 1: passModel returns kError
-    a_ub = Triplets(np.array([1.0, np.inf]), np.array([0, 0]), np.array([0, 1]), (1, 2))
-    none = np.zeros(0, dtype=np.int64)
-    a_eq = Triplets(np.zeros(0), none, none, (0, 2))
-    res = linprog(np.array([-1.0, -1.0]), A_ub=a_ub, b_ub=[1.0], A_eq=a_eq, b_eq=np.zeros(0))
+    matrix = (np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0, np.inf]))
+    res = linprog(np.array([-1.0, -1.0]), matrix, np.array([-np.inf]), np.array([1.0]))
     assert res == (None, False, "passModel returned kError", 0)
 
 
@@ -657,6 +640,20 @@ def test_a_capacity_or_demand_beyond_float_range_is_a_flow_error():
                       edges=[("s", "t", half, F(1)), ("t", "s", half, F(1))])
     with pytest.raises(FlowError, match=rf"^capacity {2 * 10 ** 308} of edge \(s, t\)"):
         max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
+    # and below it: a positive value that rounds to 0.0
+    tiny = F(1, 10 ** 400)
+    with pytest.raises(FlowError, match=rf"^capacity {tiny} of edge \(s, t\) does not fit a float$"):
+        max_concurrent_flow(single_edge(tiny), Demand({("s", "t"): F(1)}), EPS)
+    with pytest.raises(FlowError, match=rf"^demand {tiny} on \(s, t\) does not fit a float$"):
+        max_concurrent_flow(single_edge(), Demand({("s", "t"): tiny}), EPS)
+
+
+def test_a_capacity_below_the_solver_tolerances_is_a_flow_error():
+    # 1e-300 fits a float, but HiGHS routes nothing through it
+    g = TerminalGraph(vertices=["s", "m", "t"], terminals={"s": "s", "t": "t"},
+                      edges=[("s", "m", F(1, 10 ** 300), F(1)), ("m", "t", F(1), F(1))])
+    with pytest.raises(FlowError, match="^LP solver returned lambda <= 0 on a connected demand$"):
+        max_concurrent_flow(g, Demand({("s", "t"): F(1)}), EPS)
 
 
 # run in a fresh process: spanflow's first LP, then `import scipy.optimize`
@@ -667,20 +664,21 @@ import spanflow.flow as flow
 from spanflow.hard6 import generate
 calls = []
 real = flow.linprog
-flow.linprog = lambda c, **kw: calls.append((c, kw)) or real(c, **kw)
+flow.linprog = lambda *args: calls.append(args) or real(*args)
 inst = generate(3, ave=True)
 flow.max_concurrent_flow(inst.graph, inst.ave.demand, "1/100")
 unloaded = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
 assert not [m for m in unloaded if m in sys.modules], sorted(sys.modules)
 import scipy.optimize
 from scipy.optimize._highspy import _core
-from scipy.sparse import coo_array
+from scipy.sparse import csc_array
 assert _core is flow._highs()[0]
-(c, kw), = calls
-coo = {k: coo_array((m.data, (m.row, m.col)), shape=m.shape) for k, m in kw.items()
-       if k.startswith("A_")}
-ref = scipy.optimize.linprog(c, **dict(kw, **coo), bounds=(0, None), method="highs")
-ours = real(c, **kw)
+(c, (start, index, value), lower, upper), = calls
+a = csc_array((value, index, start), shape=(len(lower), len(c)))
+ne = int(np.isinf(lower).sum())
+ref = scipy.optimize.linprog(c, A_ub=a[:ne], b_ub=upper[:ne], A_eq=a[ne:], b_eq=upper[ne:],
+                             bounds=(0, None), method="highs")
+ours = real(c, (start, index, value), lower, upper)
 assert ref.success and ours.success and ours.nit == ref.nit
 assert np.array_equal(ours.x, ref.x)
 """
